@@ -371,10 +371,60 @@ def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eom_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Flat-vector right-hand side for ODE integration; skips the guards."""
-    state = State(q, th)
-    coords = derived_coords(state, params)
-    qdot = _xh_q_theta_form(state, params)
-    pdot = _xh_p_from_coords(coords, params)
-    J = _s_jacobian(q, params)
-    return np.concatenate([qdot, pdot - J @ qdot])
+    """Flat-vector right-hand side (xidot, etadot) for ODE integration.
+
+    The same vector field as ``eom``, fused into one pass over flat
+    arrays: no ``State``, no ``DerivedCoords``, no cross-check.  The
+    tridiagonal product J @ qdot is applied edge by edge: chain edge c
+    carries one flux, its X_H[p] term minus its (ds/dq) qdot term, and
+    etadot is the difference of consecutive fluxes plus the boundary
+    terms at site n.  Overflow anywhere surfaces as inf or nan in the
+    output, which is checked once and raises ``CoordinateOverflowError``.
+    """
+    beta, kappa = params.beta, params.kappa
+    n = q.shape[0]
+    out = np.empty(2 * n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # w_a = beta^2 e^{-d_a} (a < n) and w_n = beta^2 e^{-2 q_n}
+        arg = np.empty(n)
+        arg[:-1] = q[1:] - q[:-1]
+        arg[-1] = -2.0 * q[-1]
+        w = beta * beta * np.exp(arg)
+        wk = kappa * kappa * w[-1]
+        one_w = 1.0 + w
+        one_wk = 1.0 + wk
+        # s_a = (ln f_a - ln f_{a-1}) / beta, with both boundary factors at n
+        lf = 0.5 * np.log1p(w)
+        s = np.empty(n)
+        s[0] = lf[0]
+        s[1:] = lf[1:] - lf[:-1]
+        s[-1] += 0.5 * np.log1p(wk)
+        x = np.exp(beta * th + s)
+        # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
+        f = np.sqrt(one_w)
+        F = f.copy()
+        F[1:] *= f[:-1]
+        F[-1] *= np.sqrt(one_wk)
+        qdot = beta * np.sinh(beta * th) * F
+        # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
+        # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
+        g = -w / (2.0 * one_w)
+        gk = -wk / (2.0 * one_wk)
+        flux = 0.5 * (1.0 / x[:-1] + x[1:]) * w[:-1] - g[:-1] * (qdot[:-1] - qdot[1:]) / beta
+        etadot = out[n:]
+        etadot[0] = flux[0]
+        etadot[1:-1] = flux[1:] - flux[:-1]
+        wn = w[-1]
+        corner = 0.5 * kappa * w[-2] * wn
+        etadot[-1] = (
+            -flux[-1]
+            + wn / x[-1] * (1.0 + kappa * kappa * (1.0 + 2.0 * wn))
+            + 2.0 * kappa * wn
+            + corner
+            - 2.0 * (g[-1] + gk) * qdot[-1] / beta
+        )
+        etadot[-2] += corner
+        out[:n] = qdot
+    if not np.isfinite(out).all():
+        raise CoordinateOverflowError("overflow while evaluating the equations of motion")
+    return out

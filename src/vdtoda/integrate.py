@@ -7,7 +7,9 @@ tolerance budget, rapidities respect the a-priori bound
 |theta_a| < ln(2 H) / beta, and no particle moves faster than beta H
 between consecutive samples.  The eigenvalues of the Lax matrix are
 recorded per sample with a consistent ordering, so isospectrality can
-be measured as a drift number.
+be measured as a drift number.  Only Lcal is built per sample, and one
+eigvals call covers the whole stack; the construction cross-checks run
+in ``build_bundle`` (and so in the verification suite), not here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, State, time_reversal
 from .hamiltonian import _eom_arrays, hamiltonian
-from .lax import build_bundle
+from .lax import _lax_matrices
 
 __all__ = [
     "Trajectory",
@@ -100,18 +102,15 @@ def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
 
 
 def _matched_spectra(states: tuple[State, ...], params: ModelParams) -> np.ndarray:
-    rows = []
-    prev: np.ndarray | None = None
-    for s in states:
-        lam = np.linalg.eigvals(build_bundle(s, params).Lcal)
-        if prev is None:
-            lam = lam[np.lexsort((lam.imag, lam.real))]
-        else:
-            cost = np.abs(prev[:, None] - lam[None, :])
-            _, col = linear_sum_assignment(cost)
-            lam = lam[col]
-        rows.append(lam)
-        prev = lam
+    # One stacked eigvals over (samples, 2n, 2n); only Lcal is built per sample.
+    lams = np.linalg.eigvals(_lax_matrices(states, params))
+    prev = lams[0][np.lexsort((lams[0].imag, lams[0].real))]
+    rows = [prev]
+    for lam in lams[1:]:
+        cost = np.abs(prev[:, None] - lam[None, :])
+        _, col = linear_sum_assignment(cost)
+        prev = lam[col]
+        rows.append(prev)
     return np.array(rows)
 
 

@@ -28,10 +28,11 @@ entries; construction fails loudly if the two routes disagree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import CrossCheckError, ModelParams, State
 from .hamiltonian import DerivedCoords, derived_coords, xh_w
@@ -52,6 +53,7 @@ __all__ = [
 
 _ACAL_CROSS_TOL = 1e-12
 _HPARTS_CROSS_TOL = 1e-12
+_CHAIN_BLOCK = 8
 
 
 def graded_part(M: np.ndarray, k: int) -> np.ndarray:
@@ -89,7 +91,7 @@ def reversal(n: int) -> np.ndarray:
 
 def _rev(M: np.ndarray) -> np.ndarray:
     # R M R reverses both index orders; pure entry moves, bitwise exact.
-    return np.ascontiguousarray(M[::-1, ::-1])
+    return np.ascontiguousarray(M[..., ::-1, ::-1])
 
 
 def build_omega(n: int) -> np.ndarray:
@@ -108,17 +110,18 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
     For M = [[P, S], [T, V]] in n x n blocks the conjugate is
     [[R V R, -R T R], [-R S R, R P R]]; no floating arithmetic beyond
     negation is involved, so structural zeros are preserved bitwise.
+    A stack of matrices (leading axes) is conjugated matrix by matrix.
     """
     M = np.asarray(M)
-    N = M.shape[0]
-    if N % 2 or M.shape != (N, N):
+    N = M.shape[-1]
+    if N % 2 or M.ndim < 2 or M.shape[-2] != N:
         raise ValueError("expected a square matrix of even dimension")
     n = N // 2
     out = np.empty_like(M)
-    out[:n, :n] = _rev(M[n:, n:])
-    out[:n, n:] = -_rev(M[n:, :n])
-    out[n:, :n] = -_rev(M[:n, n:])
-    out[n:, n:] = _rev(M[:n, :n])
+    out[..., :n, :n] = _rev(M[..., n:, n:])
+    out[..., :n, n:] = -_rev(M[..., n:, :n])
+    out[..., n:, :n] = -_rev(M[..., :n, n:])
+    out[..., n:, n:] = _rev(M[..., :n, :n])
     return out
 
 
@@ -168,15 +171,15 @@ def _compose(pp: np.ndarray, pm: np.ndarray, mp: np.ndarray, mm: np.ndarray) -> 
     return np.block([[pp, pm], [mp, mm]])
 
 
-def _delta_power(delta: float, c: float) -> float:
+def _delta_power(delta: float | np.ndarray, c: float) -> float | np.ndarray:
     # delta >= 1 always; exp(c ln delta) keeps all fractional powers on
     # one evaluation route.
-    return float(np.exp(c * np.log(delta)))
+    return np.exp(c * np.log(delta))
 
 
 def _w_subdiagonal(sw: np.ndarray) -> np.ndarray:
     # (sqrt(w_1) .. sqrt(w_{n-1}), sqrt(w_n), -sqrt(w_{n-1}) .. -sqrt(w_1))
-    return np.concatenate([sw[:-1], sw[-1:], -sw[-2::-1]])
+    return np.concatenate([sw[..., :-1], sw[..., -1:], -sw[..., -2::-1]], axis=-1)
 
 
 def _dcal_diagonal(coords: DerivedCoords, params: ModelParams) -> np.ndarray:
@@ -322,6 +325,71 @@ def _acal_explicit(
     return _compose(pp, pm, mp, _rev(mm))
 
 
+def _lax_chain(
+    x: np.ndarray, w: np.ndarray, delta: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factor chain d, W, L, g, Hcal, Lcal for a stack of S states.
+
+    x and w are (S, n), delta is (S,).  Returns d, the diagonal of D, as
+    (S, N) and the other five as (S, N, N).  Every step acts matrix by
+    matrix, so a state gives the same bits alone or inside a stack.
+    """
+    kappa, n = params.kappa, params.n
+    N = 2 * n
+    S = x.shape[0]
+    sw = np.sqrt(w)
+
+    dn = np.sqrt(x)
+    dn[:, -1] *= _delta_power(delta, -0.25)
+    d = np.concatenate([dn, (1.0 / dn)[:, ::-1]], axis=1)
+
+    W = np.zeros((S, N, N))
+    W[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(sw)
+    L = d[:, :, None] * (np.eye(N) + W)
+
+    g = np.zeros((S, N, N))
+    g[:, np.arange(N), np.arange(N)] = 1.0
+    g[:, n - 1, n - 1] = g[:, n, n] = _delta_power(delta, 0.5)
+    g[:, n - 1, n] = g[:, n, n - 1] = kappa * sw[:, -1]
+
+    # Omega L Omega^{-1} = D^{-1} (I - W^T) is upper bidiagonal, so Hcal
+    # solves a triangular system; forward substitution leaves exact
+    # zeros below the first subdiagonal.  LAPACK trtrs is called
+    # directly: the scipy wrapper costs more than the solve.
+    U = omega_conjugate(L)
+    Hcal = np.empty_like(L)
+    for k in range(S):
+        HcalT, info = dtrtrs(U[k].T, L[k].T, lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular Omega conjugate of L at diagonal {info}")
+        Hcal[k] = HcalT.T
+    return d, W, L, g, Hcal, Hcal @ g
+
+
+def _lax_matrices(states: Sequence[State], params: ModelParams) -> np.ndarray:
+    """Lcal alone at every state, stacked as (S, 2n, 2n).
+
+    Entry i is bitwise equal to ``build_bundle(states[i], params).Lcal``.
+    Trajectories use this for the spectrum; the cross-checks of
+    ``build_bundle`` (the two Acal routes, the X_H[w] composition rule)
+    are not run here.  They run in ``build_bundle`` and so on every
+    ``run_suite`` state.
+    """
+    coords = [derived_coords(s, params) for s in states]
+    x = np.array([c.x for c in coords])
+    w = np.array([c.w for c in coords])
+    delta = np.array([c.delta for c in coords])
+    N = 2 * params.n
+    out = np.empty((len(coords), N, N))
+    # The chain keeps about ten stacks alive at once; feeding it blocks
+    # of samples bounds that working set, which would otherwise grow
+    # with the trajectory length.
+    for k in range(0, len(coords), _CHAIN_BLOCK):
+        part = slice(k, k + _CHAIN_BLOCK)
+        out[part] = _lax_chain(x[part], w[part], delta[part], params)[-1]
+    return out
+
+
 def build_bundle(state: State, params: ModelParams) -> LaxBundle:
     """Assemble every Lax-side matrix at one state.
 
@@ -331,18 +399,11 @@ def build_bundle(state: State, params: ModelParams) -> LaxBundle:
     """
     coords = derived_coords(state, params)
     beta, kappa, n = params.beta, params.kappa, params.n
-    N = 2 * n
-    x, w, delta = coords.x, coords.w, coords.delta
-    sw = np.sqrt(w)
+    w = coords.w
 
-    dn = np.sqrt(x)
-    dn[-1] *= _delta_power(delta, -0.25)
-    d = np.concatenate([dn, (1.0 / dn)[::-1]])
-    D = np.diag(d)
-
-    W = np.zeros((N, N))
-    W[np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(sw)
-    L = d[:, None] * (np.eye(N) + W)
+    d, W, L, g, Hcal, Lcal = (
+        a[0] for a in _lax_chain(coords.x[None], coords.w[None], np.array([coords.delta]), params)
+    )
 
     phi, psi, A, B = _triad_blocks(coords, params)
     bump = 0.5 * beta * kappa * w[-1] + 0.25 * beta * kappa * kappa * w[-1] * coords.gamma
@@ -355,21 +416,8 @@ def build_bundle(state: State, params: ModelParams) -> LaxBundle:
             f"Acal construction routes disagree: |diff| = {gap:.3e} > {_ACAL_CROSS_TOL * scale:.3e}"
         )
 
-    sqrt_delta = _delta_power(delta, 0.5)
-    g = np.eye(N)
-    g[n - 1, n - 1] = g[n, n] = sqrt_delta
-    g[n - 1, n] = g[n, n - 1] = kappa * sw[-1]
-    g_inv = np.eye(N)
-    g_inv[n - 1, n - 1] = g_inv[n, n] = sqrt_delta
-    g_inv[n - 1, n] = g_inv[n, n - 1] = -kappa * sw[-1]
-
-    Omega = build_omega(n)
-    # Omega L Omega^{-1} = D^{-1} (I - W^T) is upper bidiagonal, so Hcal
-    # solves a triangular system; forward substitution leaves exact
-    # zeros below the first subdiagonal.
-    U = omega_conjugate(L)
-    Hcal = solve_triangular(U.T, L.T, lower=True).T
-    Lcal = Hcal @ g
+    g_inv = g.copy()
+    g_inv[n - 1, n] = g_inv[n, n - 1] = -g[n - 1, n]
     Lcal_inv = g_inv @ omega_conjugate(Hcal)
     Ycal = 0.5 * beta * (Lcal - Lcal_inv)
 
@@ -377,7 +425,7 @@ def build_bundle(state: State, params: ModelParams) -> LaxBundle:
     Dcal, XhW = build_dcal_and_xhW(state, params, coords)
 
     return LaxBundle(
-        D=D,
+        D=np.diag(d),
         W=W,
         L=L,
         Dcal=Dcal,
@@ -386,7 +434,7 @@ def build_bundle(state: State, params: ModelParams) -> LaxBundle:
         Acal=Acal,
         g=g,
         g_inv=g_inv,
-        Omega=Omega,
+        Omega=build_omega(n),
         Hcal=Hcal,
         Lcal=Lcal,
         Lcal_inv=Lcal_inv,

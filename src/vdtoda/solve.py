@@ -9,9 +9,15 @@ positions,
 
 where m_c is the ratio of consecutive leading principal minors.  The
 minors of E(t) stay strictly positive along the flow, so positions need
-no ODE solving at all.  Position rates follow from Jacobi's derivative
-formula for determinants, and rapidities invert the defining relation
-between position velocity and rapidity through arcsinh.
+no ODE solving at all.  Position rates come from the same elimination:
+differentiating E = l D u and using E' = Ycal E gives
+
+    D'/D = diag(l^{-1} Ycal l),
+
+because l^{-1} l' is strictly lower and u' u^{-1} strictly upper.  So
+the rates are the first n diagonal entries of one unit-lower triangular
+solve.  Rapidities invert the defining relation between position
+velocity and rapidity through arcsinh.
 
 Conditioning caveat: entries of exp(t Ycal) grow exponentially in t, so
 double precision limits the usable horizon; at the desk scales used
@@ -22,11 +28,11 @@ rather than silent noise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
+from scipy.linalg import expm
+from scipy.linalg.lapack import dtrtrs
 
 from .core import CoordinateOverflowError, CrossCheckError, ModelParams, State
 from .hamiltonian import _interaction_factors, hamiltonian
@@ -81,6 +87,27 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return E
 
 
+def _eliminate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination without pivoting: M = l r, r = diag(d) u.
+
+    Returns the unit lower factor l and the upper factor r, whose
+    diagonal holds the pivots; the j-th pivot IS the minor ratio m_j.
+    """
+    A = np.array(M, dtype=float)
+    N = A.shape[0]
+    if A.shape != (N, N):
+        raise ValueError("expected a square matrix")
+    # Packed in place: the multipliers of l overwrite the eliminated column.
+    for j in range(N):
+        p = A[j, j]
+        if abs(p) < _PIVOT_FLOOR:
+            raise FactorizationBreakdownError("pivot underflow in minor chain", j=j + 1)
+        col = A[j + 1 :, j]
+        col /= p
+        A[j + 1 :, j + 1 :] -= col[:, None] * A[j, j + 1 :]
+    return np.tril(A, -1) + np.eye(N), np.triu(A)
+
+
 def leading_minors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All leading principal minors pi_j and their ratios m_j = pi_j/pi_{j-1}.
 
@@ -88,18 +115,7 @@ def leading_minors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j-th pivot IS m_j, and pi is the running product (which can overflow
     to inf for strongly graded matrices even when every m_j is benign).
     """
-    U = np.array(M, dtype=float)
-    N = U.shape[0]
-    if U.shape != (N, N):
-        raise ValueError("expected a square matrix")
-    m = np.empty(N)
-    for j in range(N):
-        p = U[j, j]
-        if abs(p) < _PIVOT_FLOOR:
-            raise FactorizationBreakdownError("pivot underflow in minor chain", j=j + 1)
-        m[j] = p
-        if j + 1 < N:
-            U[j + 1 :, j:] -= np.outer(U[j + 1 :, j] / p, U[j, j:])
+    m = np.diag(_eliminate(M)[1]).copy()
     with np.errstate(over="ignore"):
         pi = np.cumprod(m)
     return pi, m
@@ -137,20 +153,9 @@ def ldu(M: np.ndarray) -> LduFactors:
     l diag(d) u is checked against M to 1e-11 relative as a conditioning
     guard.
     """
-    A = np.array(M, dtype=float)
-    N = A.shape[0]
-    if A.shape != (N, N):
-        raise ValueError("expected a square matrix")
-    L = np.eye(N)
-    for j in range(N):
-        p = A[j, j]
-        if abs(p) < _PIVOT_FLOOR:
-            raise FactorizationBreakdownError("pivot underflow in factorization", j=j + 1)
-        L[j + 1 :, j] = A[j + 1 :, j] / p
-        A[j + 1 :, j:] -= np.outer(L[j + 1 :, j], A[j, j:])
-        A[j + 1 :, j] = 0.0
-    d = np.diag(A).copy()
-    U = A / d[:, None]
+    L, r = _eliminate(M)
+    d = np.diag(r).copy()
+    U = r / d[:, None]
     factors = LduFactors(l=L, d=d, u=U)
     rebuilt = (L * d[None, :]) @ U
     M0 = np.asarray(M, dtype=float)
@@ -163,77 +168,61 @@ def ldu(M: np.ndarray) -> LduFactors:
     return factors
 
 
-def _flow_exponential(
-    zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None
+def _generator(zeta: State, params: ModelParams, bundle: LaxBundle | None) -> np.ndarray:
+    return (build_bundle(zeta, params) if bundle is None else bundle).Ycal
+
+
+def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """d/dt ln m_j for j = 1..n: the first n diagonal entries of l^{-1} Y l.
+
+    l is unit lower triangular, so the leading n x n block of l^{-1} is
+    the inverse of the leading block of l and one n x n triangular solve
+    suffices.
+    """
+    Z, _ = dtrtrs(l[:n, :n], Y[:n] @ l[:, :n], lower=1, unitdiag=1)
+    return np.diag(Z).copy()
+
+
+def _sample_at(
+    zeta: State, Y: np.ndarray, n: int, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    if bundle is None:
-        bundle = build_bundle(zeta, params)
-    return bundle.Ycal, matrix_exp(float(t) * bundle.Ycal)
+    """Positions and position rates at time t from one elimination of exp(t Y)."""
+    E = matrix_exp(t * Y)
+    try:
+        l, r = _eliminate(E)
+    except FactorizationBreakdownError as err:
+        raise FactorizationBreakdownError(str(err), j=err.j, t=t) from err
+    head = np.diag(r)[:n]
+    if np.any(head <= 0.0):
+        j = int(np.argmax(head <= 0.0)) + 1
+        raise FactorizationBreakdownError(
+            "non-positive minor ratio along the flow", j=j, t=t
+        )
+    rates = _minor_log_rates(l, Y, n)
+    if not np.isfinite(rates).all():
+        raise FactorizationBreakdownError("non-finite minor log-rates", t=t)
+    return zeta.xi + np.log(head), rates
 
 
 def positions_at(
     zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
 ) -> np.ndarray:
     """Positions at time t from the first n minor ratios of exp(t Ycal)."""
-    _, E = _flow_exponential(zeta, params, t, bundle)
-    try:
-        _, m = leading_minors(E)
-    except FactorizationBreakdownError as err:
-        raise FactorizationBreakdownError(str(err), j=err.j, t=float(t)) from err
-    head = m[: params.n]
-    if np.any(head <= 0.0):
-        j = int(np.argmax(head <= 0.0)) + 1
-        raise FactorizationBreakdownError(
-            "non-positive minor ratio along the flow", j=j, t=float(t)
-        )
-    return zeta.xi + np.log(head)
-
-
-def _minor_log_rates(E: np.ndarray, Edot: np.ndarray, n: int, t: float) -> np.ndarray:
-    """d/dt ln pi_j for j = 1..n, via Jacobi's formula.
-
-    pi_j' = trace(adj(M_j) Mdot_j), so pi_j'/pi_j = trace(M_j^{-1} Mdot_j);
-    the adjugate is reached through an LU solve, never cofactors, and the
-    normalization by pi_j keeps the ratio finite where pi_j itself would
-    overflow.
-    """
-    out = np.empty(n)
-    for j in range(1, n + 1):
-        block = E[:j, :j]
-        try:
-            with warnings.catch_warnings():
-                # a singular block is diagnosed right below; scipy's own
-                # warning about it would only duplicate the error
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu_piv = lu_factor(block)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - scipy raises rarely
-            raise FactorizationBreakdownError(str(err), j=j, t=t) from err
-        if float(np.min(np.abs(np.diag(lu_piv[0])))) < _PIVOT_FLOOR:
-            raise FactorizationBreakdownError("singular leading block", j=j, t=t)
-        out[j - 1] = float(np.trace(lu_solve(lu_piv, Edot[:j, :j])))
-    return out
+    return _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))[0]
 
 
 def position_rates_at(
     zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
 ) -> np.ndarray:
-    """Position velocities at time t: differences of minor log-derivatives."""
-    Y, E = _flow_exponential(zeta, params, t, bundle)
-    rates = _minor_log_rates(E, Y @ E, params.n, float(t))
-    out = np.empty(params.n)
-    out[0] = rates[0]
-    out[1:] = rates[1:] - rates[:-1]
-    return out
+    """Position velocities at time t: the log-rates of the minor ratios."""
+    return _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))[1]
 
 
 def rapidities_at(
     zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
 ) -> np.ndarray:
     """Rapidities at time t, inverting q̇_a = beta sinh(beta theta_a) F_a(q)."""
-    if bundle is None:
-        bundle = build_bundle(zeta, params)
-    q = positions_at(zeta, params, t, bundle)
-    qdot = position_rates_at(zeta, params, t, bundle)
+    q, qdot = _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))
     return _invert_velocity(q, qdot, params)
 
 
@@ -253,29 +242,13 @@ def solve_trajectory(
     for integrated trajectories.
     """
     times = sample_times(t_end, sample_dt)
-    bundle = build_bundle(zeta, params)
-    n = params.n
+    Y = build_bundle(zeta, params).Ycal
     states = []
     for t in times:
         if t == 0.0:
             states.append(State(zeta.xi, zeta.eta))
             continue
-        E = matrix_exp(float(t) * bundle.Ycal)
-        try:
-            _, m = leading_minors(E)
-        except FactorizationBreakdownError as err:
-            raise FactorizationBreakdownError(str(err), j=err.j, t=float(t)) from err
-        head = m[:n]
-        if np.any(head <= 0.0):
-            j = int(np.argmax(head <= 0.0)) + 1
-            raise FactorizationBreakdownError(
-                "non-positive minor ratio along the flow", j=j, t=float(t)
-            )
-        q = zeta.xi + np.log(head)
-        rates = _minor_log_rates(E, bundle.Ycal @ E, n, float(t))
-        qdot = np.empty(n)
-        qdot[0] = rates[0]
-        qdot[1:] = rates[1:] - rates[:-1]
+        q, qdot = _sample_at(zeta, Y, params.n, float(t))
         states.append(State(q, _invert_velocity(q, qdot, params)))
     h0 = hamiltonian(zeta, params)
     drift_tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, file outputs, config precedence."""
 
+import inspect
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from vdtoda import integrate, solve_trajectory
 from vdtoda.cli import RunConfig, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, **kwargs):
@@ -30,6 +37,27 @@ def test_run_config_defaults_and_validation():
         RunConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         RunConfig(n=3, xi=(0.0, 0.0))  # wrong length
+
+
+def _documented_pairs(text: str) -> dict[str, str]:
+    pairs = (item.strip() for item in " ".join(text.split()).split(","))
+    return dict(item.split("=") for item in pairs if "=" in item)
+
+
+def test_readme_states_the_code_defaults():
+    readme = README.read_text(encoding="utf-8")
+    cli = re.search(r"defaults fill the\s+rest \(`([^`]*)`\)", readme)
+    documented = _documented_pairs(cli.group(1))
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not None}
+    assert set(documented) == set(defaults)
+    for key, value in defaults.items():
+        assert type(value)(documented[key]) == value, key
+    for fn in (integrate, solve_trajectory):
+        signature = re.search(rf"`{fn.__name__}\(([^`]*)\)`", readme)
+        documented = _documented_pairs(signature.group(1))
+        assert documented, fn.__name__
+        for key, text in documented.items():
+            assert float(text) == inspect.signature(fn).parameters[key].default, key
 
 
 def test_flags_override_config_file(tmp_path):

@@ -38,14 +38,14 @@ from .verify import reports_to_jsonl, resolve_threads, run_suite
 __all__ = [
     "RunConfig",
     "cmd_verify",
-    "cmd_simulate",
-    "cmd_solve",
+    "cmd_trajectory",
     "cmd_compare",
     "cmd_bench",
     "main",
 ]
 
 _COMPARE_TOL = 1e-5
+_TRAJECTORY_METHODS = {"simulate": "rk", "solve": "algebraic"}
 _BENCH_SIZES = range(3, 13)
 
 
@@ -212,25 +212,17 @@ def _emit_trajectory(
         spectrum_to_csv(traj, spectrum_output)
 
 
-def cmd_simulate(
-    config: RunConfig, output: str | None = None, spectrum_output: str | None = None
+def cmd_trajectory(
+    config: RunConfig,
+    method: str,
+    output: str | None = None,
+    spectrum_output: str | None = None,
 ) -> int:
-    """Integrate the configured state; trajectory CSV plus drift summary."""
-    traj = _run_method(config, "rk")
-    _emit_trajectory(traj, output, spectrum_output)
-    drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
-    print(
-        f"energy drift {drift:.3e}, spectral drift {spectral_drift(traj):.3e}",
-        file=sys.stderr,
-    )
-    return 0
+    """Trajectory of the configured state; CSV plus drift summary.
 
-
-def cmd_solve(
-    config: RunConfig, output: str | None = None, spectrum_output: str | None = None
-) -> int:
-    """Solve the configured state algebraically; same outputs as simulate."""
-    traj = _run_method(config, "algebraic")
+    ``method`` is "rk" (the ``simulate`` command) or "algebraic" (``solve``).
+    """
+    traj = _run_method(config, method)
     _emit_trajectory(traj, output, spectrum_output)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
     print(
@@ -354,13 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--box", type=float, default=2.0, help="random state box half-width")
     p_verify.add_argument("--dump-matrices", help="directory for per-matrix CSV dumps")
 
-    p_sim = sub.add_parser("simulate", help="adaptive Runge-Kutta trajectory")
-    add_common(p_sim)
-    p_sim.add_argument("--spectrum-output", help="also write the spectrum CSV here")
-
-    p_solve = sub.add_parser("solve", help="algebraic (factorization) trajectory")
-    add_common(p_solve)
-    p_solve.add_argument("--spectrum-output", help="also write the spectrum CSV here")
+    for name, help_text in (
+        ("simulate", "adaptive Runge-Kutta trajectory"),
+        ("solve", "algebraic (factorization) trajectory"),
+    ):
+        p_traj = sub.add_parser(name, help=help_text)
+        add_common(p_traj)
+        p_traj.add_argument("--spectrum-output", help="also write the spectrum CSV here")
 
     p_cmp = sub.add_parser("compare", help="dual-method deviation report")
     add_common(p_cmp)
@@ -375,19 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "n",
-    "beta",
-    "kappa",
-    "xi",
-    "eta",
-    "t_end",
-    "sample_dt",
-    "rtol",
-    "atol",
-    "seed",
-    "num_states",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -404,10 +384,13 @@ def main(argv: list[str] | None = None) -> int:
                 dump_matrices=args.dump_matrices,
                 threads=resolve_threads(None),
             )
-        if args.command == "simulate":
-            return cmd_simulate(config, output=args.output, spectrum_output=args.spectrum_output)
-        if args.command == "solve":
-            return cmd_solve(config, output=args.output, spectrum_output=args.spectrum_output)
+        if args.command in _TRAJECTORY_METHODS:
+            return cmd_trajectory(
+                config,
+                _TRAJECTORY_METHODS[args.command],
+                output=args.output,
+                spectrum_output=args.spectrum_output,
+            )
         if args.command == "compare":
             return cmd_compare(
                 config,

@@ -1,7 +1,12 @@
 """Energy function and equations of motion for the deformed chain.
 
 Everything here is a pure function of an immutable ``State`` and
-``ModelParams``.  The module provides the pair interaction function
+``ModelParams``.  The coordinates, the interaction factors and the
+energy have one evaluation route each, a kernel on (S, n) stacks of
+positions and rapidities (``_coord_arrays``, ``_factor_arrays``,
+``_energy_arrays``) that trajectories call once for all their samples;
+``derived_coords``, ``_interaction_factors`` and ``hamiltonian`` are
+its S = 1 case.  The module provides the pair interaction function
 ``f_mu``, the change to canonical coordinates (q, p) and to the
 multiplicative variables (x, w), the energy in both coordinate systems,
 its non-relativistic limit, the Hamiltonian vector field in each set of
@@ -50,13 +55,34 @@ _XHQ_CROSS_TOL = 1e-11
 _XHW_CROSS_TOL = 1e-12
 
 
+_OVERFLOW = "overflow while evaluating "
+_PAIR_OVERFLOW = _OVERFLOW + "mu^2 e^{-r}"
+
+
 def _exp_arg_checked(t: np.ndarray | float, what: str) -> np.ndarray:
     """exp(t) with overflow turned into a diagnostic error."""
     with np.errstate(over="ignore"):
         out = np.exp(t)
     if not np.all(np.isfinite(out)):
-        raise CoordinateOverflowError(f"overflow while evaluating {what}")
+        raise CoordinateOverflowError(_OVERFLOW + what)
     return out
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise the error that evaluating the rows of a stack one by one would.
+
+    ``checks`` holds (ok, error type, message) in the order a single-state
+    evaluation meets them, ``ok`` a boolean per row.  The earliest row
+    with a failed check wins, and within it the first failed check.
+    """
+    first = None
+    for ok, kind, message in checks:
+        if not ok.all():
+            row = int(np.argmin(ok))
+            if first is None or row < first[0]:
+                first = (row, kind, message)
+    if first is not None:
+        raise first[1](first[2])
 
 
 def _z_of(mu: float, r: np.ndarray | float) -> np.ndarray:
@@ -77,11 +103,6 @@ def f_mu(mu: float, r: float) -> float:
     return float(np.sqrt(1.0 + _z_of(float(mu), float(r))))
 
 
-def _log_f(mu: float, r: np.ndarray | float) -> np.ndarray:
-    # log1p keeps full accuracy when mu^2 e^{-r} is tiny.
-    return 0.5 * np.log1p(_z_of(mu, r))
-
-
 def _dlog_f(mu: float, r: np.ndarray | float) -> np.ndarray:
     # d/dr ln f_mu(r) = -(f^2 - 1) / (2 f^2) = -z / (2 (1 + z)).
     z = _z_of(mu, r)
@@ -92,15 +113,51 @@ def _separations(q: np.ndarray) -> np.ndarray:
     return q[:-1] - q[1:]
 
 
+def _pair_terms(
+    q: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """z = mu^2 e^{-r} of every pair factor for a stack of positions (S, n).
+
+    Returns z at the chain separations (mu = beta, shape (S, n-1)), z at
+    the wall 2 q_n for mu = beta and for mu = kappa beta (each (S,)), and
+    per row whether all of them stayed finite.  Each z is evaluated as in
+    ``_z_of``, all in one exponential; overflow is reported, not raised.
+    """
+    beta, kappa = params.beta, params.kappa
+    n = q.shape[1]
+    log_b2 = np.log(beta * beta)
+    mu = kappa * beta
+    arg = np.empty((q.shape[0], n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wall = 2.0 * q[:, -1]
+        arg[:, : n - 1] = log_b2 - (q[:, :-1] - q[:, 1:])
+        arg[:, n - 1] = log_b2 - wall
+        # mu = 0 makes the factor identically 1: exp(-inf) is exactly 0
+        arg[:, n] = np.log(mu * mu) - wall if mu * mu != 0.0 else -np.inf
+        z = np.exp(arg)
+    return z[:, : n - 1], z[:, n - 1], z[:, n], np.isfinite(z).all(axis=1)
+
+
+def _s_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of s(q) for a stack of positions, and the per-row finiteness."""
+    zs, zb, zk, ok = _pair_terms(q, params)
+    # ln f_mu(r) = (1/2) ln(1 + z); log1p keeps full accuracy for tiny z.
+    s = np.empty_like(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lf = 0.5 * np.log1p(zs)
+        s[:, 0] = lf[:, 0]
+        s[:, 1:-1] = lf[:, 1:] - lf[:, :-1]
+        s[:, -1] = -lf[:, -1] + 0.5 * np.log1p(zb) + 0.5 * np.log1p(zk)
+        s /= params.beta
+    return s, ok
+
+
 def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Generating shift s(q) relating rapidities to canonical momenta."""
-    beta, kappa, n = params.beta, params.kappa, params.n
-    lf = _log_f(beta, _separations(q))
-    s = np.empty(n)
-    s[0] = lf[0]
-    s[1:-1] = lf[1:] - lf[:-1]
-    s[-1] = -lf[-1] + _log_f(beta, 2.0 * q[-1]) + _log_f(kappa * beta, 2.0 * q[-1])
-    return s / beta
+    s, ok = _s_arrays(q[None], params)
+    if not ok[0]:
+        raise CoordinateOverflowError(_PAIR_OVERFLOW)
+    return s[0]
 
 
 def _s_jacobian(q: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -162,17 +219,51 @@ class DerivedCoords:
             raise ValueError("gamma/upsilon inconsistent with x, w, delta")
 
 
+def _coord_arrays(
+    q: np.ndarray, th: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(s, p, x, w, delta) for a stack of states: q and th are (S, n).
+
+    The one evaluation route of these coordinates; ``derived_coords`` is
+    its S = 1 case.  Every exponential is checked for overflow once per
+    stack, and positivity of x and w once per stack.  A failure raises
+    the error of the earliest failing state, as evaluating the states
+    one by one would: ``CoordinateOverflowError`` for an overflow,
+    ``ValueError`` for a non-positive x or w.
+    """
+    beta, kappa = params.beta, params.kappa
+    n = q.shape[1]
+    s, z_ok = _s_arrays(q, params)
+    # One exponential for x_a = e^{beta p_a} and for the exponentials in
+    # w, e^{-d_a} (a < n) and e^{-2 q_n}; then xw holds the rows (x, w).
+    xw = np.empty((q.shape[0], 2 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = th + s
+        np.multiply(beta, p, out=xw[:, :n])
+        np.subtract(q[:, 1:], q[:, :-1], out=xw[:, n:-1])
+        np.multiply(-2.0, q[:, -1], out=xw[:, -1])
+        np.exp(xw, out=xw)
+        finite = np.isfinite(xw)
+        xw[:, n:] *= beta * beta
+    positive = xw > 0.0
+    if not (z_ok.all() and finite.all() and positive.all()):
+        over = CoordinateOverflowError
+        _raise_first_failure(
+            [
+                (z_ok, over, _PAIR_OVERFLOW),
+                (finite[:, :n].all(axis=1), over, _OVERFLOW + "x_a = e^{beta p_a}"),
+                (finite[:, n:-1].all(axis=1), over, _OVERFLOW + "e^{-(q_a - q_{a+1})}"),
+                (finite[:, -1], over, _OVERFLOW + "e^{-2 q_n}"),
+                (positive.all(axis=1), ValueError, "x and w entries must be positive"),
+            ]
+        )
+    x, w = xw[:, :n], xw[:, n:]
+    return s, p, x, w, 1.0 + kappa * kappa * w[:, -1]
+
+
 def derived_coords(state: State, params: ModelParams) -> DerivedCoords:
     """Compute (s, p, x, w, delta, gamma, upsilon) at one state."""
-    beta, kappa = params.beta, params.kappa
-    q = state.xi
-    s = _s_vector(q, params)
-    p = state.eta + s
-    x = _exp_arg_checked(beta * p, "x_a = e^{beta p_a}")
-    w = np.empty(params.n)
-    w[:-1] = beta * beta * _exp_arg_checked(-_separations(q), "e^{-(q_a - q_{a+1})}")
-    w[-1] = beta * beta * _exp_arg_checked(-2.0 * q[-1], "e^{-2 q_n}")
-    delta = 1.0 + kappa * kappa * w[-1]
+    s, p, x, w, delta = (a[0] for a in _coord_arrays(state.xi[None], state.eta[None], params))
     half_minus = x[-1] * (1.0 + w[-2]) / delta
     half_plus = (1.0 + w[-1]) / x[-1]
     return DerivedCoords(
@@ -199,37 +290,68 @@ def from_canonical(q: np.ndarray, p: np.ndarray, params: ModelParams) -> State:
     return State(q, p - _s_vector(q, params))
 
 
+def _factor_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of F_a(q) for a stack of positions, and the per-row finiteness.
+
+    Overflow is reported, not raised, so a caller can order it among
+    its own checks.
+    """
+    zs, zb, zk, ok = _pair_terms(q, params)
+    # z >= 0 or inf, so nothing here can warn
+    f = np.sqrt(1.0 + zs)
+    F = np.empty_like(q)
+    F[:, 0] = f[:, 0]
+    F[:, 1:-1] = f[:, :-1] * f[:, 1:]
+    F[:, -1] = f[:, -1] * np.sqrt(1.0 + zb) * np.sqrt(1.0 + zk)
+    return F, ok
+
+
 def _interaction_factors(state: State, params: ModelParams) -> np.ndarray:
     """F_a(q): the product of pair factors multiplying cosh(beta theta_a)."""
-    beta, kappa, n = params.beta, params.kappa, params.n
-    q = state.xi
-    f = np.sqrt(1.0 + _z_of(beta, _separations(q)))
-    F = np.empty(n)
-    F[0] = f[0]
-    F[1:-1] = f[:-1] * f[1:]
-    fb = np.sqrt(1.0 + _z_of(beta, 2.0 * q[-1]))
-    fk = np.sqrt(1.0 + _z_of(kappa * beta, 2.0 * q[-1]))
-    F[-1] = f[-1] * fb * fk
-    return F
+    F, ok = _factor_arrays(state.xi[None], params)
+    if not ok[0]:
+        raise CoordinateOverflowError(_PAIR_OVERFLOW)
+    return F[0]
 
 
-def _boundary_tail(state: State, params: ModelParams) -> float:
-    """kappa w_n + (1/2) kappa w_{n-1} w_n, straight from positions."""
+def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Energy of every state in a stack: q and th are (S, n).
+
+    H = sum_a cosh(beta theta_a) F_a(q) + kappa w_n + (1/2) kappa w_{n-1} w_n,
+    the tail taken straight from positions.  ``hamiltonian`` is the S = 1
+    case.  Each exponential and the result are checked once per stack;
+    a failure raises ``CoordinateOverflowError`` for the earliest failing
+    state, as evaluating the states one by one would.
+    """
     beta, kappa = params.beta, params.kappa
-    q = state.xi
-    wn = beta * beta * float(_exp_arg_checked(-2.0 * q[-1], "e^{-2 q_n}"))
-    wn1 = beta * beta * float(_exp_arg_checked(-(q[-2] - q[-1]), "e^{-(q_{n-1} - q_n)}"))
-    return kappa * wn + 0.5 * kappa * wn1 * wn
+    F, z_ok = _factor_arrays(q, params)
+    # e^{-2 q_n} and e^{-(q_{n-1} - q_n)} in one exponential
+    e = np.empty((q.shape[0], 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(-2.0, q[:, -1], out=e[:, 0])
+        np.subtract(q[:, -1], q[:, -2], out=e[:, 1])
+        np.exp(e, out=e)
+        wn = beta * beta * e[:, 0]
+        wn1 = beta * beta * e[:, 1]
+        H = np.vecdot(np.cosh(beta * th), F) + (kappa * wn + 0.5 * kappa * wn1 * wn)
+    finite = np.isfinite(e)
+    H_ok = np.isfinite(H)
+    if not (z_ok.all() and finite.all() and H_ok.all()):
+        over = CoordinateOverflowError
+        _raise_first_failure(
+            [
+                (z_ok, over, _PAIR_OVERFLOW),
+                (finite[:, 0], over, _OVERFLOW + "e^{-2 q_n}"),
+                (finite[:, 1], over, _OVERFLOW + "e^{-(q_{n-1} - q_n)}"),
+                (H_ok, over, "energy overflowed"),
+            ]
+        )
+    return H
 
 
 def hamiltonian(state: State, params: ModelParams) -> float:
     """Energy in natural coordinates (q, theta); strictly above n."""
-    F = _interaction_factors(state, params)
-    ch = np.cosh(params.beta * state.eta)
-    H = float(ch @ F) + _boundary_tail(state, params)
-    if not np.isfinite(H):
-        raise CoordinateOverflowError("energy overflowed")
-    return H
+    return float(_energy_arrays(state.xi[None], state.eta[None], params)[0])
 
 
 def hamiltonian_xw(coords: DerivedCoords, params: ModelParams) -> float:

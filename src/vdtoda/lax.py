@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .core import CrossCheckError, ModelParams, State
-from .hamiltonian import DerivedCoords, derived_coords, xh_w
+from .hamiltonian import DerivedCoords, _coord_arrays, derived_coords, xh_w
 
 __all__ = [
     "LaxBundle",
@@ -370,21 +370,21 @@ def _lax_matrices(states: Sequence[State], params: ModelParams) -> np.ndarray:
     """Lcal alone at every state, stacked as (S, 2n, 2n).
 
     Entry i is bitwise equal to ``build_bundle(states[i], params).Lcal``.
+    The coordinates of all states come from one stacked evaluation.
     Trajectories use this for the spectrum; the cross-checks of
     ``build_bundle`` (the two Acal routes, the X_H[w] composition rule)
     are not run here.  They run in ``build_bundle`` and so on every
     ``run_suite`` state.
     """
-    coords = [derived_coords(s, params) for s in states]
-    x = np.array([c.x for c in coords])
-    w = np.array([c.w for c in coords])
-    delta = np.array([c.delta for c in coords])
+    q = np.array([s.xi for s in states])
+    th = np.array([s.eta for s in states])
+    _, _, x, w, delta = _coord_arrays(q, th, params)
     N = 2 * params.n
-    out = np.empty((len(coords), N, N))
+    out = np.empty((len(states), N, N))
     # The chain keeps about ten stacks alive at once; feeding it blocks
     # of samples bounds that working set, which would otherwise grow
     # with the trajectory length.
-    for k in range(0, len(coords), _CHAIN_BLOCK):
+    for k in range(0, len(states), _CHAIN_BLOCK):
         part = slice(k, k + _CHAIN_BLOCK)
         out[part] = _lax_chain(x[part], w[part], delta[part], params)[-1]
     return out

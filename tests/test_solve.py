@@ -6,6 +6,7 @@ import pytest
 from vdtoda import (
     CoordinateOverflowError,
     ModelParams,
+    State,
     integrate,
     random_state,
     solve_trajectory,
@@ -16,6 +17,8 @@ from vdtoda.integrate import TrajectoryCheckError, spectral_drift
 from vdtoda.lax import build_bundle
 from vdtoda.solve import (
     FactorizationBreakdownError,
+    _sample_at,
+    _samples,
     ldu,
     leading_minors,
     matrix_exp,
@@ -179,3 +182,57 @@ def test_hot_state_exceeds_double_precision_horizon():
     st = random_state(4, np.random.default_rng(3), box=1.0)
     with pytest.raises((TrajectoryCheckError, FactorizationBreakdownError)):
         solve_trajectory(st, params, 5.0)
+
+
+def test_pivot_breakdown_names_minor_and_time_once():
+    # exp(Y) has the first pivot e^{-800}, which underflows to zero
+    Y = np.zeros((6, 6))
+    Y[0, 0] = -800.0
+    with pytest.raises(FactorizationBreakdownError) as info:
+        _sample_at(State(np.zeros(3), np.zeros(3)), Y, 3, 1.0)
+    assert str(info.value) == "pivot underflow in minor chain (minor index 1) (t = 1.0)"
+    assert (info.value.j, info.value.t) == (1, 1.0)
+
+
+NON_POSITIVE = "non-positive minor ratio along the flow"
+
+
+@pytest.mark.parametrize(
+    "n, box, seed, t_end, reason, j, t",
+    [
+        (8, 2.0, 1, 5.0, NON_POSITIVE, 8, 1.9),
+        (6, 2.0, 2, 8.0, NON_POSITIVE, 6, 2.25),
+        (5, 3.0, 4, 10.0, NON_POSITIVE, 5, 1.05),
+        # an early sample breaks down while a later sample of the same
+        # block overflows its exponential: the early breakdown is reported
+        (8, 3.0, 5, 20.0, NON_POSITIVE, 6, 0.05),
+        (3, 4.0, 6, 30.0, "pivot underflow in minor chain", 2, 0.7),
+        # a non-positive ratio at t = 0.55 precedes a pivot underflow at
+        # t = 1.15 in the same block: the earlier sample is reported
+        (10, 2.5, 7, 12.0, NON_POSITIVE, 8, 0.55),
+    ],
+)
+def test_hot_state_reports_earliest_failing_sample(n, box, seed, t_end, reason, j, t):
+    st = random_state(n, np.random.default_rng(seed), box=box)
+    with pytest.raises(FactorizationBreakdownError) as info:
+        solve_trajectory(st, ModelParams(n, 1.0, 1.0), t_end)
+    err = info.value
+    assert str(err) == f"{reason} (minor index {j}) (t = {err.t})"
+    assert err.j == j
+    assert err.t == pytest.approx(t, abs=1e-12)
+
+
+def test_hot_state_within_factorization_range_fails_energy_check():
+    st = random_state(4, np.random.default_rng(3), box=1.0)
+    with pytest.raises(TrajectoryCheckError, match="energy drift"):
+        solve_trajectory(st, ModelParams(4, 1.0, 1.0), 5.0)
+
+
+def test_block_stops_at_first_non_finite_rate():
+    # pivot 1 of exp(t Y) is e^{-667 t}: at t = 1 the multiplier below it
+    # overflows, so the rates of that sample are not finite
+    Y = np.array([[-667.0, 0.0], [1000.0, 230.0]])
+    q, qdot, error = _samples(np.zeros(1), Y, 1, np.array([0.5, 1.0, 1.5]))
+    assert q.shape == qdot.shape == (1, 1)
+    assert isinstance(error, FactorizationBreakdownError)
+    assert str(error) == "non-finite minor log-rates (t = 1.0)"

@@ -5,8 +5,7 @@
 Configuration is a single JSON document whose keys match the RunConfig
 fields; command-line flags override file values, which override the
 built-in defaults.  Exit codes: 0 success, 1 check failure, 2 usage or
-parse error, 3 numerical breakdown.  The environment variable
-VDTODA_THREADS caps suite parallelism (0 = one thread per CPU).
+parse error, 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .integrate import (
 )
 from .lax import build_bundle
 from .solve import position_rates_at, solve_trajectory
-from .verify import reports_to_jsonl, resolve_threads, run_suite
+from .verify import _MATRIX_FIELDS, reports_to_jsonl, run_suite
 
 __all__ = [
     "RunConfig",
@@ -47,6 +46,8 @@ __all__ = [
 _COMPARE_TOL = 1e-5
 _TRAJECTORY_METHODS = {"simulate": "rk", "solve": "algebraic"}
 _BENCH_SIZES = range(3, 13)
+# every perturbable bundle matrix but X_H[W]
+_DUMPED_MATRICES = tuple(name for name in _MATRIX_FIELDS if name != "xhw")
 
 
 @dataclass(frozen=True)
@@ -139,17 +140,9 @@ def cmd_verify(
     perturb: tuple[str, int, int, float] | None = None,
     box: float = 2.0,
     dump_matrices: str | None = None,
-    threads: int | None = None,
 ) -> int:
     """Run the residual suite; exit 0 iff every report passes."""
-    reports = run_suite(
-        config.params,
-        config.num_states,
-        config.seed,
-        box=box,
-        threads=threads,
-        perturb=perturb,
-    )
+    reports = run_suite(config.params, config.num_states, config.seed, box=box, perturb=perturb)
     target, close = _open_target(output)
     try:
         target.write(reports_to_jsonl(reports))
@@ -171,10 +164,7 @@ def _dump_bundle(config: RunConfig, directory: str) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_bundle(config.state, config.params)
-    for name in (
-        "D", "W", "L", "Dcal", "A", "B", "Acal", "g", "g_inv",
-        "Omega", "Hcal", "Lcal", "Lcal_inv", "Ycal", "Q",
-    ):
+    for name in _DUMPED_MATRICES:
         M = getattr(bundle, name)
         lines = [",".join(format(v, ".17g") for v in row) for row in M]
         (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -382,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
                 perturb=args.perturb,
                 box=args.box,
                 dump_matrices=args.dump_matrices,
-                threads=resolve_threads(None),
             )
         if args.command in _TRAJECTORY_METHODS:
             return cmd_trajectory(

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "CoordinateOverflowError",
+    "CoordinateUnderflowError",
     "CrossCheckError",
     "ModelParams",
     "State",
@@ -35,6 +36,16 @@ class CoordinateOverflowError(ArithmeticError):
     separations make exponentials such as e^{-(q_a - q_{a+1})} or
     e^{-2 q_n} overflow, and every caller is better served by a
     diagnostic than by a silent inf.
+    """
+
+
+class CoordinateUnderflowError(CoordinateOverflowError, ValueError):
+    """A multiplicative coordinate underflowed to zero.
+
+    Particles more than about 745 apart make w_a = beta^2 e^{-d_a} (or a
+    far-off x_a) round to 0, which leaves the Lax matrices singular.  It
+    is a numerical breakdown like an overflow, and also a ``ValueError``
+    because it reports an invalid (non-positive) coordinate.
     """
 
 

@@ -1,12 +1,14 @@
 """Energy function and equations of motion for the deformed chain.
 
 Everything here is a pure function of an immutable ``State`` and
-``ModelParams``.  The coordinates, the interaction factors and the
-energy have one evaluation route each, a kernel on (S, n) stacks of
-positions and rapidities (``_coord_arrays``, ``_factor_arrays``,
-``_energy_arrays``) that trajectories call once for all their samples;
-``derived_coords``, ``_interaction_factors`` and ``hamiltonian`` are
-its S = 1 case.  The module provides the pair interaction function
+``ModelParams``.  The coordinates, the interaction factors, the energy
+and the two cross-checked velocity fields X_H[q] and X_H[w] have one
+evaluation route each, a kernel on (S, n) stacks of positions and
+rapidities (``_coord_arrays``, ``_factor_arrays``, ``_energy_arrays``,
+``_xh_q_check``, ``_xh_w_checked``) that trajectories and the
+verification suite call once for all their states; ``derived_coords``,
+``_interaction_factors``, ``hamiltonian``, ``xh_q`` and ``xh_w`` are
+their S = 1 case.  The module provides the pair interaction function
 ``f_mu``, the change to canonical coordinates (q, p) and to the
 multiplicative variables (x, w), the energy in both coordinate systems,
 its non-relativistic limit, the Hamiltonian vector field in each set of
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoordinateOverflowError, CrossCheckError, ModelParams, State
+from .core import (
+    CoordinateOverflowError,
+    CoordinateUnderflowError,
+    CrossCheckError,
+    ModelParams,
+    State,
+)
 
 __all__ = [
     "DerivedCoords",
@@ -71,18 +79,38 @@ def _exp_arg_checked(t: np.ndarray | float, what: str) -> np.ndarray:
 def _raise_first_failure(checks) -> None:
     """Raise the error that evaluating the rows of a stack one by one would.
 
-    ``checks`` holds (ok, error type, message) in the order a single-state
-    evaluation meets them, ``ok`` a boolean per row.  The earliest row
-    with a failed check wins, and within it the first failed check.
+    ``checks`` holds (ok, error type, message, *values) in the order a
+    single-state evaluation meets them, ``ok`` a boolean per row and each
+    value an array over the rows.  The earliest row with a failed check
+    wins, and within it the first failed check; its message is
+    %-formatted with the values at that row.
     """
     first = None
-    for ok, kind, message in checks:
+    for ok, kind, message, *values in checks:
         if not ok.all():
             row = int(np.argmin(ok))
             if first is None or row < first[0]:
-                first = (row, kind, message)
+                first = (row, kind, message, values)
     if first is not None:
-        raise first[1](first[2])
+        row, kind, message, values = first
+        raise kind(message % tuple(v[row] for v in values))
+
+
+def _first_max(first, *rest):
+    """Elementwise ``max(first, *rest)`` as Python's ``max`` takes it.
+
+    A later value replaces the running one only when it is greater, so a
+    nan after the first value is passed over, as the builtin does.
+    """
+    out = first
+    for other in rest:
+        out = np.where(other > out, other, out)
+    return out
+
+
+def _bound_check(gap: np.ndarray, bound: np.ndarray, what: str):
+    """The check ``not gap > bound`` per row (a nan gap passes), raising ``CrossCheckError``."""
+    return ~(gap > bound), CrossCheckError, what + ": |diff| = %.3e > %.3e", gap, bound
 
 
 def _z_of(mu: float, r: np.ndarray | float) -> np.ndarray:
@@ -181,6 +209,9 @@ def _s_jacobian(q: np.ndarray, params: ModelParams) -> np.ndarray:
 class DerivedCoords:
     """Canonical and multiplicative variables derived from one state.
 
+    For a stack of S states every field carries a leading axis of
+    length S: the vectors are (S, n) and the scalars (S,).
+
     s        : shift vector s(q)
     p        : canonical momenta p = theta + s
     x        : x_a = e^{beta p_a}, all positive
@@ -201,22 +232,54 @@ class DerivedCoords:
     def __post_init__(self) -> None:
         for name in ("s", "p", "x", "w"):
             arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            if arr.ndim not in (1, 2):
                 raise ValueError(f"{name} must be a finite vector")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if np.any(self.x <= 0.0) or np.any(self.w <= 0.0):
-            raise ValueError("x and w entries must be positive")
-        if not self.delta >= 1.0:
-            raise ValueError(f"delta must be >= 1, got {self.delta}")
-        # gamma +/- upsilon must reproduce their two defining combinations.
-        plus = self.gamma + self.upsilon
-        minus = self.gamma - self.upsilon
-        ref_plus = 2.0 / self.x[-1] * (1.0 + self.w[-1])
-        ref_minus = 2.0 * self.x[-1] * (1.0 + self.w[-2]) / self.delta
-        scale = max(1.0, abs(ref_plus), abs(ref_minus))
-        if abs(plus - ref_plus) > 1e-12 * scale or abs(minus - ref_minus) > 1e-12 * scale:
-            raise ValueError("gamma/upsilon inconsistent with x, w, delta")
+        s, p, x, w, delta, gamma, upsilon = self.rows()
+        # gamma +/- upsilon must reproduce their two defining combinations;
+        # rows failing an earlier check may hold inf, nan or 0 there
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ref_plus = 2.0 / x[:, -1] * (1.0 + w[:, -1])
+            ref_minus = 2.0 * x[:, -1] * (1.0 + w[:, -2]) / delta
+            scale = _first_max(1.0, np.abs(ref_plus), np.abs(ref_minus))
+            bad = (np.abs(gamma + upsilon - ref_plus) > 1e-12 * scale) | (
+                np.abs(gamma - upsilon - ref_minus) > 1e-12 * scale
+            )
+        positive = (x > 0.0).all(axis=1) & (w > 0.0).all(axis=1)
+        _raise_first_failure(
+            [
+                (np.isfinite(arr).all(axis=1), ValueError, f"{name} must be a finite vector")
+                for name, arr in (("s", s), ("p", p), ("x", x), ("w", w))
+            ]
+            + [
+                (positive, ValueError, "x and w entries must be positive"),
+                (delta >= 1.0, ValueError, "delta must be >= 1, got %s", delta),
+                (~bad, ValueError, "gamma/upsilon inconsistent with x, w, delta"),
+            ]
+        )
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """(s, p, x, w, delta, gamma, upsilon) as a stack, S = 1 for one state."""
+        n = self.x.shape[-1]
+        vectors = (self.s, self.p, self.x, self.w)
+        scalars = (self.delta, self.gamma, self.upsilon)
+        return tuple(np.reshape(v, (-1, n)) for v in vectors) + tuple(
+            np.reshape(c, -1) for c in scalars
+        )
+
+
+def _stack_of(state) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Positions and rapidities as (S, n) stacks, and whether ``state`` is one ``State``.
+
+    ``state`` is a ``State``, or a pair (xi, eta) of (S, n) arrays.
+    """
+    if isinstance(state, State):
+        return state.xi[None], state.eta[None], True
+    q, th = (np.asarray(a, dtype=float) for a in state)
+    if q.ndim != 2 or q.shape != th.shape:
+        raise ValueError("a stack of states is a pair (xi, eta) of (S, n) arrays")
+    return q, th, False
 
 
 def _coord_arrays(
@@ -229,7 +292,7 @@ def _coord_arrays(
     stack, and positivity of x and w once per stack.  A failure raises
     the error of the earliest failing state, as evaluating the states
     one by one would: ``CoordinateOverflowError`` for an overflow,
-    ``ValueError`` for a non-positive x or w.
+    ``CoordinateUnderflowError`` for an x or w that underflowed to 0.
     """
     beta, kappa = params.beta, params.kappa
     n = q.shape[1]
@@ -254,27 +317,31 @@ def _coord_arrays(
                 (finite[:, :n].all(axis=1), over, _OVERFLOW + "x_a = e^{beta p_a}"),
                 (finite[:, n:-1].all(axis=1), over, _OVERFLOW + "e^{-(q_a - q_{a+1})}"),
                 (finite[:, -1], over, _OVERFLOW + "e^{-2 q_n}"),
-                (positive.all(axis=1), ValueError, "x and w entries must be positive"),
+                (
+                    positive.all(axis=1),
+                    CoordinateUnderflowError,
+                    "x and w entries must be positive",
+                ),
             ]
         )
     x, w = xw[:, :n], xw[:, n:]
     return s, p, x, w, 1.0 + kappa * kappa * w[:, -1]
 
 
-def derived_coords(state: State, params: ModelParams) -> DerivedCoords:
-    """Compute (s, p, x, w, delta, gamma, upsilon) at one state."""
-    s, p, x, w, delta = (a[0] for a in _coord_arrays(state.xi[None], state.eta[None], params))
-    half_minus = x[-1] * (1.0 + w[-2]) / delta
-    half_plus = (1.0 + w[-1]) / x[-1]
-    return DerivedCoords(
-        s=s,
-        p=p,
-        x=x,
-        w=w,
-        delta=delta,
-        gamma=half_minus + half_plus,
-        upsilon=-half_minus + half_plus,
-    )
+def derived_coords(
+    state: State | tuple[np.ndarray, np.ndarray], params: ModelParams
+) -> DerivedCoords:
+    """Compute (s, p, x, w, delta, gamma, upsilon) at one state.
+
+    ``state`` may also be a pair (xi, eta) of (S, n) arrays; the result
+    then holds the stack of S states.
+    """
+    q, th, one = _stack_of(state)
+    s, p, x, w, delta = _coord_arrays(q, th, params)
+    half_minus = x[:, -1] * (1.0 + w[:, -2]) / delta
+    half_plus = (1.0 + w[:, -1]) / x[:, -1]
+    rows = (s, p, x, w, delta, half_minus + half_plus, -half_minus + half_plus)
+    return DerivedCoords(*(r[0] if one else r for r in rows))
 
 
 def to_canonical(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -374,21 +441,34 @@ def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
     return kinetic + pair + wall
 
 
-def _xh_q_theta_form(state: State, params: ModelParams) -> np.ndarray:
-    return params.beta * np.sinh(params.beta * state.eta) * _interaction_factors(state, params)
+def _xh_q_theta(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
+    """beta sinh(beta theta_a) F_a(q) for a stack (S, n).
+
+    F overflows exactly when the first check of the coordinates fails,
+    so callers evaluate the coordinates first and the flag is not kept.
+    """
+    F, _ = _factor_arrays(q, params)
+    return params.beta * np.sinh(params.beta * th) * F
 
 
-def _xh_q_xw_form(coords: DerivedCoords, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values, per-entry magnitude scale) for the guard."""
-    beta, n = params.beta, params.n
-    x, w, delta = coords.x, coords.w, coords.delta
-    gain = np.empty(n)
-    gain[0] = x[0]
-    gain[1:] = x[1:] * (1.0 + w[:-1])
-    loss = np.empty(n)
-    loss[:-1] = (1.0 + w[:-1]) / x[:-1]
-    loss[-1] = (1.0 + w[-1]) * delta / x[-1]
-    return 0.5 * beta * (gain - loss), 0.5 * beta * (np.abs(gain) + np.abs(loss))
+def _xh_q_check(qdot, x, w, delta, params: ModelParams):
+    """Cross-check of the theta form ``qdot`` against the Laurent form in (x, w, delta).
+
+    The two must agree to 1e-11 relative to the largest term of the
+    Laurent form (floored at 1); one check over a stack.
+    """
+    gain = np.empty_like(x)
+    gain[:, 0] = x[:, 0]
+    gain[:, 1:] = x[:, 1:] * (1.0 + w[:, :-1])
+    loss = np.empty_like(x)
+    loss[:, :-1] = (1.0 + w[:, :-1]) / x[:, :-1]
+    loss[:, -1] = (1.0 + w[:, -1]) * delta / x[:, -1]
+    half = 0.5 * params.beta
+    alt = half * (gain - loss)
+    scale = half * (np.abs(gain) + np.abs(loss))
+    bound = _XHQ_CROSS_TOL * _first_max(1.0, np.max(scale, axis=1))
+    gap = np.max(np.abs(qdot - alt), axis=1)
+    return _bound_check(gap, bound, "position velocity forms disagree")
 
 
 def xh_q(state: State, params: ModelParams) -> np.ndarray:
@@ -399,16 +479,10 @@ def xh_q(state: State, params: ModelParams) -> np.ndarray:
     1e-11 relative to the larger term magnitude (floored at 1).  The
     hyperbolic form is returned because it vanishes exactly at rest.
     """
-    primary = _xh_q_theta_form(state, params)
-    coords = derived_coords(state, params)
-    alt, scale = _xh_q_xw_form(coords, params)
-    bound = _XHQ_CROSS_TOL * max(1.0, float(np.max(scale)))
-    gap = float(np.max(np.abs(primary - alt)))
-    if gap > bound:
-        raise CrossCheckError(
-            f"position velocity forms disagree: |diff| = {gap:.3e} > {bound:.3e}"
-        )
-    return primary
+    x, w, delta = derived_coords(state, params).rows()[2:5]
+    primary = _xh_q_theta(state.xi[None], state.eta[None], params)
+    _raise_first_failure([_xh_q_check(primary, x, w, delta, params)])
+    return primary[0]
 
 
 def xh_p(state: State, params: ModelParams) -> np.ndarray:
@@ -438,6 +512,42 @@ def xh_x(state: State, params: ModelParams) -> np.ndarray:
     return params.beta * coords.x * _xh_p_from_coords(coords, params)
 
 
+def _xh_w_checked(x, w, delta, gamma, upsilon, qdot, params: ModelParams):
+    """X_H[w] for a stack from the Laurent expressions, and its cross-check.
+
+    x, w and ``qdot`` (the theta form of X_H[q]) are (S, n); delta, gamma
+    and upsilon are (S,).  ``xh_w`` is the S = 1 case.
+    """
+    beta, n = params.beta, params.n
+    # lose[a] = x_a (1 + w_{a-1}), the leftward term; w_0 plays as 0.
+    lose = np.empty_like(w[:, :-1])
+    lose[:, 0] = x[:, 0]
+    lose[:, 1:] = x[:, 1:-1] * (1.0 + w[:, :-2])
+    keep = (1.0 / x[:, :-1] + x[:, 1:]) * (1.0 + w[:, :-1])
+    push = np.empty_like(lose)
+    push[:, :-1] = (1.0 + w[:, 1:-1]) / x[:, 1:-1]
+    push[:, -1] = (1.0 + w[:, -1]) * delta / x[:, -1]
+    out = np.empty_like(w)
+    half_w = 0.5 * beta * w[:, :-1]
+    out[:, :-1] = half_w * (keep - lose - push)
+    out[:, -1] = beta * w[:, -1] * delta * upsilon
+    composed = np.empty_like(w)
+    composed[:, :-1] = w[:, :-1] * (qdot[:, 1:] - qdot[:, :-1])
+    composed[:, -1] = -2.0 * w[:, -1] * qdot[:, -1]
+    # Scale by the terms, not the results: the results cancel to 0 at
+    # rest while the terms grow like e^{beta |p|}.  keep, lose, push and
+    # both halves of gamma (upsilon is their difference) are positive, so
+    # their sums are the term magnitudes.
+    terms = np.empty((w.shape[0], 2 * n))
+    terms[:, : n - 1] = half_w * (keep + lose + push)
+    terms[:, n - 1] = beta * w[:, -1] * delta * gamma
+    terms[:, n:-1] = w[:, :-1] * (np.abs(qdot[:, 1:]) + np.abs(qdot[:, :-1]))
+    terms[:, -1] = 2.0 * w[:, -1] * np.abs(qdot[:, -1])
+    bound = _XHW_CROSS_TOL * _first_max(1.0, np.max(terms, axis=1))
+    gap = np.max(np.abs(out - composed), axis=1)
+    return out, _bound_check(gap, bound, "w-velocity forms disagree")
+
+
 def xh_w(state: State, params: ModelParams) -> np.ndarray:
     """Time derivatives of the w variables along the flow.
 
@@ -448,34 +558,15 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
         X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a])   for a < n,
         X_H[w_n] = -2 w_n X_H[q_n].
 
-    The last entry uses X_H[w_n] = beta w_n delta upsilon, which also
-    fixes X_H[delta] = beta kappa^2 w_n delta upsilon.
+    The two must agree to 1e-12 relative to the largest term of either
+    side (floored at 1).  The last entry uses X_H[w_n] = beta w_n delta
+    upsilon, which also fixes X_H[delta] = beta kappa^2 w_n delta upsilon.
     """
-    beta, n = params.beta, params.n
     coords = derived_coords(state, params)
-    x, w, delta = coords.x, coords.w, coords.delta
-    # lose[a] = x_a (1 + w_{a-1}), the leftward term; w_0 plays as 0.
-    lose = np.empty(n - 1)
-    lose[0] = x[0]
-    lose[1:] = x[1:-1] * (1.0 + w[:-2])
-    keep = (1.0 / x[:-1] + x[1:]) * (1.0 + w[:-1])
-    push = np.empty(n - 1)
-    push[:-1] = (1.0 + w[1:-1]) / x[1:-1]
-    push[-1] = (1.0 + w[-1]) * delta / x[-1]
-    out = np.empty(n)
-    out[:-1] = 0.5 * beta * w[:-1] * (keep - lose - push)
-    out[-1] = beta * w[-1] * delta * coords.upsilon
-    qdot = _xh_q_theta_form(state, params)
-    composed = np.empty(n)
-    composed[:-1] = w[:-1] * (qdot[1:] - qdot[:-1])
-    composed[-1] = -2.0 * w[-1] * qdot[-1]
-    scale = max(1.0, float(np.max(np.abs(out))), float(np.max(np.abs(composed))))
-    gap = float(np.max(np.abs(out - composed)))
-    if gap > _XHW_CROSS_TOL * scale:
-        raise CrossCheckError(
-            f"w-velocity forms disagree: |diff| = {gap:.3e} > {_XHW_CROSS_TOL * scale:.3e}"
-        )
-    return out
+    qdot = _xh_q_theta(state.xi[None], state.eta[None], params)
+    out, check = _xh_w_checked(*coords.rows()[2:], qdot, params)
+    _raise_first_failure([check])
+    return out[0]
 
 
 def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

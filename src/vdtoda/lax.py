@@ -9,7 +9,10 @@ the skew block matrix Omega = [[0, R], [-R, 0]] does the same on the big
 space.
 
 ``build_bundle`` assembles, at one state, every matrix of the Lax triad
-X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal]:
+X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal].  Given a
+stack of S states it builds the same matrices as (S, 2n, 2n) arrays in
+one pass (``run_suite`` calls it once per block of states); one state is
+the S = 1 case of that pass:
 
     D        block diagonal scaling, diag(Dn, R Dn^{-1} R)
     W        strictly lower, one populated subdiagonal
@@ -23,7 +26,10 @@ X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal]:
     Q        diag(q_1..q_n, -q_n..-q_1)
 
 Acal is computed both by conjugation and from its explicit block
-entries; construction fails loudly if the two routes disagree.
+entries; construction fails loudly if the two routes disagree, as it
+does when the X_H[w] composition rule fails or a matrix is not finite.
+Each check runs once per stack and every step acts matrix by matrix, so
+a state gets the same bits alone or inside a stack.
 """
 
 from __future__ import annotations
@@ -35,7 +41,18 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .core import CrossCheckError, ModelParams, State
-from .hamiltonian import DerivedCoords, _coord_arrays, derived_coords, xh_w
+from .hamiltonian import (
+    DerivedCoords,
+    _bound_check,
+    _coord_arrays,
+    _first_max,
+    _raise_first_failure,
+    _stack_of,
+    _xh_q_theta,
+    _xh_w_checked,
+    derived_coords,
+    xh_w,
+)
 
 __all__ = [
     "LaxBundle",
@@ -127,12 +144,14 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaxBundle:
-    """Every Lax-side matrix evaluated at one state.
+    """Every Lax-side matrix evaluated at one state, or at a stack of S.
 
-    All entries are read-only; ``coords`` carries the derived scalar
+    All entries are read-only views of the arrays the bundle was built
+    from (no copies are made); ``coords`` carries the derived scalar
     variables the matrices were built from, ``xhw`` the flow derivative
     of W (same subdiagonal pattern), and ``Lcal_inv`` the inverse Lax
-    matrix obtained through the exact Omega conjugation of Hcal.
+    matrix obtained through the exact Omega conjugation of Hcal.  For a
+    stack every field, ``coords`` included, has a leading axis of length S.
     """
 
     D: np.ndarray
@@ -156,19 +175,18 @@ class LaxBundle:
     xhw: np.ndarray
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name == "coords":
-                continue
-            arr = np.asarray(getattr(self, f.name))
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {f.name}")
-            arr = arr.copy()
+        rows = self.coords.rows()[0].shape[0]
+        arrays = {name: np.asarray(getattr(self, name)).view() for name in _ARRAY_FIELDS}
+        finite = {name: np.isfinite(a).reshape(rows, -1).all(axis=1) for name, a in arrays.items()}
+        _raise_first_failure(
+            (ok, ValueError, f"non-finite entries in {name}") for name, ok in finite.items()
+        )
+        for name, arr in arrays.items():
             arr.flags.writeable = False
-            object.__setattr__(self, f.name, arr)
+            object.__setattr__(self, name, arr)
 
 
-def _compose(pp: np.ndarray, pm: np.ndarray, mp: np.ndarray, mm: np.ndarray) -> np.ndarray:
-    return np.block([[pp, pm], [mp, mm]])
+_ARRAY_FIELDS = tuple(f.name for f in fields(LaxBundle) if f.name != "coords")
 
 
 def _delta_power(delta: float | np.ndarray, c: float) -> float | np.ndarray:
@@ -182,23 +200,38 @@ def _w_subdiagonal(sw: np.ndarray) -> np.ndarray:
     return np.concatenate([sw[..., :-1], sw[..., -1:], -sw[..., -2::-1]], axis=-1)
 
 
-def _dcal_diagonal(coords: DerivedCoords, params: ModelParams) -> np.ndarray:
-    """Diagonal of the n x n flow-derivative block of D."""
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices with the rows of v, (S, m) -> (S, m, m)."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
+def _block_diagonal(v: np.ndarray) -> np.ndarray:
+    """diag(v, -reversed(v)) for each row of v."""
+    return _diagonal(np.concatenate([v, -v[:, ::-1]], axis=1))
+
+
+def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Dcal and X_H[W] for a stack; ``build_dcal_and_xhW`` is the S = 1 case."""
     beta, kappa = params.beta, params.kappa
-    x, w, delta = coords.x, coords.w, coords.delta
-    v = (1.0 / x[:-1] + x[1:]) * w[:-1]
-    d = np.empty(params.n)
-    d[0] = v[0]
-    d[1:-1] = v[1:] - v[:-1]
-    d[-2] += kappa * w[-2] * w[-1]
-    d[-1] = (
-        -v[-1]
-        + 2.0 * w[-1] * delta / x[-1]
-        + 4.0 * kappa * w[-1]
-        + kappa * w[-2] * w[-1]
-        + kappa * kappa * w[-1] * coords.gamma
+    v = (1.0 / x[:, :-1] + x[:, 1:]) * w[:, :-1]
+    d = np.empty_like(x)
+    d[:, 0] = v[:, 0]
+    d[:, 1:-1] = v[:, 1:] - v[:, :-1]
+    d[:, -2] += kappa * w[:, -2] * w[:, -1]
+    d[:, -1] = (
+        -v[:, -1]
+        + 2.0 * w[:, -1] * delta / x[:, -1]
+        + 4.0 * kappa * w[:, -1]
+        + kappa * w[:, -2] * w[:, -1]
+        + kappa * kappa * w[:, -1] * gamma
     )
-    return 0.25 * beta * d
+    N = 2 * params.n
+    XhW = np.zeros((x.shape[0], N, N))
+    XhW[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(0.5 * xhw / np.sqrt(w))
+    return _block_diagonal(0.25 * beta * d), XhW
 
 
 def build_dcal_and_xhW(
@@ -213,116 +246,103 @@ def build_dcal_and_xhW(
     """
     if coords is None:
         coords = derived_coords(state, params)
-    n = params.n
-    dcal = _dcal_diagonal(coords, params)
-    Dcal = np.diag(np.concatenate([dcal, -dcal[::-1]]))
-    half = 0.5 * xh_w(state, params) / np.sqrt(coords.w)
-    XhW = np.zeros((2 * n, 2 * n))
-    XhW[np.arange(1, 2 * n), np.arange(2 * n - 1)] = np.concatenate(
-        [half[:-1], half[-1:], -half[-2::-1]]
-    )
-    return Dcal, XhW
+    x, w, delta, gamma = coords.rows()[2:6]
+    Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xh_w(state, params)[None], params)
+    return Dcal[0], XhW[0]
 
 
-def _triad_blocks(
-    coords: DerivedCoords, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """phi, psi, A, B (A and B already composed to size N)."""
+def _triad_blocks(x, w, delta, gamma, params: ModelParams):
+    """phi, psi, A, B and the corner bump of A for a stack of states."""
     beta, kappa, n = params.beta, params.kappa, params.n
-    x, w, delta = coords.x, coords.w, coords.delta
+    S, N = x.shape[0], 2 * n
     sw = np.sqrt(w)
-    corner = kappa * w[-2] * w[-1]
+    corner = kappa * w[:, -2] * w[:, -1]
 
-    phi = np.empty(n)
-    phi[0] = x[1] * w[0] - x[0] - 1.0 / x[0]
-    phi[1:-1] = w[:-2] / x[:-2] + x[2:] * w[1:-1] - x[1:-1] - 1.0 / x[1:-1]
-    phi[-2] += corner
-    phi[-1] = w[-2] / x[-2] - x[-1] - (1.0 - w[-1]) * delta / x[-1] + corner
+    phi = np.empty_like(x)
+    phi[:, 0] = x[:, 1] * w[:, 0] - x[:, 0] - 1.0 / x[:, 0]
+    phi[:, 1:-1] = w[:, :-2] / x[:, :-2] + x[:, 2:] * w[:, 1:-1] - x[:, 1:-1] - 1.0 / x[:, 1:-1]
+    phi[:, -2] += corner
+    phi[:, -1] = w[:, -2] / x[:, -2] - x[:, -1] - (1.0 - w[:, -1]) * delta / x[:, -1] + corner
     phi *= 0.25 * beta
 
-    psi = np.empty(n)
-    psi[0] = x[0] + (1.0 - w[0]) / x[0]
-    psi[1:-1] = x[1:-1] * (1.0 - w[:-2]) + (1.0 - w[1:-1]) / x[1:-1]
-    psi[-1] = x[-1] * (1.0 - w[-2]) + (1.0 - w[-1]) * delta / x[-1] - 2.0 * corner
+    psi = np.empty_like(x)
+    psi[:, 0] = x[:, 0] + (1.0 - w[:, 0]) / x[:, 0]
+    psi[:, 1:-1] = x[:, 1:-1] * (1.0 - w[:, :-2]) + (1.0 - w[:, 1:-1]) / x[:, 1:-1]
+    psi[:, -1] = x[:, -1] * (1.0 - w[:, -2]) + (1.0 - w[:, -1]) * delta / x[:, -1] - 2.0 * corner
     psi *= -0.25 * beta
 
     # Corner correction shared by the diagonal blocks of A.
-    bump = 0.5 * beta * kappa * w[-1] + 0.25 * beta * kappa * kappa * w[-1] * coords.gamma
+    bump = 0.5 * beta * kappa * w[:, -1] + 0.25 * beta * kappa * kappa * w[:, -1] * gamma
     half = 0.5 * beta
-
-    App = np.diag(phi)
-    App[-1, -1] += bump
     i = np.arange(n - 1)
-    App[i, i + 1] = half * sw[:-1] / x[:-1]
-    App[i + 1, i] = -half * sw[:-1] * x[:-1]
-
-    Amm = np.diag(phi)
-    Amm[-1, -1] -= bump
     j = np.arange(n - 2)
-    Amm[j, j + 1] = half * sw[:-2] / x[1:-1]
-    Amm[j + 1, j] = -half * sw[:-2] * x[1:-1]
-    Amm[-2, -1] = half * sw[-2] * delta / x[-1]
-    Amm[-1, -2] = -half * sw[-2] * x[-1]
 
-    Apm = np.zeros((n, n))
-    Apm[-1, 0] = half * sw[-1] * (delta / x[-1] + kappa * (1.0 + w[-2]))
-    Apm[-1, 1] = half * kappa * sw[-2] * sw[-1]
-    Amp = np.zeros((n, n))
-    Amp[0, -1] = -half * sw[-1] * (x[-1] + kappa * (1.0 + w[-1]))
-    Amp[1, -1] = half * kappa * sw[-2] * sw[-1]
-    A = _compose(App, Apm, Amp, _rev(Amm))
+    A = np.zeros((S, N, N))
+    App, Apm, Amp = A[:, :n, :n], A[:, :n, n:], A[:, n:, :n]
+    App[:, i, i] = phi[:, :-1]
+    App[:, -1, -1] = phi[:, -1] + bump
+    App[:, i, i + 1] = half * sw[:, :-1] / x[:, :-1]
+    App[:, i + 1, i] = -half * sw[:, :-1] * x[:, :-1]
+    Amm = _diagonal(phi)
+    Amm[:, -1, -1] -= bump
+    Amm[:, j, j + 1] = half * sw[:, :-2] / x[:, 1:-1]
+    Amm[:, j + 1, j] = -half * sw[:, :-2] * x[:, 1:-1]
+    Amm[:, -2, -1] = half * sw[:, -2] * delta / x[:, -1]
+    Amm[:, -1, -2] = -half * sw[:, -2] * x[:, -1]
+    A[:, n:, n:] = _rev(Amm)
+    Apm[:, -1, 0] = half * sw[:, -1] * (delta / x[:, -1] + kappa * (1.0 + w[:, -2]))
+    Apm[:, -1, 1] = half * kappa * sw[:, -2] * sw[:, -1]
+    Amp[:, 0, -1] = -half * sw[:, -1] * (x[:, -1] + kappa * (1.0 + w[:, -1]))
+    Amp[:, 1, -1] = half * kappa * sw[:, -2] * sw[:, -1]
 
-    Bpp = np.diag(psi)
-    Bpp[j, j + 1] = half * sw[:-2] / x[:-2]
-    Bpp[j + 1, j] = -half * sw[:-2] * x[1:-1]
-    Bpp[-2, -1] = half * sw[-2] / x[-2]
-    Bpp[-1, -2] = -half * sw[-2] * (x[-1] + kappa * w[-1])
-    Bpm = np.zeros((n, n))
-    Bpm[-1, 0] = half * sw[-1] * (delta / x[-1] + kappa)
-    Bpm[-1, 1] = half * kappa * sw[-2] * sw[-1]
-    B = _compose(Bpp, Bpm, -_rev(Bpm), _rev(Bpp))
+    B = np.zeros((S, N, N))
+    Bpp, Bpm = B[:, :n, :n], B[:, :n, n:]
+    Bpp[:, np.arange(n), np.arange(n)] = psi
+    Bpp[:, j, j + 1] = half * sw[:, :-2] / x[:, :-2]
+    Bpp[:, j + 1, j] = -half * sw[:, :-2] * x[:, 1:-1]
+    Bpp[:, -2, -1] = half * sw[:, -2] / x[:, -2]
+    Bpp[:, -1, -2] = -half * sw[:, -2] * (x[:, -1] + kappa * w[:, -1])
+    Bpm[:, -1, 0] = half * sw[:, -1] * (delta / x[:, -1] + kappa)
+    Bpm[:, -1, 1] = half * kappa * sw[:, -2] * sw[:, -1]
+    B[:, n:, :n] = -_rev(Bpm)
+    B[:, n:, n:] = _rev(Bpp)
 
-    return phi, psi, A, B
+    return phi, psi, A, B, bump
 
 
-def _acal_explicit(
-    coords: DerivedCoords, params: ModelParams, phi: np.ndarray, bump: float
-) -> np.ndarray:
+def _acal_explicit(x, w, delta, phi, bump, params: ModelParams) -> np.ndarray:
     """Acal from its displayed block entries (the D-conjugated triad blocks)."""
     beta, kappa, n = params.beta, params.kappa, params.n
-    x, w, delta = coords.x, coords.w, coords.delta
+    S, N = x.shape[0], 2 * n
     sx, sw = np.sqrt(x), np.sqrt(w)
     half = 0.5 * beta
-    sup = half * sw[:-2] / (sx[:-2] * sx[1:-1])
-    sub = -half * sw[:-2] * sx[:-2] * sx[1:-1]
+    sup = half * sw[:, :-2] / (sx[:, :-2] * sx[:, 1:-1])
+    sub = -half * sw[:, :-2] * sx[:, :-2] * sx[:, 1:-1]
     j = np.arange(n - 2)
+    dp = {c: _delta_power(delta, c) for c in (-0.25, 0.25, 0.5, 0.75)}
 
-    pp = np.diag(phi)
-    pp[-1, -1] += bump
-    pp[j, j + 1] = sup
-    pp[j + 1, j] = sub
-    pp[-2, -1] = half * sw[-2] * _delta_power(delta, 0.25) / (sx[-2] * sx[-1])
-    pp[-1, -2] = -half * sw[-2] * sx[-2] * sx[-1] * _delta_power(delta, -0.25)
+    out = np.zeros((S, N, N))
+    pp, pm, mp = out[:, :n, :n], out[:, :n, n:], out[:, n:, :n]
+    pp[:, np.arange(n), np.arange(n)] = phi
+    pp[:, -1, -1] += bump
+    pp[:, j, j + 1] = sup
+    pp[:, j + 1, j] = sub
+    pp[:, -2, -1] = half * sw[:, -2] * dp[0.25] / (sx[:, -2] * sx[:, -1])
+    pp[:, -1, -2] = -half * sw[:, -2] * sx[:, -2] * sx[:, -1] * dp[-0.25]
 
-    mm = np.diag(phi)
-    mm[-1, -1] -= bump
-    mm[j, j + 1] = sup
-    mm[j + 1, j] = sub
-    mm[-2, -1] = half * sw[-2] * _delta_power(delta, 0.75) / (sx[-2] * sx[-1])
-    mm[-1, -2] = -half * sw[-2] * sx[-2] * sx[-1] * _delta_power(delta, 0.25)
+    mm = _diagonal(phi)
+    mm[:, -1, -1] -= bump
+    mm[:, j, j + 1] = sup
+    mm[:, j + 1, j] = sub
+    mm[:, -2, -1] = half * sw[:, -2] * dp[0.75] / (sx[:, -2] * sx[:, -1])
+    mm[:, -1, -2] = -half * sw[:, -2] * sx[:, -2] * sx[:, -1] * dp[0.25]
+    out[:, n:, n:] = _rev(mm)
 
-    pm = np.zeros((n, n))
-    pm[-1, 0] = half * sw[-1] * _delta_power(delta, 0.5) * (
-        1.0 + kappa * x[-1] * (1.0 + w[-2]) / delta
-    )
-    pm[-1, 1] = half * kappa * sx[-2] * sx[-1] * sw[-2] * sw[-1] * _delta_power(delta, -0.25)
-    mp = np.zeros((n, n))
-    mp[0, -1] = -half * sw[-1] * _delta_power(delta, 0.5) * (
-        1.0 + kappa * (1.0 + w[-1]) / x[-1]
-    )
-    mp[1, -1] = half * kappa * sw[-2] * sw[-1] * _delta_power(delta, 0.25) / (sx[-2] * sx[-1])
-
-    return _compose(pp, pm, mp, _rev(mm))
+    pm[:, -1, 0] = half * sw[:, -1] * dp[0.5] * (1.0 + kappa * x[:, -1] * (1.0 + w[:, -2]) / delta)
+    pm[:, -1, 1] = half * kappa * sx[:, -2] * sx[:, -1] * sw[:, -2] * sw[:, -1] * dp[-0.25]
+    mp[:, 0, -1] = -half * sw[:, -1] * dp[0.5] * (1.0 + kappa * (1.0 + w[:, -1]) / x[:, -1])
+    mp[:, 1, -1] = half * kappa * sw[:, -2] * sw[:, -1] * dp[0.25] / (sx[:, -2] * sx[:, -1])
+    return out
 
 
 def _lax_chain(
@@ -371,10 +391,10 @@ def _lax_matrices(states: Sequence[State], params: ModelParams) -> np.ndarray:
 
     Entry i is bitwise equal to ``build_bundle(states[i], params).Lcal``.
     The coordinates of all states come from one stacked evaluation.
-    Trajectories use this for the spectrum; the cross-checks of
-    ``build_bundle`` (the two Acal routes, the X_H[w] composition rule)
-    are not run here.  They run in ``build_bundle`` and so on every
-    ``run_suite`` state.
+    Trajectories use this for the spectrum; the cross-checks of the
+    bundle (the two Acal routes, the X_H[w] composition rule) are not
+    run here.  They run in ``build_bundle``, which ``run_suite`` calls on
+    all its states.
     """
     q = np.array([s.xi for s in states])
     th = np.array([s.eta for s in states])
@@ -390,42 +410,48 @@ def _lax_matrices(states: Sequence[State], params: ModelParams) -> np.ndarray:
     return out
 
 
-def build_bundle(state: State, params: ModelParams) -> LaxBundle:
+def build_bundle(
+    state: State | tuple[np.ndarray, np.ndarray], params: ModelParams
+) -> LaxBundle:
     """Assemble every Lax-side matrix at one state.
 
-    Raises ``CrossCheckError`` if the conjugation route and the explicit
-    block entries for Acal disagree beyond 1e-12 relative to the largest
-    entry.
+    ``state`` may also be a pair (xi, eta) of (S, n) arrays; the bundle
+    then holds the stack of S states, each bitwise equal to its own
+    one-state bundle.  The checks run once per stack, in the order one
+    state meets them: the coordinate guards and ``DerivedCoords``
+    invariants, the two Acal routes, the X_H[w] composition rule, then
+    finiteness of every field.  A stack raises the error of the first
+    check that fails, at its earliest failing state (``run_suite``
+    re-runs a failing block state by state).  Raises ``CrossCheckError``
+    if the conjugation route and the explicit block entries for Acal
+    disagree beyond 1e-12 relative to the largest entry, or if the
+    X_H[w] composition rule fails (see ``xh_w``).
     """
+    q, th, one = _stack_of(state)
     coords = derived_coords(state, params)
-    beta, kappa, n = params.beta, params.kappa, params.n
-    w = coords.w
+    _, _, x, w, delta, gamma, upsilon = coords.rows()
+    beta, n = params.beta, params.n
+    N = 2 * n
 
-    d, W, L, g, Hcal, Lcal = (
-        a[0] for a in _lax_chain(coords.x[None], coords.w[None], np.array([coords.delta]), params)
+    d, W, L, g, Hcal, Lcal = _lax_chain(x, w, delta, params)
+    phi, psi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
+    Acal = _acal_explicit(x, w, delta, phi, bump, params)
+    gap = np.max(np.abs(Acal - (d[:, :, None] / d[:, None, :]) * A), axis=(1, 2))
+    scale = _first_max(1.0, np.max(np.abs(Acal), axis=(1, 2)))
+    _raise_first_failure(
+        [_bound_check(gap, _ACAL_CROSS_TOL * scale, "Acal construction routes disagree")]
     )
 
-    phi, psi, A, B = _triad_blocks(coords, params)
-    bump = 0.5 * beta * kappa * w[-1] + 0.25 * beta * kappa * kappa * w[-1] * coords.gamma
-    Acal = _acal_explicit(coords, params, phi, bump)
-    Acal_conj = (d[:, None] / d[None, :]) * A
-    gap = float(np.max(np.abs(Acal - Acal_conj)))
-    scale = max(1.0, float(np.max(np.abs(Acal))))
-    if gap > _ACAL_CROSS_TOL * scale:
-        raise CrossCheckError(
-            f"Acal construction routes disagree: |diff| = {gap:.3e} > {_ACAL_CROSS_TOL * scale:.3e}"
-        )
-
     g_inv = g.copy()
-    g_inv[n - 1, n] = g_inv[n, n - 1] = -g[n - 1, n]
+    g_inv[:, n - 1, n] = g_inv[:, n, n - 1] = -g[:, n - 1, n]
     Lcal_inv = g_inv @ omega_conjugate(Hcal)
-    Ycal = 0.5 * beta * (Lcal - Lcal_inv)
 
-    Q = np.diag(np.concatenate([state.xi, -state.xi[::-1]]))
-    Dcal, XhW = build_dcal_and_xhW(state, params, coords)
+    xhw, check = _xh_w_checked(x, w, delta, gamma, upsilon, _xh_q_theta(q, th, params), params)
+    _raise_first_failure([check])
+    Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
 
-    return LaxBundle(
-        D=np.diag(d),
+    arrays = dict(
+        D=_diagonal(d),
         W=W,
         L=L,
         Dcal=Dcal,
@@ -434,17 +460,17 @@ def build_bundle(state: State, params: ModelParams) -> LaxBundle:
         Acal=Acal,
         g=g,
         g_inv=g_inv,
-        Omega=build_omega(n),
+        Omega=np.broadcast_to(build_omega(n), (q.shape[0], N, N)),
         Hcal=Hcal,
         Lcal=Lcal,
         Lcal_inv=Lcal_inv,
-        Ycal=Ycal,
-        Q=Q,
+        Ycal=0.5 * beta * (Lcal - Lcal_inv),
+        Q=_block_diagonal(q),
         phi=phi,
         psi=psi,
-        coords=coords,
         xhw=XhW,
     )
+    return LaxBundle(**{name: a[0] if one else a for name, a in arrays.items()}, coords=coords)
 
 
 def hessenberg_parts(

@@ -6,10 +6,12 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vdtoda import integrate, solve_trajectory
+from vdtoda import integrate, random_state, solve_trajectory
 from vdtoda.cli import RunConfig, main
+from vdtoda.verify import _MATRIX_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -103,6 +105,8 @@ def test_verify_dumps_matrices(tmp_path):
     files = sorted(p.name for p in mats.iterdir())
     assert len(files) == 15
     assert "Lcal.csv" in files and "Omega.csv" in files
+    # every perturbable matrix of the suite but X_H[W]
+    assert set(files) == {f"{name}.csv" for name in _MATRIX_FIELDS if name != "xhw"}
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -160,6 +164,17 @@ def test_simulate_writes_spectrum(tmp_path):
 def test_overflowing_start_exits_3(tmp_path):
     cfg = write_config(tmp_path, n=3, beta=1.0, xi=[0.0, 0.0, -400.0], t_end=1.0)
     assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "t.csv")]) == 3
+
+
+def test_underflowing_coordinates_exit_3(tmp_path, capsys):
+    # a hot state whose particles drift more than ~745 apart: w_a underflows
+    # to 0 in the spectrum's coordinates, a numerical breakdown, not a usage error
+    state = random_state(8, np.random.default_rng(21), box=5.0)
+    cfg = write_config(
+        tmp_path, n=8, beta=1.0, kappa=1.0, xi=state.xi.tolist(), eta=state.eta.tolist(), t_end=3.0
+    )
+    assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "t.csv")]) == 3
+    assert "x and w entries must be positive" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- solve

@@ -1,5 +1,6 @@
 """Energy function, derived coordinates, and the analytic vector field."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import draw_states
 from vdtoda import (
     CoordinateOverflowError,
+    CrossCheckError,
     ModelParams,
     State,
     hamiltonian,
@@ -29,6 +31,7 @@ from vdtoda.hamiltonian import (
     xh_q,
     xh_w,
 )
+from vdtoda.lax import build_bundle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,6 +234,38 @@ def test_flow_finite_difference_matches_field():
     w_f = derived_coords(fwd, params).w
     w_b = derived_coords(bwd, params).w
     assert np.max(np.abs((w_f - w_b) / (2 * h) - xh_w(st, params))) < 1e-6
+
+
+# alternating +-3 at rest: the w-velocity terms reach ~1e6 and cancel to 0
+HOT_REST = State(np.array([3.0, -3.0] * 4), np.zeros(8))
+
+
+def test_xh_w_check_scales_with_its_terms():
+    # the composition rule agrees to ~1e-16 of its terms here; a bound
+    # scaled by the (zero) results instead rejected this valid state
+    params = ModelParams(8, 1.0, 1.0)
+    assert np.all(np.isfinite(xh_w(HOT_REST, params)))
+    build_bundle(HOT_REST, params)
+
+
+def test_xh_w_check_catches_a_relative_1e9_corruption(monkeypatch):
+    # scaling by the terms must not blunt the check: corrupt X_H[q_a], and
+    # so the composed terms w_a X_H[q_a] next to it, by a relative 1e-9
+    module = importlib.import_module("vdtoda.hamiltonian")  # the name is shadowed
+    theta_form = module._xh_q_theta
+    params = ModelParams(6, 0.7, 1.1)
+    state = random_state(6, np.random.default_rng(5), box=1.5)
+    xh_w(state, params)
+    for a in range(params.n):
+
+        def corrupted(q, th, p, a=a):
+            qdot = theta_form(q, th, p)
+            qdot[:, a] *= 1.0 + 1e-9
+            return qdot
+
+        monkeypatch.setattr(module, "_xh_q_theta", corrupted)
+        with pytest.raises(CrossCheckError, match="w-velocity forms disagree"):
+            xh_w(state, params)
 
 
 def test_rapidity_flow_reduces_at_zero_rapidity():

@@ -1,7 +1,6 @@
 """Residual suite: determinism, reporting, and sensitivity to damage."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from vdtoda.verify import (
     ResidualReport,
     lax_triad_residual,
     reports_to_jsonl,
-    resolve_threads,
     run_suite,
 )
 
@@ -76,22 +74,16 @@ def test_suite_is_deterministic_per_seed():
     assert a != c
 
 
-def test_thread_count_does_not_change_output():
-    serial = reports_to_jsonl(run_suite(PARAMS, 6, seed=9, threads=1))
-    threaded = reports_to_jsonl(run_suite(PARAMS, 6, seed=9, threads=4))
-    assert serial == threaded
-
-
-def test_thread_resolution(monkeypatch):
-    monkeypatch.delenv("VDTODA_THREADS", raising=False)
-    assert resolve_threads(None) == 1  # default is serial
-    assert resolve_threads(3) == 3
-    assert resolve_threads(0) >= 1  # 0 means all available cores
-    monkeypatch.setenv("VDTODA_THREADS", "5")
-    assert resolve_threads(None) == 5
-    monkeypatch.setenv("VDTODA_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
+def test_state_count_does_not_change_a_prefix():
+    # states are evaluated as one stack; the first k states must give the
+    # same bits whatever else is in the stack
+    full = run_suite(PARAMS, 9, seed=9)
+    lines = reports_to_jsonl(full).splitlines()
+    for k in (1, 2, 5, 8):
+        prefix = run_suite(PARAMS, k, seed=9)
+        size = k * len(RESIDUAL_NAMES)
+        assert reports_to_jsonl(prefix).splitlines() == lines[:size]
+        assert repr([r.blocks for r in prefix]) == repr([r.blocks for r in full[:size]])
 
 
 def test_matrix_residuals_report_block_maxima():

@@ -6,141 +6,18 @@ identities, adaptive Runge-Kutta reference dynamics, and the purely
 algebraic factorization solver, with a CLI front end (``vdtoda``).
 """
 
-from .core import (
-    CoordinateOverflowError,
-    CoordinateUnderflowError,
-    CrossCheckError,
-    ModelParams,
-    State,
-    position,
-    random_state,
-    rapidity,
-    reflect,
-    shift,
-    time_reversal,
-)
-from .hamiltonian import (
-    DerivedCoords,
-    derived_coords,
-    eom,
-    f_mu,
-    from_canonical,
-    hamiltonian,
-    hamiltonian_xw,
-    nonrel_hamiltonian,
-    to_canonical,
-    xh_p,
-    xh_q,
-    xh_w,
-    xh_x,
-)
-from .integrate import (
-    StepSizeUnderflowError,
-    Trajectory,
-    TrajectoryCheckError,
-    backward_via_reversal,
-    integrate,
-    spectral_drift,
-    spectrum_to_csv,
-    trajectory_to_csv,
-)
-from .lax import (
-    LaxBundle,
-    build_bundle,
-    build_dcal_and_xhW,
-    build_omega,
-    diag_part,
-    graded_part,
-    hessenberg_parts,
-    omega_conjugate,
-    reversal,
-    strict_lower,
-    strict_upper,
-)
-from .solve import (
-    FactorizationBreakdownError,
-    LduFactors,
-    ldu,
-    leading_minors,
-    matrix_exp,
-    position_rates_at,
-    positions_at,
-    rapidities_at,
-    solve_trajectory,
-)
-from .verify import (
-    ResidualReport,
-    band_relations_residual,
-    lax_equation_residual,
-    lax_triad_residual,
-    omega_relations_residual,
-    reports_to_jsonl,
-    run_suite,
-    scalar_identities,
-)
+from . import core, hamiltonian, integrate, lax, solve, verify
+
+# The public names of each module, re-exported.  Binding them after the
+# module list above makes ``hamiltonian`` and ``integrate`` the functions.
+_MODULES = (core, hamiltonian, integrate, lax, solve, verify)
+from .core import *  # noqa: E402, F403
+from .hamiltonian import *  # noqa: E402, F403
+from .integrate import *  # noqa: E402, F403
+from .lax import *  # noqa: E402, F403
+from .solve import *  # noqa: E402, F403
+from .verify import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CoordinateOverflowError",
-    "CoordinateUnderflowError",
-    "CrossCheckError",
-    "ModelParams",
-    "State",
-    "position",
-    "rapidity",
-    "time_reversal",
-    "reflect",
-    "shift",
-    "random_state",
-    "DerivedCoords",
-    "f_mu",
-    "derived_coords",
-    "to_canonical",
-    "from_canonical",
-    "hamiltonian",
-    "hamiltonian_xw",
-    "nonrel_hamiltonian",
-    "xh_q",
-    "xh_p",
-    "xh_x",
-    "xh_w",
-    "eom",
-    "LaxBundle",
-    "graded_part",
-    "strict_lower",
-    "strict_upper",
-    "diag_part",
-    "reversal",
-    "build_omega",
-    "omega_conjugate",
-    "build_bundle",
-    "build_dcal_and_xhW",
-    "hessenberg_parts",
-    "ResidualReport",
-    "lax_triad_residual",
-    "lax_equation_residual",
-    "omega_relations_residual",
-    "band_relations_residual",
-    "scalar_identities",
-    "run_suite",
-    "reports_to_jsonl",
-    "Trajectory",
-    "StepSizeUnderflowError",
-    "TrajectoryCheckError",
-    "integrate",
-    "backward_via_reversal",
-    "spectral_drift",
-    "trajectory_to_csv",
-    "spectrum_to_csv",
-    "FactorizationBreakdownError",
-    "LduFactors",
-    "matrix_exp",
-    "leading_minors",
-    "ldu",
-    "positions_at",
-    "position_rates_at",
-    "rapidities_at",
-    "solve_trajectory",
-]
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

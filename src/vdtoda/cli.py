@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    vdtoda verify|simulate|solve|compare|bench [--config FILE] [flags]
+    vdtoda verify|simulate|solve|compare [--config FILE] [flags]
 
 Configuration is a single JSON document whose keys match the RunConfig
 fields; command-line flags override file values, which override the
@@ -13,17 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import ModelParams, State, random_state
+from .core import ModelParams, State
 from .hamiltonian import hamiltonian
 from .integrate import (
     Trajectory,
     TrajectoryCheckError,
+    _text_sink,
     initial_only,
     integrate,
     spectral_drift,
@@ -31,7 +31,7 @@ from .integrate import (
     trajectory_to_csv,
 )
 from .lax import build_bundle
-from .solve import position_rates_at, solve_trajectory
+from .solve import solve_trajectory
 from .verify import _MATRIX_FIELDS, reports_to_jsonl, run_suite
 
 __all__ = [
@@ -39,13 +39,11 @@ __all__ = [
     "cmd_verify",
     "cmd_trajectory",
     "cmd_compare",
-    "cmd_bench",
     "main",
 ]
 
 _COMPARE_TOL = 1e-5
 _TRAJECTORY_METHODS = {"simulate": "rk", "solve": "algebraic"}
-_BENCH_SIZES = range(3, 13)
 # every perturbable bundle matrix but X_H[W]
 _DUMPED_MATRICES = tuple(name for name in _MATRIX_FIELDS if name != "xhw")
 
@@ -129,9 +127,7 @@ def _parse_perturb(text: str) -> tuple[str, int, int, float]:
 
 
 def _open_target(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    return _text_sink(sys.stdout if path is None or path == "-" else path)
 
 
 def cmd_verify(
@@ -143,12 +139,8 @@ def cmd_verify(
 ) -> int:
     """Run the residual suite; exit 0 iff every report passes."""
     reports = run_suite(config.params, config.num_states, config.seed, box=box, perturb=perturb)
-    target, close = _open_target(output)
-    try:
+    with _open_target(output) as target:
         target.write(reports_to_jsonl(reports))
-    finally:
-        if close:
-            target.close()
     if dump_matrices is not None:
         _dump_bundle(config, dump_matrices)
     failed = sum(1 for r in reports if not r.passed)
@@ -192,12 +184,8 @@ def _run_method(config: RunConfig, method: str) -> Trajectory:
 def _emit_trajectory(
     traj: Trajectory, output: str | None, spectrum_output: str | None
 ) -> None:
-    target, close = _open_target(output)
-    try:
+    with _open_target(output) as target:
         trajectory_to_csv(traj, target)
-    finally:
-        if close:
-            target.close()
     if spectrum_output is not None:
         spectrum_to_csv(traj, spectrum_output)
 
@@ -246,12 +234,8 @@ def cmd_compare(
         rows.append(
             f"{format(traj_a.t[i], '.17g')},{format(dq, '.17g')},{format(dtheta, '.17g')}"
         )
-    target, close = _open_target(output)
-    try:
+    with _open_target(output) as target:
         target.write("t,max_dq,max_dtheta\n" + "\n".join(rows) + "\n")
-    finally:
-        if close:
-            target.close()
     if dump_trajectories is not None:
         out = Path(dump_trajectories)
         out.mkdir(parents=True, exist_ok=True)
@@ -262,46 +246,6 @@ def cmd_compare(
         file=sys.stderr,
     )
     return 0 if max(worst_q, worst_theta) <= _COMPARE_TOL else 1
-
-
-def cmd_bench(config: RunConfig, output: str | None = None, repeats: int = 3) -> int:
-    """Wall-clock medians across chain sizes, as machine-readable CSV."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    lines = ["n,bundle_s,suite_s,rk_unit_s,algebraic_s"]
-    for n in _BENCH_SIZES:
-        params = ModelParams(n, config.beta, config.kappa)
-        rng = np.random.default_rng(config.seed)
-        # moderate box: the timing probe must stay inside the algebraic
-        # method's double-precision horizon for every n in the sweep
-        state = random_state(n, rng, box=1.0)
-
-        def timed(fn) -> float:
-            samples = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fn()
-                samples.append(time.perf_counter() - start)
-            return float(np.median(samples))
-
-        t_bundle = timed(lambda: build_bundle(state, params))
-        t_suite = timed(lambda: run_suite(params, 1, config.seed))
-        t_rk = timed(
-            lambda: integrate(
-                state, params, 1.0, sample_dt=1.0, rtol=config.rtol, atol=config.atol
-            )
-        )
-        t_alg = timed(lambda: position_rates_at(state, params, 1.0))
-        lines.append(
-            f"{n},{t_bundle:.6e},{t_suite:.6e},{t_rk:.6e},{t_alg:.6e}"
-        )
-    target, close = _open_target(output)
-    try:
-        target.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            target.close()
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,10 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--method-b", choices=("rk", "algebraic"), default="algebraic")
     p_cmp.add_argument("--dump-trajectories", help="directory for tagged trajectory CSVs")
 
-    p_bench = sub.add_parser("bench", help="wall-clock timing table")
-    add_common(p_bench)
-    p_bench.add_argument("--repeats", type=int, default=3)
-
     return parser
 
 
@@ -388,8 +328,6 @@ def main(argv: list[str] | None = None) -> int:
                 method_b=args.method_b,
                 dump_trajectories=args.dump_trajectories,
             )
-        if args.command == "bench":
-            return cmd_bench(config, output=args.output, repeats=args.repeats)
         raise ValueError(f"unknown command {args.command!r}")
     except TrajectoryCheckError as err:
         print(f"check failure: {err}", file=sys.stderr)

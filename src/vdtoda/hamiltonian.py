@@ -27,6 +27,7 @@ with the boundary shorthand delta = 1 + kappa^2 w_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +132,6 @@ def f_mu(mu: float, r: float) -> float:
     return float(np.sqrt(1.0 + _z_of(float(mu), float(r))))
 
 
-def _dlog_f(mu: float, r: np.ndarray | float) -> np.ndarray:
-    # d/dr ln f_mu(r) = -(f^2 - 1) / (2 f^2) = -z / (2 (1 + z)).
-    z = _z_of(mu, r)
-    return -z / (2.0 * (1.0 + z))
-
-
 def _separations(q: np.ndarray) -> np.ndarray:
     return q[:-1] - q[1:]
 
@@ -186,23 +181,6 @@ def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
     if not ok[0]:
         raise CoordinateOverflowError(_PAIR_OVERFLOW)
     return s[0]
-
-
-def _s_jacobian(q: np.ndarray, params: ModelParams) -> np.ndarray:
-    """J[a, b] = ds_a/dq_b; symmetric tridiagonal by construction."""
-    beta, kappa, n = params.beta, params.kappa, params.n
-    g1 = _dlog_f(beta, _separations(q))
-    g2 = float(_dlog_f(beta, 2.0 * q[-1]))
-    g3 = float(_dlog_f(kappa * beta, 2.0 * q[-1]))
-    J = np.zeros((n, n))
-    diag = np.empty(n)
-    diag[0] = g1[0]
-    diag[1:-1] = g1[:-1] + g1[1:]
-    diag[-1] = g1[-1] + 2.0 * (g2 + g3)
-    J[np.arange(n), np.arange(n)] = diag
-    J[np.arange(n - 1), np.arange(1, n)] = -g1
-    J[np.arange(1, n), np.arange(n - 1)] = -g1
-    return J / beta
 
 
 @dataclass(frozen=True)
@@ -569,75 +547,93 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
     return out[0]
 
 
+def _eom_arrays(
+    q: np.ndarray, th: np.ndarray, params: ModelParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Flat-vector right-hand side (xidot, etadot) for ODE integration.
+
+    The vector field in one pass over flat arrays: no ``State``, no
+    ``DerivedCoords``, no cross-check; ``eom`` is its one-state form.
+    The tridiagonal product J @ qdot (J = ds/dq) is applied edge by
+    edge: chain edge c carries one flux, its X_H[p] term minus its
+    (ds/dq) qdot term, and etadot is the difference of consecutive
+    fluxes plus the boundary terms at site n, taken in scalars.  The
+    result is written into ``out`` (a fresh array if None) and returned.
+    Overflow anywhere surfaces as inf or nan in the output, which is
+    checked once and raises ``CoordinateOverflowError``.
+    """
+    beta, kappa = params.beta, params.kappa
+    n = q.shape[0]
+    if out is None:
+        out = np.empty(2 * n)
+    qdot, etadot = out[:n], out[n:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # w_a = beta^2 e^{-d_a} (a < n) and w_n = beta^2 e^{-2 q_n}
+        w = np.empty(n)
+        np.subtract(q[1:], q[:-1], out=w[:-1])
+        w[-1] = -2.0 * q[-1]
+        np.exp(w, out=w)
+        w *= beta * beta
+        w_n1, w_n = w[-2:].tolist()
+        wk = kappa * kappa * w_n
+        # beta s_a = ln f_a - ln f_{a-1}, with both boundary factors at n;
+        # x_a = e^{beta theta_a + beta s_a}
+        lf = np.log1p(w)
+        lf *= 0.5
+        x = np.empty(n)
+        x[0] = lf[0]
+        np.subtract(lf[1:], lf[:-1], out=x[1:])
+        x[-1] += 0.5 * np.log1p(wk)
+        bt = beta * th
+        x += bt
+        np.exp(x, out=x)
+        # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
+        one_w = 1.0 + w
+        f = np.sqrt(one_w)
+        F = np.empty(n)
+        F[0] = f[0]
+        np.multiply(f[1:], f[:-1], out=F[1:])
+        F[-1] *= math.sqrt(1.0 + wk)
+        np.sinh(bt, out=qdot)
+        qdot *= beta
+        qdot *= F
+        # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
+        # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
+        flux = np.divide(1.0, x[:-1])
+        flux += x[1:]
+        flux *= 0.5
+        flux *= w[:-1]
+        jac = np.subtract(qdot[:-1], qdot[1:])
+        one_w *= 2.0
+        jac *= np.divide(w[:-1], one_w[:-1], out=one_w[:-1])
+        jac /= beta
+        flux += jac
+        etadot[0] = flux[0]
+        np.subtract(flux[1:-1], flux[:-2], out=etadot[1:-2])
+        flux_n2, flux_n1 = flux[-2:].tolist()
+        g_n = -w_n / (2.0 * (1.0 + w_n))
+        gk = -wk / (2.0 * (1.0 + wk))
+        corner = 0.5 * kappa * w_n1 * w_n
+        etadot[-2] = flux_n1 - flux_n2 + corner
+        # divided as NumPy scalars: w_n / 0 is inf, not ZeroDivisionError
+        etadot[-1] = (
+            -flux_n1
+            + (w_n / x[-1]).item() * (1.0 + kappa * kappa * (1.0 + 2.0 * w_n))
+            + 2.0 * kappa * w_n
+            + corner
+            - 2.0 * (g_n + gk) * qdot[-1].item() / beta
+        )
+    if not np.isfinite(out).all():
+        raise CoordinateOverflowError("overflow while evaluating the equations of motion")
+    return out
+
+
 def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """First-order equations of motion in natural coordinates.
 
     xidot is X_H[q].  The rapidity rate follows by the chain rule
     through the canonical pair: etadot_a = X_H[p_a] - sum_b
-    (ds_a/dq_b) X_H[q_b], with the analytic Jacobian of s.
+    (ds_a/dq_b) X_H[q_b].  The one-state case of ``_eom_arrays``.
     """
-    qdot = xh_q(state, params)
-    coords = derived_coords(state, params)
-    pdot = _xh_p_from_coords(coords, params)
-    J = _s_jacobian(state.xi, params)
-    return qdot, pdot - J @ qdot
-
-
-def _eom_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Flat-vector right-hand side (xidot, etadot) for ODE integration.
-
-    The same vector field as ``eom``, fused into one pass over flat
-    arrays: no ``State``, no ``DerivedCoords``, no cross-check.  The
-    tridiagonal product J @ qdot is applied edge by edge: chain edge c
-    carries one flux, its X_H[p] term minus its (ds/dq) qdot term, and
-    etadot is the difference of consecutive fluxes plus the boundary
-    terms at site n.  Overflow anywhere surfaces as inf or nan in the
-    output, which is checked once and raises ``CoordinateOverflowError``.
-    """
-    beta, kappa = params.beta, params.kappa
-    n = q.shape[0]
-    out = np.empty(2 * n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # w_a = beta^2 e^{-d_a} (a < n) and w_n = beta^2 e^{-2 q_n}
-        arg = np.empty(n)
-        arg[:-1] = q[1:] - q[:-1]
-        arg[-1] = -2.0 * q[-1]
-        w = beta * beta * np.exp(arg)
-        wk = kappa * kappa * w[-1]
-        one_w = 1.0 + w
-        one_wk = 1.0 + wk
-        # s_a = (ln f_a - ln f_{a-1}) / beta, with both boundary factors at n
-        lf = 0.5 * np.log1p(w)
-        s = np.empty(n)
-        s[0] = lf[0]
-        s[1:] = lf[1:] - lf[:-1]
-        s[-1] += 0.5 * np.log1p(wk)
-        x = np.exp(beta * th + s)
-        # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
-        f = np.sqrt(one_w)
-        F = f.copy()
-        F[1:] *= f[:-1]
-        F[-1] *= np.sqrt(one_wk)
-        qdot = beta * np.sinh(beta * th) * F
-        # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
-        # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
-        g = -w / (2.0 * one_w)
-        gk = -wk / (2.0 * one_wk)
-        flux = 0.5 * (1.0 / x[:-1] + x[1:]) * w[:-1] - g[:-1] * (qdot[:-1] - qdot[1:]) / beta
-        etadot = out[n:]
-        etadot[0] = flux[0]
-        etadot[1:-1] = flux[1:] - flux[:-1]
-        wn = w[-1]
-        corner = 0.5 * kappa * w[-2] * wn
-        etadot[-1] = (
-            -flux[-1]
-            + wn / x[-1] * (1.0 + kappa * kappa * (1.0 + 2.0 * wn))
-            + 2.0 * kappa * wn
-            + corner
-            - 2.0 * (g[-1] + gk) * qdot[-1] / beta
-        )
-        etadot[-2] += corner
-        out[:n] = qdot
-    if not np.isfinite(out).all():
-        raise CoordinateOverflowError("overflow while evaluating the equations of motion")
-    return out
+    out = _eom_arrays(state.xi, state.eta, params)
+    return out[: params.n], out[params.n :]

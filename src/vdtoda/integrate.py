@@ -1,9 +1,14 @@
 """Reference dynamics by adaptive Runge-Kutta integration.
 
-The chain is integrated in natural coordinates with an embedded 5(4)
-pair and dense output sampled on a uniform grid.  Each trajectory is
-validated at construction: energy drift stays within the integration
-tolerance budget, rapidities respect the a-priori bound
+The chain is integrated in natural coordinates by ``solve_ivp``, the
+module's own Dormand-Prince 5(4) integrator with dense output sampled on a
+uniform grid.  It takes the same steps and gives the same samples, bit
+for bit, as scipy's RK45, without scipy's per-step Python layers: the
+RHS kernel writes each stage straight into its row of the stage array,
+and the samples of a step come from one interpolant evaluation.
+
+Each trajectory is validated at construction: energy drift stays within
+the integration tolerance budget, rapidities respect the a-priori bound
 |theta_a| < ln(2 H) / beta, and no particle moves faster than beta H
 between consecutive samples.  The eigenvalues of the Lax matrix are
 recorded per sample with a consistent ordering, so isospectrality can
@@ -21,10 +26,13 @@ that fails it.
 
 from __future__ import annotations
 
+import math
+import warnings
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, State, time_reversal
@@ -46,6 +54,31 @@ __all__ = [
 # speed bound to absorb sampling rounding.
 _DRIFT_FACTOR = 100.0
 _SPEED_SLACK = 1.0 + 1e-6
+
+# The Dormand-Prince 5(4) pair with scipy's RK45 coefficients: the
+# weights A of stages 2-6 (stage 1 is the derivative at the start of
+# the step), solution weights B, error weights E (fifth minus fourth
+# order, last-stage row included) and the quartic dense-output matrix P.
+_A = np.array([
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -106,6 +139,106 @@ def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     k = int(np.floor(t_end / sample_dt * (1.0 + 4.0 * np.finfo(float).eps) + 1e-12)) + 1
     times = sample_dt * np.arange(k)
     return np.minimum(times, t_end)
+
+
+def _rms(x: np.ndarray) -> np.float64:
+    # np.linalg.norm(x) / sqrt(x.size), as the same operations
+    return np.sqrt(x.dot(x)) / x.size**0.5
+
+
+def _initial_step(fun, y0, f0, t_end, rtol, atol) -> np.float64:
+    # Hairer, Norsett & Wanner, Sec. II.4, for an error estimator of order 4.
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = np.empty_like(y0)
+    fun(y0 + h0 * f0, f1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def solve_ivp(
+    fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float
+) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) integration of y' = fun(y) over [0, t_end].
+
+    Takes the same steps and returns the same samples, bit for bit, as
+    ``scipy.integrate.solve_ivp(method="RK45", t_eval=t_eval)``: the
+    same initial step, error norm and step-size rule (safety 0.9, factor
+    within [0.2, 10]), the same minimum step of 10 ulp of t, and samples
+    from the same quartic interpolant of each accepted step.  An rtol
+    below 100 eps is raised to it with scipy's warning.
+
+    ``fun(y, out)`` writes the derivative at y into ``out`` (the system
+    is autonomous); each stage is written straight into its row of the
+    stage array.  ``t_eval`` is an increasing array inside [0, t_end].
+    Returns the samples as rows; a step shrinking under its minimum
+    raises ``StepSizeUnderflowError`` with the time of the last sample
+    reached (0.0 if none was).
+    """
+    if rtol < _RTOL_FLOOR:
+        warnings.warn(
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {_RTOL_FLOOR})`.",
+            stacklevel=2,
+        )
+        rtol = _RTOL_FLOOR
+    y = np.array(y0, dtype=float)
+    times = [float(t) for t in t_eval]
+    out = np.empty((len(times), y.size))
+    K = np.empty((7, y.size))
+    KT, KT_B = K.T, K[:-1].T
+    stages = [(K[:s].T, a[:s], K[s]) for s, a in enumerate(_A, start=1)]
+    f, f_new = K[0], K[-1]
+    fun(y, f)
+    h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
+    abs_y = np.abs(y)
+    t, i = 0.0, 0
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflowError(_TOO_SMALL_STEP, times[i - 1] if i else 0.0)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            for K_s, a, k in stages:
+                fun(y + np.dot(K_s, a) * h, k)
+            y_new = y + h * np.dot(KT_B, _B)
+            fun(y_new, f_new)
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rtol
+            scale += atol
+            err = np.dot(KT, _E)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        # the samples in (t, t_new], and t = 0 on the first step
+        j = bisect_right(times, t_new, i)
+        if j > i:
+            x = (t_eval[i:j] - t) / h
+            dense = h * np.dot(KT.dot(_P), np.cumprod([x, x, x, x], axis=0))
+            dense += y[:, None]
+            out[i:j] = dense.T
+            i = j
+        t, y, abs_y = t_new, y_new, abs_new
+        f[:] = f_new
+    return out
 
 
 def _matched_spectra(states: tuple[State, ...], params: ModelParams) -> np.ndarray:
@@ -198,22 +331,11 @@ def integrate(
     times = sample_times(t_end, sample_dt)
     y0 = np.concatenate([state.xi, state.eta])
 
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return _eom_arrays(y[:n], y[n:], params)
+    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _eom_arrays(y[:n], y[n:], params, out=out)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        y0,
-        method="RK45",
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else 0.0
-        raise StepSizeUnderflowError(sol.message, reached)
-    states = tuple(State(col[:n], col[n:]) for col in sol.y.T)
+    samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)
+    states = tuple(State(row[:n], row[n:]) for row in samples)
     h0 = hamiltonian(state, params)
     return _assemble(params, times, states, drift_tol=_DRIFT_FACTOR * rtol * abs(h0))
 
@@ -247,6 +369,16 @@ def spectral_drift(traj: Trajectory) -> float:
     return drift
 
 
+@contextmanager
+def _text_sink(target):
+    """``target`` itself if it is an open text file, else the path opened for writing."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -276,12 +408,8 @@ def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> No
         if method is not None:
             row.append(method)
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _text_sink(target) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def spectrum_to_csv(traj: Trajectory, target) -> None:
@@ -296,9 +424,5 @@ def spectrum_to_csv(traj: Trajectory, target) -> None:
         for lam in traj.spectrum[i]:
             row += [_fmt(lam.real), _fmt(lam.imag)]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _text_sink(target) as fh:
+        fh.write("\n".join(lines) + "\n")

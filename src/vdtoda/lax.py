@@ -70,7 +70,7 @@ __all__ = [
 
 _ACAL_CROSS_TOL = 1e-12
 _HPARTS_CROSS_TOL = 1e-12
-_CHAIN_BLOCK = 8
+_CHAIN_BLOCK = 32
 
 
 def graded_part(M: np.ndarray, k: int) -> np.ndarray:

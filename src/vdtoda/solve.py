@@ -19,11 +19,10 @@ the rates are the first n diagonal entries of one unit-lower triangular
 solve.  Rapidities invert the defining relation between position
 velocity and rapidity through arcsinh.
 
-A trajectory is evaluated on stacks of samples: the exponentials are
-taken per sample, the Gauss elimination runs on time-ordered blocks of
-samples at once (elementwise over the block, so each sample gets the
-same bits as alone), and the rapidities, energies, bounds and spectra
-are computed on the stacked (samples, n) arrays.  Every check still
+A trajectory is evaluated on time-ordered blocks of samples: one
+stacked exponential and one Gauss elimination per block (each sample
+gets the same bits as alone), and the rapidities, energies, bounds and
+spectra are computed on the stacked (samples, n) arrays.  Every check still
 applies per sample, and a failing trajectory raises the error of its
 earliest failing sample, with the checks of one sample met in this
 order: exponential overflow, pivot under the floor, non-positive minor
@@ -89,7 +88,13 @@ class FactorizationBreakdownError(ArithmeticError):
 
 
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential (scaling and squaring, Pade approximant)."""
+    """Dense matrix exponential (scaling and squaring, Pade approximant).
+
+    M is one N x N matrix or a stack (..., N, N); every matrix of a stack
+    gets the same bits as alone.  A non-finite entry raises ``ValueError``
+    and an overflowing result ``CoordinateOverflowError``, for the stack
+    as a whole.
+    """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
@@ -217,7 +222,7 @@ def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
 def _samples(
     xi: np.ndarray, Y: np.ndarray, n: int, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
-    """Positions and position rates at a block of times, one stacked elimination.
+    """Positions and position rates at a block of times, one stacked exponential.
 
     Returns (q, qdot, error): the rows of the samples before the earliest
     failing one, and that sample's error (None if every sample passed).
@@ -226,16 +231,22 @@ def _samples(
     is not positive, a rate is not finite.  So the error is the one that
     evaluating the samples one by one, in time order, would raise first.
     """
-    N = Y.shape[0]
-    E = np.empty((len(times), N, N))
+    tY = times[:, None, None] * Y
     error = None
     m = len(times)
-    for k, t in enumerate(times):
-        try:
-            E[k] = matrix_exp(float(t) * Y)
-        except (CoordinateOverflowError, ValueError) as err:
-            m, error = k, err
-            break
+    try:
+        E = matrix_exp(tY)
+    except (CoordinateOverflowError, ValueError):
+        E = None  # retaken outside the handler, so no error chains onto this one
+    if E is None:
+        # the stack fails as a whole; find its earliest failing sample
+        E = np.empty_like(tY)
+        for k, M in enumerate(tY):
+            try:
+                E[k] = matrix_exp(M)
+            except (CoordinateOverflowError, ValueError) as err:
+                m, error = k, err
+                break
     l, r = _eliminate(E[:m])
     d = np.diagonal(r, axis1=1, axis2=2)
     small = _small_pivot(d)
@@ -321,8 +332,9 @@ def solve_trajectory(
     """Trajectory sampled purely algebraically (no ODE integration).
 
     Every sample recomputes exp(t Ycal) from scratch for uniform
-    accuracy; samples are factorized in time-ordered blocks of
-    ``_SAMPLE_BLOCK`` with one stacked elimination per block.  A
+    accuracy; samples are taken in time-ordered blocks of
+    ``_SAMPLE_BLOCK``, with one stacked exponential and one stacked
+    elimination per block.  A
     breakdown raises the error of the earliest failing sample.  Energy
     constancy across samples (1e-9 relative), the rapidity bound, and
     the position speed bound are enforced exactly as for integrated

@@ -229,19 +229,3 @@ def test_compare_dumps_both_trajectories(tmp_path):
     assert rc == 0
     names = sorted(p.name for p in (tmp_path / "dump").iterdir())
     assert names == ["trajectory_algebraic.csv", "trajectory_rk.csv"]
-
-
-# ----------------------------------------------------------------- bench
-
-
-def test_bench_covers_size_sweep(tmp_path):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--repeats", "1", "-o", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n,bundle_s,suite_s,rk_unit_s,algebraic_s"
-    assert len(lines) == 1 + 10  # sizes 3 through 12
-    for line in lines[1:]:
-        vals = line.split(",")
-        assert int(vals[0]) in range(3, 13)
-        assert all(float(v) >= 0.0 for v in vals[1:])

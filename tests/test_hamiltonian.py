@@ -20,7 +20,6 @@ from vdtoda import (
     time_reversal,
 )
 from vdtoda.hamiltonian import (
-    _s_jacobian,
     derived_coords,
     eom,
     f_mu,
@@ -276,22 +275,6 @@ def test_rapidity_flow_reduces_at_zero_rapidity():
         st = State(rng.uniform(-1.5, 1.5, 5), np.zeros(5))
         _, thdot = eom(st, params)
         assert np.allclose(thdot, xh_p(st, params), rtol=0, atol=1e-14)
-
-
-def test_shift_jacobian_is_symmetric_and_matches_fd():
-    params = ModelParams(5, 0.8, 1.1)
-    q = np.random.default_rng(2).uniform(-1.0, 1.0, 5)
-    J = _s_jacobian(q, params)
-    assert np.array_equal(J, J.T)
-    c = derived_coords(State(q, np.zeros(5)), params)
-    h = 1e-6
-    for b in range(5):
-        e = np.zeros(5)
-        e[b] = h
-        sp = derived_coords(State(q + e, np.zeros(5)), params).s
-        sm = derived_coords(State(q - e, np.zeros(5)), params).s
-        assert np.max(np.abs((sp - sm) / (2 * h) - J[:, b])) < 1e-8
-    assert np.allclose(np.exp(params.beta * c.s), c.x, rtol=1e-14, atol=0)
 
 
 # --------------------------------------------------------- canonical maps

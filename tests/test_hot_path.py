@@ -1,8 +1,10 @@
 """The lean trajectory route against the guarded reference routes.
 
 The fused RHS kernel, the stacked Lcal builder with its single eigvals
-call, and the one-solve position rates each replace a slower route that
-stays in the package; these tests pin the two to each other.
+call, and the one-solve position rates each replace a slower route;
+these tests pin the two to each other.  The reference for the RHS, the
+chain rule through the canonical pair with the dense Jacobian of s,
+lives here.
 """
 
 import numpy as np
@@ -14,7 +16,14 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import draw_states, moderate_params
 from vdtoda import CoordinateOverflowError, ModelParams, State, integrate
-from vdtoda.hamiltonian import _eom_arrays, eom, xh_p
+from vdtoda.hamiltonian import (
+    _eom_arrays,
+    _xh_p_from_coords,
+    _z_of,
+    derived_coords,
+    xh_p,
+    xh_q,
+)
 from vdtoda.integrate import _matched_spectra
 from vdtoda.lax import _lax_matrices, build_bundle
 from vdtoda.solve import (
@@ -41,11 +50,57 @@ def chain_states(draw):
 # ------------------------------------------------------------- RHS kernel
 
 
+def _dlog_f(mu: float, r):
+    # d/dr ln f_mu(r) = -(f^2 - 1) / (2 f^2) = -z / (2 (1 + z)).
+    z = _z_of(mu, r)
+    return -z / (2.0 * (1.0 + z))
+
+
+def _s_jacobian(q: np.ndarray, params: ModelParams) -> np.ndarray:
+    """J[a, b] = ds_a/dq_b; symmetric tridiagonal by construction."""
+    beta, kappa, n = params.beta, params.kappa, params.n
+    g1 = _dlog_f(beta, q[:-1] - q[1:])
+    g2 = float(_dlog_f(beta, 2.0 * q[-1]))
+    g3 = float(_dlog_f(kappa * beta, 2.0 * q[-1]))
+    J = np.zeros((n, n))
+    diag = np.empty(n)
+    diag[0] = g1[0]
+    diag[1:-1] = g1[:-1] + g1[1:]
+    diag[-1] = g1[-1] + 2.0 * (g2 + g3)
+    J[np.arange(n), np.arange(n)] = diag
+    J[np.arange(n - 1), np.arange(1, n)] = -g1
+    J[np.arange(1, n), np.arange(n - 1)] = -g1
+    return J / beta
+
+
+def _chain_rule_eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(xidot, etadot) from the guarded routes: etadot = X_H[p] - J X_H[q]."""
+    qdot = xh_q(state, params)
+    pdot = _xh_p_from_coords(derived_coords(state, params), params)
+    return qdot, pdot - _s_jacobian(state.xi, params) @ qdot
+
+
+def test_shift_jacobian_is_symmetric_and_matches_fd():
+    params = ModelParams(5, 0.8, 1.1)
+    q = np.random.default_rng(2).uniform(-1.0, 1.0, 5)
+    J = _s_jacobian(q, params)
+    assert np.array_equal(J, J.T)
+    c = derived_coords(State(q, np.zeros(5)), params)
+    h = 1e-6
+    for b in range(5):
+        e = np.zeros(5)
+        e[b] = h
+        sp = derived_coords(State(q + e, np.zeros(5)), params).s
+        sm = derived_coords(State(q - e, np.zeros(5)), params).s
+        assert np.max(np.abs((sp - sm) / (2 * h) - J[:, b])) < 1e-8
+    assert np.allclose(np.exp(params.beta * c.s), c.x, rtol=1e-14, atol=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(chain_states())
 def test_fused_rhs_matches_guarded_eom(case):
     params, state = case
-    qdot, etadot = eom(state, params)
+    qdot, etadot = _chain_rule_eom(state, params)
     got = _eom_arrays(state.xi, state.eta, params)
     # scale of the terms etadot = X_H[p] - J qdot is built from
     scale = max(

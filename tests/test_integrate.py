@@ -16,6 +16,7 @@ from vdtoda import (
 )
 from vdtoda.hamiltonian import _eom_arrays, hamiltonian
 from vdtoda.integrate import (
+    StepSizeUnderflowError,
     Trajectory,
     backward_via_reversal,
     initial_only,
@@ -24,6 +25,7 @@ from vdtoda.integrate import (
     spectrum_to_csv,
     trajectory_to_csv,
 )
+from vdtoda.integrate import solve_ivp as rk45
 
 PARAMS = ModelParams(4, 0.5, 1.0)
 
@@ -50,6 +52,86 @@ def test_sample_grid_rejects_bad_input():
         sample_times(-1.0, 0.1)
     with pytest.raises(ValueError):
         sample_times(1.0, 0.0)
+
+
+# ------------------------------------------------------------- integrator
+
+
+def _counted(fun):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return fun(*args)
+
+    return counted, calls
+
+
+def _chain_rhs(params):
+    n = params.n
+    return lambda y, out: _eom_arrays(y[:n], y[n:], params, out=out)
+
+
+def _ours_and_scipy(fun, scipy_fun, t_end, y0, times, rtol, atol):
+    ours, our_calls = _counted(fun)
+    theirs, their_calls = _counted(scipy_fun)
+    got = rk45(ours, t_end, y0, times, rtol, atol)
+    sol = solve_ivp(
+        theirs, (0.0, t_end), y0, method="RK45", t_eval=times, rtol=rtol, atol=atol
+    )
+    return got, our_calls, sol, their_calls
+
+
+# dense-pool states: n = 8, beta 0.5, kappa 1, |xi_a|, |eta_a| <= 1
+@pytest.mark.parametrize(
+    "seed, t_end, rtol, atol",
+    [(7, 5.0, 1e-10, 1e-12), (601, 5.0, 1e-10, 1e-12), (4242, 2.0, 1e-12, 1e-14)],
+)
+def test_integrator_takes_scipy_rk45_steps_bitwise(seed, t_end, rtol, atol):
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(seed)
+    y0 = np.concatenate([rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)])
+    times = sample_times(t_end, 0.05)
+    rhs = _chain_rhs(params)
+    got, calls, sol, scipy_calls = _ours_and_scipy(
+        rhs, lambda _t, y: rhs(y, np.empty(16)), t_end, y0, times, rtol, atol
+    )
+    assert sol.success
+    assert np.array_equal(sol.t, times)
+    assert np.array_equal(got, sol.y.T)
+    assert len(calls) == len(scipy_calls) == sol.nfev
+
+
+def test_integrator_fails_like_scipy_at_a_blow_up():
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    times = np.linspace(0.0, 2.0, 9)
+    with pytest.raises(StepSizeUnderflowError) as info:
+        rk45(
+            lambda y, out: np.multiply(y, y, out=out), 2.0, np.ones(1), times, 1e-6, 1e-9
+        )
+    sol = solve_ivp(
+        lambda _t, y: y * y, (0.0, 2.0), np.ones(1), t_eval=times, rtol=1e-6, atol=1e-9
+    )
+    assert not sol.success
+    assert str(info.value) == f"{sol.message} (time reached: {sol.t[-1]})"
+    assert info.value.t_reached == sol.t[-1]
+    assert 0.0 < sol.t[-1] < 2.0
+
+
+def test_integrator_clamps_rtol_with_scipy_warning():
+    times = np.linspace(0.0, 1.0, 5)
+    y0 = np.array([1.0, 0.5])
+    with pytest.warns(UserWarning) as ours:
+        got = rk45(
+            lambda y, out: np.negative(y, out=out), 1.0, y0, times, 1e-16, 1e-14
+        )
+    with pytest.warns(UserWarning) as theirs:
+        sol = solve_ivp(
+            lambda _t, y: -y, (0.0, 1.0), y0, t_eval=times, rtol=1e-16, atol=1e-14
+        )
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+    assert "rtol" in str(ours[0].message)
+    assert np.array_equal(got, sol.y.T)
 
 
 # ------------------------------------------------------------- container

@@ -236,3 +236,33 @@ def test_block_stops_at_first_non_finite_rate():
     assert q.shape == qdot.shape == (1, 1)
     assert isinstance(error, FactorizationBreakdownError)
     assert str(error) == "non-finite minor log-rates (t = 1.0)"
+
+
+# ---------------------------------------------------------- stacked blocks
+
+
+def test_stacked_exponential_is_bitwise_per_matrix():
+    Y = build_bundle(STATE, PARAMS).Ycal
+    times = 0.05 * np.arange(1, 33)
+    stack = matrix_exp(times[:, None, None] * Y)
+    assert stack.shape == (32,) + Y.shape
+    for t, E in zip(times, stack):
+        assert np.array_equal(E, matrix_exp(t * Y))
+
+
+def test_block_with_overflowing_sample_keeps_earlier_samples():
+    # exp(t Y) has the entry e^{300 t}, which overflows from t = 2.37 on:
+    # the stacked exponential fails, and the block is retaken sample by
+    # sample up to its first overflowing one
+    Y = np.array([[300.0, 0.0], [1.0, -1.0]])
+    times = np.array([0.5, 1.0, 2.0, 2.5, 3.0])
+    q, qdot, error = _samples(np.zeros(1), Y, 1, times)
+    assert q.shape == qdot.shape == (3, 1)
+    assert type(error) is CoordinateOverflowError
+    assert str(error) == "matrix exponential overflowed"
+    assert error.__context__ is None
+    for k, t in enumerate(times[:3]):
+        q_k, qdot_k = _sample_at(State(np.zeros(1), np.zeros(1)), Y, 1, t)
+        assert np.array_equal(q[k], q_k) and np.array_equal(qdot[k], qdot_k)
+    with pytest.raises(CoordinateOverflowError, match="matrix exponential overflowed"):
+        _sample_at(State(np.zeros(1), np.zeros(1)), Y, 1, 2.5)

@@ -23,7 +23,9 @@ from .hamiltonian import hamiltonian
 from .integrate import (
     Trajectory,
     TrajectoryCheckError,
+    _sample_stacks,
     _text_sink,
+    _write_table,
     initial_only,
     integrate,
     spectral_drift,
@@ -66,6 +68,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         ModelParams(self.n, self.beta, self.kappa)  # reuse its validation
+        for name in ("t_end", "sample_dt", "rtol", "atol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.t_end < 0.0:
             raise ValueError("t_end must be >= 0")
         if self.sample_dt <= 0.0:
@@ -157,9 +162,7 @@ def _dump_bundle(config: RunConfig, directory: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_bundle(config.state, config.params)
     for name in _DUMPED_MATRICES:
-        M = getattr(bundle, name)
-        lines = [",".join(format(v, ".17g") for v in row) for row in M]
-        (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(out / f"{name}.csv", getattr(bundle, name))
 
 
 def _run_method(config: RunConfig, method: str) -> Trajectory:
@@ -181,15 +184,6 @@ def _run_method(config: RunConfig, method: str) -> Trajectory:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _emit_trajectory(
-    traj: Trajectory, output: str | None, spectrum_output: str | None
-) -> None:
-    with _open_target(output) as target:
-        trajectory_to_csv(traj, target)
-    if spectrum_output is not None:
-        spectrum_to_csv(traj, spectrum_output)
-
-
 def cmd_trajectory(
     config: RunConfig,
     method: str,
@@ -201,7 +195,10 @@ def cmd_trajectory(
     ``method`` is "rk" (the ``simulate`` command) or "algebraic" (``solve``).
     """
     traj = _run_method(config, method)
-    _emit_trajectory(traj, output, spectrum_output)
+    with _open_target(output) as target:
+        trajectory_to_csv(traj, target)
+    if spectrum_output is not None:
+        spectrum_to_csv(traj, spectrum_output)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
     print(
         f"energy drift {drift:.3e}, spectral drift {spectral_drift(traj):.3e}",
@@ -224,28 +221,21 @@ def cmd_compare(
     """
     traj_a = _run_method(config, method_a)
     traj_b = _run_method(config, method_b)
-    rows = []
-    worst_q = worst_theta = 0.0
-    for i in range(traj_a.t.shape[0]):
-        dq = float(np.max(np.abs(traj_a.states[i].xi - traj_b.states[i].xi)))
-        dtheta = float(np.max(np.abs(traj_a.states[i].eta - traj_b.states[i].eta)))
-        worst_q = max(worst_q, dq)
-        worst_theta = max(worst_theta, dtheta)
-        rows.append(
-            f"{format(traj_a.t[i], '.17g')},{format(dq, '.17g')},{format(dtheta, '.17g')}"
-        )
+    # largest deviation per sample, in positions and in rapidities
+    dq, dtheta = (
+        np.max(np.abs(a - b), axis=1)
+        for a, b in zip(_sample_stacks(traj_a), _sample_stacks(traj_b))
+    )
+    rows = np.column_stack([traj_a.t, dq, dtheta])
     with _open_target(output) as target:
-        target.write("t,max_dq,max_dtheta\n" + "\n".join(rows) + "\n")
+        _write_table(target, rows, ["t", "max_dq", "max_dtheta"])
     if dump_trajectories is not None:
         out = Path(dump_trajectories)
         out.mkdir(parents=True, exist_ok=True)
         trajectory_to_csv(traj_a, out / f"trajectory_{method_a}.csv", method=method_a)
         trajectory_to_csv(traj_b, out / f"trajectory_{method_b}.csv", method=method_b)
-    print(
-        f"max |dq| = {worst_q:.3e}, max |dtheta| = {worst_theta:.3e}",
-        file=sys.stderr,
-    )
-    return 0 if max(worst_q, worst_theta) <= _COMPARE_TOL else 1
+    print(f"max |dq| = {dq.max():.3e}, max |dtheta| = {dtheta.max():.3e}", file=sys.stderr)
+    return 0 if max(dq.max(), dtheta.max()) <= _COMPARE_TOL else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,12 +7,12 @@ evaluation route each, a kernel on (S, n) stacks of positions and
 rapidities (``_coord_arrays``, ``_factor_arrays``, ``_energy_arrays``,
 ``_xh_q_check``, ``_xh_w_checked``) that trajectories and the
 verification suite call once for all their states; ``derived_coords``,
-``_interaction_factors``, ``hamiltonian``, ``xh_q`` and ``xh_w`` are
-their S = 1 case.  The module provides the pair interaction function
-``f_mu``, the change to canonical coordinates (q, p) and to the
-multiplicative variables (x, w), the energy in both coordinate systems,
-its non-relativistic limit, the Hamiltonian vector field in each set of
-variables, and the assembled first-order equations of motion.
+``hamiltonian``, ``xh_q`` and ``xh_w`` are their S = 1 case.  The module
+provides the pair interaction function ``f_mu``, the change to canonical
+coordinates (q, p) and to the multiplicative variables (x, w), the
+energy in both coordinate systems, its non-relativistic limit, the
+Hamiltonian vector field in each set of variables, and the assembled
+first-order equations of motion.
 
 Conventions.  A state stores natural coordinates: ``xi`` are the
 positions q and ``eta`` the rapidities theta.  Nearest-neighbour
@@ -97,21 +97,9 @@ def _raise_first_failure(checks) -> None:
         raise kind(message % tuple(v[row] for v in values))
 
 
-def _first_max(first, *rest):
-    """Elementwise ``max(first, *rest)`` as Python's ``max`` takes it.
-
-    A later value replaces the running one only when it is greater, so a
-    nan after the first value is passed over, as the builtin does.
-    """
-    out = first
-    for other in rest:
-        out = np.where(other > out, other, out)
-    return out
-
-
 def _bound_check(gap: np.ndarray, bound: np.ndarray, what: str):
-    """The check ``not gap > bound`` per row (a nan gap passes), raising ``CrossCheckError``."""
-    return ~(gap > bound), CrossCheckError, what + ": |diff| = %.3e > %.3e", gap, bound
+    """The check ``gap <= bound`` per row (a nan gap fails), raising ``CrossCheckError``."""
+    return gap <= bound, CrossCheckError, what + ": |diff| = %.3e > %.3e", gap, bound
 
 
 def _z_of(mu: float, r: np.ndarray | float) -> np.ndarray:
@@ -130,10 +118,6 @@ def f_mu(mu: float, r: float) -> float:
     ``CoordinateOverflowError`` instead of returning inf.
     """
     return float(np.sqrt(1.0 + _z_of(float(mu), float(r))))
-
-
-def _separations(q: np.ndarray) -> np.ndarray:
-    return q[:-1] - q[1:]
 
 
 def _pair_terms(
@@ -220,7 +204,7 @@ class DerivedCoords:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ref_plus = 2.0 / x[:, -1] * (1.0 + w[:, -1])
             ref_minus = 2.0 * x[:, -1] * (1.0 + w[:, -2]) / delta
-            scale = _first_max(1.0, np.abs(ref_plus), np.abs(ref_minus))
+            scale = np.maximum(1.0, np.maximum(np.abs(ref_plus), np.abs(ref_minus)))
             bad = (np.abs(gamma + upsilon - ref_plus) > 1e-12 * scale) | (
                 np.abs(gamma - upsilon - ref_minus) > 1e-12 * scale
             )
@@ -338,6 +322,8 @@ def from_canonical(q: np.ndarray, p: np.ndarray, params: ModelParams) -> State:
 def _factor_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Rows of F_a(q) for a stack of positions, and the per-row finiteness.
 
+    F_a is the product of pair factors multiplying cosh(beta theta_a).
+
     Overflow is reported, not raised, so a caller can order it among
     its own checks.
     """
@@ -349,14 +335,6 @@ def _factor_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.n
     F[:, 1:-1] = f[:, :-1] * f[:, 1:]
     F[:, -1] = f[:, -1] * np.sqrt(1.0 + zb) * np.sqrt(1.0 + zk)
     return F, ok
-
-
-def _interaction_factors(state: State, params: ModelParams) -> np.ndarray:
-    """F_a(q): the product of pair factors multiplying cosh(beta theta_a)."""
-    F, ok = _factor_arrays(state.xi[None], params)
-    if not ok[0]:
-        raise CoordinateOverflowError(_PAIR_OVERFLOW)
-    return F[0]
 
 
 def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -414,7 +392,7 @@ def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
     kappa = params.kappa
     q, th = state.xi, state.eta
     kinetic = 0.5 * float(th @ th)
-    pair = float(np.sum(_exp_arg_checked(-_separations(q), "e^{-(q_c - q_{c+1})}")))
+    pair = float(np.sum(_exp_arg_checked(q[1:] - q[:-1], "e^{-(q_c - q_{c+1})}")))
     wall = 0.5 * (1.0 + kappa) ** 2 * float(_exp_arg_checked(-2.0 * q[-1], "e^{-2 q_n}"))
     return kinetic + pair + wall
 
@@ -444,7 +422,7 @@ def _xh_q_check(qdot, x, w, delta, params: ModelParams):
     half = 0.5 * params.beta
     alt = half * (gain - loss)
     scale = half * (np.abs(gain) + np.abs(loss))
-    bound = _XHQ_CROSS_TOL * _first_max(1.0, np.max(scale, axis=1))
+    bound = _XHQ_CROSS_TOL * np.maximum(1.0, np.max(scale, axis=1))
     gap = np.max(np.abs(qdot - alt), axis=1)
     return _bound_check(gap, bound, "position velocity forms disagree")
 
@@ -521,7 +499,7 @@ def _xh_w_checked(x, w, delta, gamma, upsilon, qdot, params: ModelParams):
     terms[:, n - 1] = beta * w[:, -1] * delta * gamma
     terms[:, n:-1] = w[:, :-1] * (np.abs(qdot[:, 1:]) + np.abs(qdot[:, :-1]))
     terms[:, -1] = 2.0 * w[:, -1] * np.abs(qdot[:, -1])
-    bound = _XHW_CROSS_TOL * _first_max(1.0, np.max(terms, axis=1))
+    bound = _XHW_CROSS_TOL * np.maximum(1.0, np.max(terms, axis=1))
     gap = np.max(np.abs(out - composed), axis=1)
     return out, _bound_check(gap, bound, "w-velocity forms disagree")
 

@@ -16,12 +16,13 @@ be measured as a drift number.  Only Lcal is built per sample, and one
 eigvals call covers the whole stack; the construction cross-checks run
 in ``build_bundle`` (and so in the verification suite), not here.
 
-The per-sample quantities are evaluated on the stacked (samples, n)
-arrays of positions and rapidities: the energies in one call of the
-kernel behind ``hamiltonian``, the bounds on the whole stack, and the
-Lax coordinates in one call of the kernel behind ``derived_coords``.
-Each check still applies per sample and reports the earliest sample
-that fails it.
+Both routes hand their samples over as stacked (samples, n) arrays of
+positions and rapidities, the one form every per-sample quantity is
+evaluated on: the energies in one call of the kernel behind
+``hamiltonian``, the bounds on the whole stack, and the Lax coordinates
+in one call of the kernel behind ``derived_coords``.  Each check still
+applies per sample and reports the earliest sample that fails it; the
+``State`` of each sample is built once, for ``Trajectory.states``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ModelParams, State, time_reversal
+from .core import ModelParams, State
 from .hamiltonian import _energy_arrays, _eom_arrays, hamiltonian
 from .lax import _lax_matrices
 
@@ -134,8 +135,8 @@ def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     5 / 0.05) does not lose the final sample.
     """
     t_end, sample_dt = float(t_end), float(sample_dt)
-    if t_end < 0.0 or sample_dt <= 0.0:
-        raise ValueError("t_end must be >= 0 and sample_dt > 0")
+    if not (0.0 <= t_end < np.inf and 0.0 < sample_dt < np.inf):
+        raise ValueError("t_end must be finite and >= 0, sample_dt finite and > 0")
     k = int(np.floor(t_end / sample_dt * (1.0 + 4.0 * np.finfo(float).eps) + 1e-12)) + 1
     times = sample_dt * np.arange(k)
     return np.minimum(times, t_end)
@@ -241,9 +242,9 @@ def solve_ivp(
     return out
 
 
-def _matched_spectra(states: tuple[State, ...], params: ModelParams) -> np.ndarray:
+def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
     # One stacked eigvals over (samples, 2n, 2n); only Lcal is built per sample.
-    lams = np.linalg.eigvals(_lax_matrices(states, params))
+    lams = np.linalg.eigvals(_lax_matrices(xi, eta, params))
     prev = lams[0][np.lexsort((lams[0].imag, lams[0].real))]
     rows = [prev]
     for lam in lams[1:]:
@@ -291,20 +292,26 @@ def _check_bounds(
 def _assemble(
     params: ModelParams,
     t: np.ndarray,
-    states: tuple[State, ...],
+    xi: np.ndarray,
+    eta: np.ndarray,
     drift_tol: float,
 ) -> Trajectory:
-    xi = np.array([s.xi for s in states])
-    eta = np.array([s.eta for s in states])
+    # xi and eta are the stacked samples (S, n)
+    states = tuple(State(a, b) for a, b in zip(xi, eta))
     energy = _energy_arrays(xi, eta, params)
     _check_bounds(params, t, xi, eta, energy, drift_tol)
-    spectrum = _matched_spectra(states, params)
+    spectrum = _matched_spectra(xi, eta, params)
     return Trajectory(params=params, t=t, states=states, energy=energy, spectrum=spectrum)
+
+
+def _sample_stacks(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and rapidities of every sample, as (S, n) stacks."""
+    return np.array([s.xi for s in traj.states]), np.array([s.eta for s in traj.states])
 
 
 def initial_only(state: State, params: ModelParams) -> Trajectory:
     """Degenerate single-sample trajectory at t = 0 (no integration)."""
-    return _assemble(params, np.zeros(1), (state,), drift_tol=np.inf)
+    return _assemble(params, np.zeros(1), state.xi[None], state.eta[None], drift_tol=np.inf)
 
 
 def integrate(
@@ -321,10 +328,10 @@ def integrate(
     embedded 5(4) pair; samples fall on multiples of sample_dt.  The
     accepted energy drift budget is 100 * rtol * |H(state)|.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be finite and positive")
+    if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
+        raise ValueError("rtol and atol must be finite and positive")
     n = params.n
     if state.n != n:
         raise ValueError("state size does not match params.n")
@@ -335,9 +342,9 @@ def integrate(
         return _eom_arrays(y[:n], y[n:], params, out=out)
 
     samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)
-    states = tuple(State(row[:n], row[n:]) for row in samples)
     h0 = hamiltonian(state, params)
-    return _assemble(params, times, states, drift_tol=_DRIFT_FACTOR * rtol * abs(h0))
+    drift_tol = _DRIFT_FACTOR * rtol * abs(h0)
+    return _assemble(params, times, samples[:, :n], samples[:, n:], drift_tol)
 
 
 def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Trajectory:
@@ -349,13 +356,13 @@ def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Traj
     presented on the forward grid; applying the construction twice
     returns the forward trajectory bitwise.
     """
-    states = tuple(time_reversal(s) for s in traj_forward.states)
+    xi, eta = _sample_stacks(traj_forward)
     # The energy is even in the rapidities, so the forward drift budget
     # is already spent; only a rounding allowance is added here.
     h0 = traj_forward.energy[0]
     forward_drift = float(np.max(np.abs(traj_forward.energy - h0)))
     drift_tol = forward_drift + 1e-12 * max(1.0, abs(h0))
-    return _assemble(params, traj_forward.t.copy(), states, drift_tol=drift_tol)
+    return _assemble(params, traj_forward.t.copy(), xi, -eta, drift_tol)
 
 
 def spectral_drift(traj: Trajectory) -> float:
@@ -379,8 +386,17 @@ def _text_sink(target):
             yield fh
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_table(target, rows, header: list[str] | None = None, tag: str | None = None) -> None:
+    """Write number rows as comma-separated lines at 17 significant digits.
+
+    ``target`` is a path or an open text file.  ``header`` is the first
+    line's column names; ``tag`` is appended to every row as a last column.
+    """
+    lines = [] if header is None else [",".join(header)]
+    tail = [] if tag is None else [tag]
+    lines += [",".join([format(float(v), ".17g") for v in row] + tail) for row in rows]
+    with _text_sink(target) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> None:
@@ -396,33 +412,14 @@ def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> No
         + [f"q{a}" for a in range(1, n + 1)]
         + [f"theta{a}" for a in range(1, n + 1)]
         + ["H"]
+        + ([] if method is None else ["method"])
     )
-    if method is not None:
-        header.append("method")
-    lines = [",".join(header)]
-    for i, s in enumerate(traj.states):
-        row = [_fmt(traj.t[i])]
-        row += [_fmt(v) for v in s.xi]
-        row += [_fmt(v) for v in s.eta]
-        row.append(_fmt(traj.energy[i]))
-        if method is not None:
-            row.append(method)
-        lines.append(",".join(row))
-    with _text_sink(target) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.column_stack([traj.t, *_sample_stacks(traj), traj.energy])
+    _write_table(target, rows, header, method)
 
 
 def spectrum_to_csv(traj: Trajectory, target) -> None:
     """Write `t,re_1,im_1,...,re_N,im_N` rows at 17 significant digits."""
     N = traj.spectrum.shape[1]
-    header = ["t"]
-    for a in range(1, N + 1):
-        header += [f"re_{a}", f"im_{a}"]
-    lines = [",".join(header)]
-    for i in range(traj.t.shape[0]):
-        row = [_fmt(traj.t[i])]
-        for lam in traj.spectrum[i]:
-            row += [_fmt(lam.real), _fmt(lam.imag)]
-        lines.append(",".join(row))
-    with _text_sink(target) as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t"] + [f"{part}_{a}" for a in range(1, N + 1) for part in ("re", "im")]
+    _write_table(target, np.column_stack([traj.t, traj.spectrum.view(float)]), header)

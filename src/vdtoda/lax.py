@@ -29,12 +29,13 @@ Acal is computed both by conjugation and from its explicit block
 entries; construction fails loudly if the two routes disagree, as it
 does when the X_H[w] composition rule fails or a matrix is not finite.
 Each check runs once per stack and every step acts matrix by matrix, so
-a state gets the same bits alone or inside a stack.
+a state gets the same bits alone or inside a stack.  Trajectories pass
+their samples as (samples, n) stacks of positions and rapidities to
+``_lax_matrices``, which builds Lcal alone, without the cross-checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,13 +46,11 @@ from .hamiltonian import (
     DerivedCoords,
     _bound_check,
     _coord_arrays,
-    _first_max,
     _raise_first_failure,
     _stack_of,
     _xh_q_theta,
     _xh_w_checked,
     derived_coords,
-    xh_w,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "build_omega",
     "omega_conjugate",
     "build_bundle",
-    "build_dcal_and_xhW",
     "hessenberg_parts",
 ]
 
@@ -214,7 +212,13 @@ def _block_diagonal(v: np.ndarray) -> np.ndarray:
 
 
 def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Dcal and X_H[W] for a stack; ``build_dcal_and_xhW`` is the S = 1 case."""
+    """Flow derivatives of the factors of L, for a stack of states.
+
+    Dcal is D^{-1} X_H[D]: block diagonal with the n entries beta d / 4 in
+    the "+" block and their negated reversal in the "-" block.  XhW is
+    X_H[W]: same subdiagonal pattern as W, populated with
+    X_H[w_a^{1/2}] = X_H[w_a] / (2 w_a^{1/2}) from the rows ``xhw`` of X_H[w].
+    """
     beta, kappa = params.beta, params.kappa
     v = (1.0 / x[:, :-1] + x[:, 1:]) * w[:, :-1]
     d = np.empty_like(x)
@@ -232,23 +236,6 @@ def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray,
     XhW = np.zeros((x.shape[0], N, N))
     XhW[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(0.5 * xhw / np.sqrt(w))
     return _block_diagonal(0.25 * beta * d), XhW
-
-
-def build_dcal_and_xhW(
-    state: State, params: ModelParams, coords: DerivedCoords | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flow derivatives of the factors of L.
-
-    Dcal is D^{-1} X_H[D]: block diagonal with the n x n entries above
-    in the "+" block and their negated reversal in the "-" block.  XhW
-    is X_H[W]: same subdiagonal pattern as W, populated with
-    X_H[w_a^{1/2}] = X_H[w_a] / (2 w_a^{1/2}).
-    """
-    if coords is None:
-        coords = derived_coords(state, params)
-    x, w, delta, gamma = coords.rows()[2:6]
-    Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xh_w(state, params)[None], params)
-    return Dcal[0], XhW[0]
 
 
 def _triad_blocks(x, w, delta, gamma, params: ModelParams):
@@ -386,25 +373,23 @@ def _lax_chain(
     return d, W, L, g, Hcal, Hcal @ g
 
 
-def _lax_matrices(states: Sequence[State], params: ModelParams) -> np.ndarray:
-    """Lcal alone at every state, stacked as (S, 2n, 2n).
+def _lax_matrices(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Lcal alone at every state of a stack (q, th of shape (S, n)), as (S, 2n, 2n).
 
-    Entry i is bitwise equal to ``build_bundle(states[i], params).Lcal``.
+    Entry i is bitwise equal to ``build_bundle(State(q[i], th[i]), params).Lcal``.
     The coordinates of all states come from one stacked evaluation.
     Trajectories use this for the spectrum; the cross-checks of the
     bundle (the two Acal routes, the X_H[w] composition rule) are not
     run here.  They run in ``build_bundle``, which ``run_suite`` calls on
     all its states.
     """
-    q = np.array([s.xi for s in states])
-    th = np.array([s.eta for s in states])
     _, _, x, w, delta = _coord_arrays(q, th, params)
     N = 2 * params.n
-    out = np.empty((len(states), N, N))
+    out = np.empty((q.shape[0], N, N))
     # The chain keeps about ten stacks alive at once; feeding it blocks
     # of samples bounds that working set, which would otherwise grow
     # with the trajectory length.
-    for k in range(0, len(states), _CHAIN_BLOCK):
+    for k in range(0, q.shape[0], _CHAIN_BLOCK):
         part = slice(k, k + _CHAIN_BLOCK)
         out[part] = _lax_chain(x[part], w[part], delta[part], params)[-1]
     return out
@@ -437,7 +422,7 @@ def build_bundle(
     phi, psi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
     Acal = _acal_explicit(x, w, delta, phi, bump, params)
     gap = np.max(np.abs(Acal - (d[:, :, None] / d[:, None, :]) * A), axis=(1, 2))
-    scale = _first_max(1.0, np.max(np.abs(Acal), axis=(1, 2)))
+    scale = np.maximum(1.0, np.max(np.abs(Acal), axis=(1, 2)))
     _raise_first_failure(
         [_bound_check(gap, _ACAL_CROSS_TOL * scale, "Acal construction routes disagree")]
     )
@@ -495,13 +480,9 @@ def hessenberg_parts(
     i = np.arange(d.shape[0] - 1)
     H_1[i, i + 1] = d[:-1] * t[:-1] * sub * d[1:]
 
-    for k, closed in ((-1, H_m1), (0, H_0), (1, H_1)):
-        band = graded_part(bundle.Hcal, k)
-        scale = max(1.0, float(np.max(np.abs(band))))
-        gap = float(np.max(np.abs(closed - band)))
-        if gap > _HPARTS_CROSS_TOL * scale:
-            raise CrossCheckError(
-                f"band {k} of Hcal disagrees with closed form: "
-                f"|diff| = {gap:.3e} > {_HPARTS_CROSS_TOL * scale:.3e}"
-            )
+    bands = np.stack([graded_part(bundle.Hcal, k) for k in (-1, 0, 1)])
+    gap = np.max(np.abs(np.stack([H_m1, H_0, H_1]) - bands), axis=(1, 2))
+    bound = _HPARTS_CROSS_TOL * np.maximum(1.0, np.max(np.abs(bands), axis=(1, 2)))
+    what = "band %d of Hcal disagrees with closed form: |diff| = %.3e > %.3e"
+    _raise_first_failure([(gap <= bound, CrossCheckError, what, np.arange(-1, 2), gap, bound)])
     return H_m1, H_0, H_1

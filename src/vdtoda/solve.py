@@ -342,13 +342,13 @@ def solve_trajectory(
     """
     times = sample_times(t_end, sample_dt)
     Y = build_bundle(zeta, params).Ycal
-    states = [State(zeta.xi, zeta.eta)]
+    xi, eta = [zeta.xi[None]], [zeta.eta[None]]
     for k in range(1, len(times), _SAMPLE_BLOCK):
         q, qdot, error = _samples(zeta.xi, Y, params.n, times[k : k + _SAMPLE_BLOCK])
-        eta = _invert_velocity(q, qdot, params)
-        states.extend(State(a, b) for a, b in zip(q, eta))
+        xi.append(q)
+        eta.append(_invert_velocity(q, qdot, params))
         if error is not None:
             raise error
     h0 = hamiltonian(zeta, params)
     drift_tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
-    return _assemble(params, times, tuple(states), drift_tol=drift_tol)
+    return _assemble(params, times, np.concatenate(xi), np.concatenate(eta), drift_tol)

@@ -36,14 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import (
-    _energy_arrays,
-    _first_max,
-    _raise_first_failure,
-    _xh_q_check,
-    _xh_q_theta,
-)
+from .hamiltonian import _energy_arrays, _raise_first_failure, _xh_q_check, _xh_q_theta
 from .lax import (
+    _ARRAY_FIELDS,
     LaxBundle,
     _delta_power,
     build_bundle,
@@ -76,24 +71,8 @@ TOL_DIAGONAL = 1e-11
 # forty (2n, 2n) matrices per state, stays bounded for any num_states.
 _SUITE_BLOCK = 64
 
-_MATRIX_FIELDS = (
-    "D",
-    "W",
-    "L",
-    "Dcal",
-    "A",
-    "B",
-    "Acal",
-    "g",
-    "g_inv",
-    "Omega",
-    "Hcal",
-    "Lcal",
-    "Lcal_inv",
-    "Ycal",
-    "Q",
-    "xhw",
-)
+# the bundle matrices, in field order: every array field but the vectors
+_MATRIX_FIELDS = tuple(name for name in _ARRAY_FIELDS if name not in ("phi", "psi"))
 
 
 @dataclass(frozen=True)
@@ -193,7 +172,7 @@ def _gauge_rate(m: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
 
 def _residual(lhs, grow, shrink) -> tuple[np.ndarray, np.ndarray]:
     """lhs - grow + shrink, computed in place in lhs, and its term scale."""
-    scale = _first_max(_amax(lhs), _amax(grow), _amax(shrink))
+    scale = np.maximum(np.maximum(_amax(lhs), _amax(grow)), _amax(shrink))
     lhs -= grow
     lhs += shrink
     return lhs, scale
@@ -228,7 +207,7 @@ def _omega(m, params: ModelParams) -> list:
     conj = omega_conjugate(m["Acal"])
     lam = conj - twisted
     diff = omega_conjugate(m["B"]) - m["B"]
-    scale = _first_max(_amax(conj), _amax(twisted))
+    scale = np.maximum(_amax(conj), _amax(twisted))
     return [
         ("omega_acal_gauge", TOL_OMEGA_GAUGE, _amax(lam), scale, _block_maxima(lam)),
         ("omega_b_symmetry", TOL_OMEGA_B, _amax(diff), _amax(m["B"]), None),
@@ -244,7 +223,7 @@ def _band(m, params: ModelParams) -> list:
     ):
         terms = (m["Acal"], half_beta * inner)
         band = part(terms[0] + terms[1])
-        out.append((name, TOL_BAND, _amax(band), _first_max(*map(_amax, terms)), None))
+        out.append((name, TOL_BAND, _amax(band), np.maximum(*map(_amax, terms)), None))
     return out
 
 
@@ -255,7 +234,7 @@ def _scalar(m, params: ModelParams) -> list:
     half_trace = 0.5 * np.trace(m["Lcal"], axis1=1, axis2=2)
     dvec = 0.5 * params.beta * np.diagonal(m["Lcal"] - m["Lcal_inv"], axis1=1, axis2=2)
     ref = np.concatenate([qdot, -qdot[:, ::-1]], axis=1)
-    scale = _first_max(_amax(dvec), _amax(ref))
+    scale = np.maximum(_amax(dvec), _amax(ref))
     return [
         ("trace_energy", TOL_TRACE, np.abs(half_trace - H), np.abs(H), None),
         ("diagonal_velocity", TOL_DIAGONAL, _amax(dvec - ref), scale, None),
@@ -409,14 +388,16 @@ def run_suite(
 ) -> list[ResidualReport]:
     """All residuals over reproducibly seeded random states.
 
-    States are drawn uniformly with |xi_a|, |eta_a| <= box and evaluated
-    as stacks of up to ``_SUITE_BLOCK`` states.  Reports come back ordered
+    States are drawn uniformly with |xi_a|, |eta_a| <= box (a finite box)
+    and evaluated as stacks of up to ``_SUITE_BLOCK`` states.  Reports come back ordered
     by state index, then by the fixed operation order; the first k states
     give the same reports for any ``num_states`` >= k.  A failing state
     raises the error that evaluating the states one by one would.
     """
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
+    if not np.isfinite(box):
+        raise ValueError("box must be finite")
     q, th = _draw_states(params.n, num_states, seed, box)
     tags = dict(n=params.n, beta=params.beta, kappa=params.kappa, seed=seed)
     reports = []

@@ -229,3 +229,19 @@ def test_compare_dumps_both_trajectories(tmp_path):
     assert rc == 0
     names = sorted(p.name for p in (tmp_path / "dump").iterdir())
     assert names == ["trajectory_algebraic.csv", "trajectory_rk.csv"]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["simulate", "--rtol", "nan", "--t-end", "0.5"], "rtol"),
+        (["simulate", "--atol", "inf", "--t-end", "0.5"], "atol"),
+        (["solve", "--t-end", "inf"], "t_end"),
+        (["solve", "--t-end", "nan"], "t_end"),
+        (["solve", "--sample-dt", "nan"], "sample_dt"),
+        (["verify", "--box", "nan"], "box"),
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(args, field, capsys):
+    assert main(args) == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err

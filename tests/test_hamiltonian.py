@@ -29,6 +29,7 @@ from vdtoda.hamiltonian import (
     xh_p,
     xh_q,
     xh_w,
+    xh_x,
 )
 from vdtoda.lax import build_bundle
 
@@ -233,6 +234,18 @@ def test_flow_finite_difference_matches_field():
     w_f = derived_coords(fwd, params).w
     w_b = derived_coords(bwd, params).w
     assert np.max(np.abs((w_f - w_b) / (2 * h) - xh_w(st, params))) < 1e-6
+
+
+def test_xh_x_matches_the_flow_of_x():
+    # central difference of x = e^{beta p} over one tightly integrated
+    # step either side of the middle sample
+    params = ModelParams(5, 0.7, 1.3)
+    st = random_state(5, np.random.default_rng(8), box=1.0)
+    h = 1e-4
+    traj = integrate(st, params, 2 * h, sample_dt=h, rtol=1e-12, atol=1e-14)
+    start, mid, end = traj.states
+    fd = (derived_coords(end, params).x - derived_coords(start, params).x) / (2 * h)
+    assert np.max(np.abs(fd - xh_x(mid, params))) < 1e-6
 
 
 # alternating +-3 at rest: the w-velocity terms reach ~1e6 and cancel to 0

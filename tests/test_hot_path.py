@@ -135,7 +135,9 @@ def test_stacked_lcal_is_bitwise_bundle_lcal():
     for n, kappa in ((3, 0.0), (5, 0.3), (8, 2.5)):
         params = ModelParams(n, 0.7, kappa)
         states = draw_states(n, 19, seed=n)
-        stack = _lax_matrices(states, params)
+        stack = _lax_matrices(
+            np.array([s.xi for s in states]), np.array([s.eta for s in states]), params
+        )
         assert stack.shape == (19, 2 * n, 2 * n)
         for s, Lcal in zip(states, stack):
             assert np.array_equal(Lcal, build_bundle(s, params).Lcal)
@@ -154,7 +156,8 @@ def test_stacked_spectra_equal_per_state_eigvals():
         else:
             lam = lam[np.lexsort((lam.imag, lam.real))]
         rows.append(lam)
-    assert np.array_equal(_matched_spectra(traj.states, params), np.array(rows))
+    xi, eta = np.array([s.xi for s in traj.states]), np.array([s.eta for s in traj.states])
+    assert np.array_equal(_matched_spectra(xi, eta, params), np.array(rows))
 
 
 # ------------------------------------------------------------------ rates

@@ -54,6 +54,14 @@ def test_sample_grid_rejects_bad_input():
         sample_times(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t_end, sample_dt", [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_sample_grid_rejects_non_finite_input(t_end, sample_dt):
+    with pytest.raises(ValueError, match="t_end must be finite and >= 0, sample_dt finite"):
+        sample_times(t_end, sample_dt)
+
+
 # ------------------------------------------------------------- integrator
 
 
@@ -166,6 +174,21 @@ def test_integrate_validates_arguments():
         integrate(st, PARAMS, 1.0, rtol=0.0)
     with pytest.raises(ValueError):
         integrate(st, ModelParams(5, 0.5, 1.0), 1.0)  # size mismatch
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(t_end=np.nan), "t_end"),
+        (dict(t_end=np.inf), "t_end"),
+        (dict(rtol=np.nan), "rtol and atol"),
+        (dict(atol=np.inf), "rtol and atol"),
+    ],
+)
+def test_integrate_rejects_non_finite_input(kwargs, field):
+    args = dict(t_end=1.0) | kwargs
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        integrate(_state(3), PARAMS, **args)
 
 
 # ---------------------------------------------------------------- physics

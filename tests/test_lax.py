@@ -1,12 +1,14 @@
 """Matrix scaffolding: gradings, the order-two symmetry, band structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import draw_states
-from vdtoda import ModelParams, State, random_state
+import vdtoda.lax as lax
+from vdtoda import CrossCheckError, ModelParams, State, random_state
 from vdtoda.hamiltonian import derived_coords, xh_q
 from vdtoda.lax import (
     build_bundle,
@@ -222,6 +224,21 @@ def test_hessenberg_parts_match_gradings():
             1.0, np.max(np.abs(b.Hcal))
         )
     assert np.array_equal(graded_part(b.Hcal, -2), np.zeros((10, 10)))
+
+
+def test_hessenberg_parts_name_the_first_failing_band(monkeypatch):
+    # bands 0 and 1 are off by 1e-3 relative: band 0 is reported
+    st = random_state(5, np.random.default_rng(23), box=1.5)
+    params = ModelParams(5, 0.7, 1.1)
+    b = build_bundle(st, params)
+    exact = lax.graded_part
+    monkeypatch.setattr(lax, "graded_part", lambda M, k: exact(M, k) * (1.0 + 1e-3 * (k >= 0)))
+    band = lax.graded_part(b.Hcal, 0)
+    gap = np.max(np.abs(band - exact(b.Hcal, 0)))
+    bound = 1e-12 * max(1.0, np.max(np.abs(band)))
+    message = f"band 0 of Hcal disagrees with closed form: |diff| = {gap:.3e} > {bound:.3e}"
+    with pytest.raises(CrossCheckError, match=re.escape(message)):
+        hessenberg_parts(st, params, b)
 
 
 def test_squared_factor_diagonal():

@@ -18,7 +18,6 @@ from vdtoda.hamiltonian import (
     _coord_arrays,
     _energy_arrays,
     _factor_arrays,
-    _interaction_factors,
     derived_coords,
     hamiltonian,
 )
@@ -54,7 +53,6 @@ def test_stacked_kernels_equal_single_state_functions(case):
             assert np.array_equal(got, want)
             assert np.array_equal(got, by_formula)
         assert delta[i] == c.delta == ref[4]
-        assert np.array_equal(F[i], _interaction_factors(state, params))
         assert np.array_equal(F[i], ref[5])
         assert H[i] == hamiltonian(state, params) == ref[6]
 

@@ -16,7 +16,14 @@ import pytest
 
 import vdtoda.verify as verify
 from vdtoda import CoordinateOverflowError, CrossCheckError, ModelParams, State, random_state
-from vdtoda.hamiltonian import DerivedCoords
+from vdtoda.hamiltonian import (
+    DerivedCoords,
+    _raise_first_failure,
+    _xh_q_check,
+    _xh_q_theta,
+    _xh_w_checked,
+    derived_coords,
+)
 from vdtoda.lax import _ARRAY_FIELDS, LaxBundle, build_bundle
 from vdtoda.verify import (
     _MATRIX_FIELDS,
@@ -139,7 +146,7 @@ GOOD = State(np.array([0.2, -0.1, 0.3]), np.array([0.1, 0.0, -0.2]))
 OVERFLOW = State(np.array([-800.0, 0.0, 0.0]), np.zeros(3))
 # coordinates are fine, the two Acal routes are not (inf entries)
 CROSS = State(np.array([0.0, 0.0, -120.0]), np.array([0.0, 0.0, 360.0]))
-# coordinates and cross-checks pass, the bundle holds an inf (Dcal)
+# coordinates pass, the bundle holds an inf (Dcal): the Acal routes' gap is nan
 NONFINITE = State(np.array([0.0, 0.0, -220.0]), np.zeros(3))
 
 
@@ -193,5 +200,34 @@ def test_stack_raises_the_earliest_failing_states_error(monkeypatch, states, blo
 def test_crafted_states_fail_where_intended():
     assert _loop_error([OVERFLOW])[0] is CoordinateOverflowError
     assert _loop_error([CROSS])[0] is CrossCheckError
-    assert _loop_error([NONFINITE]) == (ValueError, "non-finite entries in Dcal")
+    assert _loop_error([NONFINITE]) == (
+        CrossCheckError,
+        "Acal construction routes disagree: |diff| = nan > inf",
+    )
     one_by_one(GOOD, PARAMS3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_gap_fails_each_cross_check():
+    _, _, x, w, delta, gamma, upsilon = derived_coords(GOOD, PARAMS3).rows()
+    qdot = _xh_q_theta(GOOD.xi[None], GOOD.eta[None], PARAMS3)
+    qdot[0, 1] = np.nan
+    checks = {
+        "position velocity": _xh_q_check(qdot, x, w, delta, PARAMS3),
+        "w-velocity": _xh_w_checked(x, w, delta, gamma, upsilon, qdot, PARAMS3)[1],
+    }
+    for what, check in checks.items():
+        with pytest.raises(CrossCheckError, match=rf"{what} forms disagree: \|diff\| = nan"):
+            _raise_first_failure([check])
+    acal = r"Acal construction routes disagree: \|diff\| = nan"
+    with pytest.raises(CrossCheckError, match=acal):
+        build_bundle(NONFINITE, PARAMS3)
+
+
+def test_bundle_rejects_a_non_finite_field():
+    # no state reaches this guard past the cross-checks; build one directly
+    bundle = build_bundle(GOOD, PARAMS3)
+    Dcal = bundle.Dcal.copy()
+    Dcal[1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite entries in Dcal"):
+        replace(bundle, Dcal=Dcal)

@@ -129,3 +129,9 @@ def test_triad_residual_direct_call():
     assert report.name == "lax_triad"
     assert report.passed
     assert report.max_abs <= 1e-10 * max(1.0, report.rel_scale)
+
+
+@pytest.mark.parametrize("box", [np.nan, np.inf])
+def test_suite_rejects_a_non_finite_box(box):
+    with pytest.raises(ValueError, match="box must be finite"):
+        run_suite(PARAMS, 2, 0, box=box)

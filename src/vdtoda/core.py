@@ -52,9 +52,9 @@ class CoordinateUnderflowError(CoordinateOverflowError, ValueError):
 class CrossCheckError(ArithmeticError):
     """Two analytically equal evaluation routes disagreed beyond tolerance.
 
-    Several quantities are computed along two independent formula routes
-    as a built-in transcription guard; a mismatch indicates a numerical
-    breakdown (or a bug), never a property of the model.
+    The LDU factors (``ldu``) and the Hessenberg bands (``hessenberg_parts``)
+    are checked against a second route as a transcription guard; a mismatch
+    indicates a numerical breakdown (or a bug), never a property of the model.
     """
 
 
@@ -168,4 +168,6 @@ def random_state(n: int, rng: np.random.Generator, box: float = 2.0) -> State:
     The default box of 2 exercises every interaction term without
     pushing any exponential near the overflow guard.
     """
+    if not (np.isfinite(box) and box >= 0.0):
+        raise ValueError("box must be finite and >= 0")
     return State(rng.uniform(-box, box, n), rng.uniform(-box, box, n))

@@ -2,12 +2,14 @@
 
 Everything here is a pure function of an immutable ``State`` and
 ``ModelParams``.  The coordinates, the interaction factors, the energy
-and the two cross-checked velocity fields X_H[q] and X_H[w] have one
-evaluation route each, a kernel on (S, n) stacks of positions and
-rapidities (``_coord_arrays``, ``_factor_arrays``, ``_energy_arrays``,
-``_xh_q_check``, ``_xh_w_checked``) that trajectories and the
+and the velocity fields X_H[q] and X_H[w] have one evaluation route
+each, a kernel on (S, n) stacks of positions and rapidities
+(``_coord_arrays``, ``_factor_arrays``, ``_energy_arrays``,
+``_xh_q_theta``, ``_xh_w_arrays``) that trajectories and the
 verification suite call once for all their states; ``derived_coords``,
-``hamiltonian``, ``xh_q`` and ``xh_w`` are their S = 1 case.  The module
+``hamiltonian``, ``xh_q`` and ``xh_w`` are their S = 1 case.  Second
+routes to X_H[q], X_H[w], gamma and upsilon are residuals of the
+verification suite (``verify.cross_check_residuals``).  The module
 provides the pair interaction function ``f_mu``, the change to canonical
 coordinates (q, p) and to the multiplicative variables (x, w), the
 energy in both coordinate systems, its non-relativistic limit, the
@@ -35,7 +37,6 @@ import numpy as np
 from .core import (
     CoordinateOverflowError,
     CoordinateUnderflowError,
-    CrossCheckError,
     ModelParams,
     State,
 )
@@ -55,14 +56,6 @@ __all__ = [
     "xh_w",
     "eom",
 ]
-
-# Reusable guard tolerance for internal double evaluations.  Residuals are
-# compared against tol * max(1, scale of the contributing terms); the
-# floor of 1 keeps the comparison meaningful near exact zeros, where a
-# plain relative error is undefined.
-_XHQ_CROSS_TOL = 1e-11
-_XHW_CROSS_TOL = 1e-12
-
 
 _OVERFLOW = "overflow while evaluating "
 _PAIR_OVERFLOW = _OVERFLOW + "mu^2 e^{-r}"
@@ -95,11 +88,6 @@ def _raise_first_failure(checks) -> None:
     if first is not None:
         row, kind, message, values = first
         raise kind(message % tuple(v[row] for v in values))
-
-
-def _bound_check(gap: np.ndarray, bound: np.ndarray, what: str):
-    """The check ``gap <= bound`` per row (a nan gap fails), raising ``CrossCheckError``."""
-    return gap <= bound, CrossCheckError, what + ": |diff| = %.3e > %.3e", gap, bound
 
 
 def _z_of(mu: float, r: np.ndarray | float) -> np.ndarray:
@@ -198,16 +186,7 @@ class DerivedCoords:
                 raise ValueError(f"{name} must be a finite vector")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        s, p, x, w, delta, gamma, upsilon = self.rows()
-        # gamma +/- upsilon must reproduce their two defining combinations;
-        # rows failing an earlier check may hold inf, nan or 0 there
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ref_plus = 2.0 / x[:, -1] * (1.0 + w[:, -1])
-            ref_minus = 2.0 * x[:, -1] * (1.0 + w[:, -2]) / delta
-            scale = np.maximum(1.0, np.maximum(np.abs(ref_plus), np.abs(ref_minus)))
-            bad = (np.abs(gamma + upsilon - ref_plus) > 1e-12 * scale) | (
-                np.abs(gamma - upsilon - ref_minus) > 1e-12 * scale
-            )
+        s, p, x, w, delta = self.rows()[:5]
         positive = (x > 0.0).all(axis=1) & (w > 0.0).all(axis=1)
         _raise_first_failure(
             [
@@ -217,7 +196,6 @@ class DerivedCoords:
             + [
                 (positive, ValueError, "x and w entries must be positive"),
                 (delta >= 1.0, ValueError, "delta must be >= 1, got %s", delta),
-                (~bad, ValueError, "gamma/upsilon inconsistent with x, w, delta"),
             ]
         )
 
@@ -407,38 +385,16 @@ def _xh_q_theta(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarra
     return params.beta * np.sinh(params.beta * th) * F
 
 
-def _xh_q_check(qdot, x, w, delta, params: ModelParams):
-    """Cross-check of the theta form ``qdot`` against the Laurent form in (x, w, delta).
-
-    The two must agree to 1e-11 relative to the largest term of the
-    Laurent form (floored at 1); one check over a stack.
-    """
-    gain = np.empty_like(x)
-    gain[:, 0] = x[:, 0]
-    gain[:, 1:] = x[:, 1:] * (1.0 + w[:, :-1])
-    loss = np.empty_like(x)
-    loss[:, :-1] = (1.0 + w[:, :-1]) / x[:, :-1]
-    loss[:, -1] = (1.0 + w[:, -1]) * delta / x[:, -1]
-    half = 0.5 * params.beta
-    alt = half * (gain - loss)
-    scale = half * (np.abs(gain) + np.abs(loss))
-    bound = _XHQ_CROSS_TOL * np.maximum(1.0, np.max(scale, axis=1))
-    gap = np.max(np.abs(qdot - alt), axis=1)
-    return _bound_check(gap, bound, "position velocity forms disagree")
-
-
 def xh_q(state: State, params: ModelParams) -> np.ndarray:
     """Position components of the Hamiltonian vector field.
 
-    Both the hyperbolic form beta sinh(beta theta_a) F_a(q) and the
-    Laurent form in (x, w, delta) are evaluated; they must agree to
-    1e-11 relative to the larger term magnitude (floored at 1).  The
-    hyperbolic form is returned because it vanishes exactly at rest.
+    The hyperbolic form beta sinh(beta theta_a) F_a(q), which vanishes
+    exactly at rest.  The coordinates are derived first, for their
+    guards.  Its agreement with the Laurent form in (x, w, delta) is the
+    ``xh_q_forms`` residual of the verification suite.
     """
-    x, w, delta = derived_coords(state, params).rows()[2:5]
-    primary = _xh_q_theta(state.xi[None], state.eta[None], params)
-    _raise_first_failure([_xh_q_check(primary, x, w, delta, params)])
-    return primary[0]
+    derived_coords(state, params)
+    return _xh_q_theta(state.xi[None], state.eta[None], params)[0]
 
 
 def xh_p(state: State, params: ModelParams) -> np.ndarray:
@@ -468,13 +424,14 @@ def xh_x(state: State, params: ModelParams) -> np.ndarray:
     return params.beta * coords.x * _xh_p_from_coords(coords, params)
 
 
-def _xh_w_checked(x, w, delta, gamma, upsilon, qdot, params: ModelParams):
-    """X_H[w] for a stack from the Laurent expressions, and its cross-check.
+def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
+    """X_H[w] for a stack from the Laurent expressions, and its term magnitudes.
 
-    x, w and ``qdot`` (the theta form of X_H[q]) are (S, n); delta, gamma
-    and upsilon are (S,).  ``xh_w`` is the S = 1 case.
+    x and w are (S, n), delta and upsilon (S,).  Returns the rates and,
+    entry by entry, the sum of the magnitudes of the terms each rate is
+    built from, both (S, n).  ``xh_w`` is the S = 1 case.
     """
-    beta, n = params.beta, params.n
+    beta = params.beta
     # lose[a] = x_a (1 + w_{a-1}), the leftward term; w_0 plays as 0.
     lose = np.empty_like(w[:, :-1])
     lose[:, 0] = x[:, 0]
@@ -487,42 +444,28 @@ def _xh_w_checked(x, w, delta, gamma, upsilon, qdot, params: ModelParams):
     half_w = 0.5 * beta * w[:, :-1]
     out[:, :-1] = half_w * (keep - lose - push)
     out[:, -1] = beta * w[:, -1] * delta * upsilon
-    composed = np.empty_like(w)
-    composed[:, :-1] = w[:, :-1] * (qdot[:, 1:] - qdot[:, :-1])
-    composed[:, -1] = -2.0 * w[:, -1] * qdot[:, -1]
-    # Scale by the terms, not the results: the results cancel to 0 at
-    # rest while the terms grow like e^{beta |p|}.  keep, lose, push and
-    # both halves of gamma (upsilon is their difference) are positive, so
-    # their sums are the term magnitudes.
-    terms = np.empty((w.shape[0], 2 * n))
-    terms[:, : n - 1] = half_w * (keep + lose + push)
-    terms[:, n - 1] = beta * w[:, -1] * delta * gamma
-    terms[:, n:-1] = w[:, :-1] * (np.abs(qdot[:, 1:]) + np.abs(qdot[:, :-1]))
-    terms[:, -1] = 2.0 * w[:, -1] * np.abs(qdot[:, -1])
-    bound = _XHW_CROSS_TOL * np.maximum(1.0, np.max(terms, axis=1))
-    gap = np.max(np.abs(out - composed), axis=1)
-    return out, _bound_check(gap, bound, "w-velocity forms disagree")
+    # keep, lose, push and both halves of delta upsilon are positive, so
+    # their sums are the term magnitudes
+    terms = np.empty_like(w)
+    terms[:, :-1] = half_w * (keep + lose + push)
+    terms[:, -1] = beta * w[:, -1] * (x[:, -1] * (1.0 + w[:, -2]) + push[:, -1])
+    return out, terms
 
 
 def xh_w(state: State, params: ModelParams) -> np.ndarray:
     """Time derivatives of the w variables along the flow.
 
-    Evaluated from the explicit Laurent expressions, then checked
-    against the composition rule obtained by differentiating the
-    definition of w_a through the positions:
+    Evaluated from the explicit Laurent expressions; the last entry is
+    X_H[w_n] = beta w_n delta upsilon, which also fixes X_H[delta] =
+    beta kappa^2 w_n delta upsilon.  The ``xh_w_composition`` residual of
+    the verification suite checks them against the chain rule through
+    the positions:
 
         X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a])   for a < n,
         X_H[w_n] = -2 w_n X_H[q_n].
-
-    The two must agree to 1e-12 relative to the largest term of either
-    side (floored at 1).  The last entry uses X_H[w_n] = beta w_n delta
-    upsilon, which also fixes X_H[delta] = beta kappa^2 w_n delta upsilon.
     """
-    coords = derived_coords(state, params)
-    qdot = _xh_q_theta(state.xi[None], state.eta[None], params)
-    out, check = _xh_w_checked(*coords.rows()[2:], qdot, params)
-    _raise_first_failure([check])
-    return out[0]
+    _, _, x, w, delta, _, upsilon = derived_coords(state, params).rows()
+    return _xh_w_arrays(x, w, delta, upsilon, params)[0][0]
 
 
 def _eom_arrays(

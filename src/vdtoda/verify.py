@@ -22,6 +22,10 @@ and a failing block is re-run state by state, so the suite raises what
 evaluating its states one by one would: the error of the earliest
 failing state, at its first failing check.
 
+The last kernel holds the second routes of quantities the constructors
+build by one route (Acal, X_H[q], X_H[w], gamma and upsilon); a
+disagreement there is a failed report, not an error.
+
 An optional ``perturb=(name, i, j, amount)`` corrupts entry (i, j) of
 the named bundle matrix, in every state, before the residuals are
 formed.  Perturbation exists purely as an anti-vacuity control: a
@@ -31,12 +35,12 @@ residual that stays small under a 1e-3 corruption is testing nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import _energy_arrays, _raise_first_failure, _xh_q_check, _xh_q_theta
+from .hamiltonian import _energy_arrays, _xh_q_theta, _xh_w_arrays
 from .lax import (
     _ARRAY_FIELDS,
     LaxBundle,
@@ -54,6 +58,7 @@ __all__ = [
     "omega_relations_residual",
     "band_relations_residual",
     "scalar_identities",
+    "cross_check_residuals",
     "run_suite",
     "reports_to_jsonl",
 ]
@@ -66,6 +71,10 @@ TOL_OMEGA_B = 1e-13
 TOL_BAND = 1e-11
 TOL_TRACE = 1e-12
 TOL_DIAGONAL = 1e-11
+TOL_ACAL_ROUTES = 1e-12
+TOL_XH_Q_FORMS = 1e-11
+TOL_XH_W_COMPOSITION = 1e-12
+TOL_GAMMA_UPSILON = 1e-12
 
 # States per stacked evaluation in ``run_suite``: its working set, about
 # forty (2n, 2n) matrices per state, stays bounded for any num_states.
@@ -75,7 +84,7 @@ _SUITE_BLOCK = 64
 _MATRIX_FIELDS = tuple(name for name in _ARRAY_FIELDS if name not in ("phi", "psi"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualReport:
     """Outcome of one identity check at one state."""
 
@@ -83,7 +92,6 @@ class ResidualReport:
     max_abs: float
     rel_scale: float
     tol: float
-    passed: bool = field(init=False)
     n: int | None = None
     beta: float | None = None
     kappa: float | None = None
@@ -91,26 +99,25 @@ class ResidualReport:
     state_index: int | None = None
     blocks: dict | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "passed", bool(self.max_abs <= self.tol * max(1.0, self.rel_scale))
-        )
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_abs <= self.tol * max(1.0, self.rel_scale))
 
 
 _BLOCKS = ("pp", "pm", "mp", "mm")
 # the perturbable matrices some residual reads
-_READ_FIELDS = tuple(name for name in _MATRIX_FIELDS if name not in ("A", "Omega", "Ycal", "Q"))
+_READ_FIELDS = tuple(name for name in _MATRIX_FIELDS if name not in ("Omega", "Ycal", "Q"))
 
 
-def _inputs(bundle: LaxBundle, q, th, perturb) -> dict[str, np.ndarray]:
+def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str, np.ndarray]:
     """Everything the kernels read, stacked over S states, by name.
 
     The matrices of ``bundle`` (one state or a stack) the residuals use,
     with entry (i, j) of ``perturb``'s matrix corrupted in every state;
-    d, the diagonal of the unperturbed D (S, 2n); q and th (S, n); and
-    x, w (S, n), delta and upsilon (S,) from its coordinates.  Perturbing
-    a matrix no residual reads (A, Omega, Ycal, Q) is checked and then
-    has no effect.
+    d, the diagonal of the unperturbed D (S, 2n); q, th and their
+    position velocities qdot (S, n); and x, w (S, n), delta, gamma and
+    upsilon (S,) from its coordinates.  Perturbing a matrix no residual
+    reads (Omega, Ycal, Q) is checked and then has no effect.
     """
     stack = {name: getattr(bundle, name) for name in _MATRIX_FIELDS}
     if bundle.L.ndim == 2:
@@ -125,9 +132,10 @@ def _inputs(bundle: LaxBundle, q, th, perturb) -> dict[str, np.ndarray]:
         M.transpose(1, 2, 0)[int(i), int(j)] += float(amount)
         if name in m:
             m[name] = M
-    _, _, x, w, delta, _, upsilon = bundle.coords.rows()
+    _, _, x, w, delta, gamma, upsilon = bundle.coords.rows()
     d = np.diagonal(stack["D"], axis1=1, axis2=2)
-    m.update(d=d, q=q, th=th, x=x, w=w, delta=delta, upsilon=upsilon)
+    qdot = _xh_q_theta(q, th, params)
+    m.update(d=d, q=q, th=th, qdot=qdot, x=x, w=w, delta=delta, gamma=gamma, upsilon=upsilon)
     return m
 
 
@@ -229,11 +237,9 @@ def _band(m, params: ModelParams) -> list:
 
 def _scalar(m, params: ModelParams) -> list:
     H = _energy_arrays(m["q"], m["th"], params)
-    qdot = _xh_q_theta(m["q"], m["th"], params)
-    _raise_first_failure([_xh_q_check(qdot, m["x"], m["w"], m["delta"], params)])
     half_trace = 0.5 * np.trace(m["Lcal"], axis1=1, axis2=2)
     dvec = 0.5 * params.beta * np.diagonal(m["Lcal"] - m["Lcal_inv"], axis1=1, axis2=2)
-    ref = np.concatenate([qdot, -qdot[:, ::-1]], axis=1)
+    ref = np.concatenate([m["qdot"], -m["qdot"][:, ::-1]], axis=1)
     scale = np.maximum(_amax(dvec), _amax(ref))
     return [
         ("trace_energy", TOL_TRACE, np.abs(half_trace - H), np.abs(H), None),
@@ -241,28 +247,53 @@ def _scalar(m, params: ModelParams) -> list:
     ]
 
 
-_KERNELS = (_triad, _lax_equation, _omega, _band, _scalar)
+def _cross(m, params: ModelParams) -> list:
+    x, w, delta, gamma, upsilon = (m[k] for k in ("x", "w", "delta", "gamma", "upsilon"))
+    half = 0.5 * params.beta
+    acal_gap = _amax(m["Acal"] - (m["d"][:, :, None] / m["d"][:, None, :]) * m["A"])
+    # Laurent form X_H[q_a] = (beta/2)(gain_a - loss_a), gain and loss positive
+    gain = x * (1.0 + np.concatenate([np.zeros_like(w[:, :1]), w[:, :-1]], axis=1))
+    loss = (1.0 + w) / x
+    loss[:, -1] *= delta
+    xh_q_gap = _amax(m["qdot"] - half * (gain - loss))
+    # X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a]) with the mirror image
+    # q_{n+1} = -q_n, scaled by the terms: the rates cancel to 0 at rest
+    ext = np.concatenate([m["qdot"], -m["qdot"][:, -1:]], axis=1)
+    composed = w * (ext[:, 1:] - ext[:, :-1])
+    spread = w * (np.abs(ext[:, 1:]) + np.abs(ext[:, :-1]))
+    laurent = 2.0 * np.sqrt(w) * np.diagonal(m["xhw"], -1, axis1=1, axis2=2)[:, : params.n]
+    terms = _xh_w_arrays(x, w, delta, upsilon, params)[1]
+    xh_w_gap, xh_w_scale = _amax(laurent - composed), np.maximum(_amax(terms), _amax(spread))
+    # gamma + upsilon and gamma - upsilon against their defining combinations
+    plus = 2.0 / x[:, -1] * (1.0 + w[:, -1])
+    minus = 2.0 * x[:, -1] * (1.0 + w[:, -2]) / delta
+    gu_gap = np.maximum(np.abs(gamma + upsilon - plus), np.abs(gamma - upsilon - minus))
+    return [
+        ("acal_routes", TOL_ACAL_ROUTES, acal_gap, _amax(m["Acal"]), None),
+        ("xh_q_forms", TOL_XH_Q_FORMS, xh_q_gap, half * np.max(gain + loss, axis=1), None),
+        ("xh_w_composition", TOL_XH_W_COMPOSITION, xh_w_gap, xh_w_scale, None),
+        ("gamma_upsilon", TOL_GAMMA_UPSILON, gu_gap, np.maximum(plus, minus), None),
+    ]
 
 
-def _reports(column, tags: dict | None = None, start: int = 0) -> list[ResidualReport]:
+_KERNELS = (_triad, _lax_equation, _omega, _band, _scalar, _cross)
+
+
+def _reports(column, tags: tuple = (None,) * 4, start: int | None = None) -> list[ResidualReport]:
     """One report per state of a kernel column.
 
-    With ``tags``, each also gets its state index, counted from ``start``.
+    ``tags`` are the reports' (n, beta, kappa, seed); with ``start``, each
+    also gets its state index, counted from there.
     """
     name, tol, max_abs, rel_scale, blocks = column
-    blocks = [None] * len(max_abs) if blocks is None else blocks.tolist()
+    size = len(max_abs)
+    blocks = [None] * size if blocks is None else blocks.tolist()
+    index = [None] * size if start is None else range(start, start + size)
     return [
         ResidualReport(
-            name=name,
-            max_abs=value,
-            rel_scale=scale,
-            tol=tol,
-            blocks=None if row is None else dict(zip(_BLOCKS, row)),
-            **({} if tags is None else dict(tags, state_index=i)),
+            name, value, scale, tol, *tags, i, None if row is None else dict(zip(_BLOCKS, row))
         )
-        for i, (value, scale, row) in enumerate(
-            zip(max_abs.tolist(), rel_scale.tolist(), blocks), start
-        )
+        for i, value, scale, row in zip(index, max_abs.tolist(), rel_scale.tolist(), blocks)
     ]
 
 
@@ -270,7 +301,7 @@ def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
     """The reports of ``kernel`` at one state: its S = 1 case."""
     if bundle is None:
         bundle = build_bundle(state, params)
-    m = _inputs(bundle, state.xi[None], state.eta[None], perturb)
+    m = _inputs(bundle, state.xi[None], state.eta[None], params, perturb)
     return [report for column in kernel(m, params) for report in _reports(column)]
 
 
@@ -348,6 +379,24 @@ def scalar_identities(
     return tuple(_single(_scalar, state, params, bundle, perturb))
 
 
+def cross_check_residuals(
+    state: State,
+    params: ModelParams,
+    bundle: LaxBundle | None = None,
+    perturb: tuple[str, int, int, float] | None = None,
+) -> tuple[ResidualReport, ResidualReport, ResidualReport, ResidualReport]:
+    """Second evaluation routes of quantities the constructors build once.
+
+    ``acal_routes``: the explicit Acal against D A D^{-1}.  ``xh_q_forms``:
+    the hyperbolic form of X_H[q] against the Laurent form in (x, w,
+    delta).  ``xh_w_composition``: X_H[w] read off X_H[W] against the
+    chain rule through the positions (see ``xh_w``).  ``gamma_upsilon``:
+    gamma + upsilon and gamma - upsilon against 2 (1 + w_n) / x_n and
+    2 x_n (1 + w_{n-1}) / delta.
+    """
+    return tuple(_single(_cross, state, params, bundle, perturb))
+
+
 def _draw_states(n: int, num_states: int, seed: int, box: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions and rapidities (num_states, n) of the seeded suite states.
 
@@ -359,7 +408,7 @@ def _draw_states(n: int, num_states: int, seed: int, box: float) -> tuple[np.nda
 
 def _suite_columns(q, th, params: ModelParams, perturb) -> list:
     """Every residual column of a stack of states, checks in the order one state meets them."""
-    m = _inputs(build_bundle((q, th), params), q, th, perturb)
+    m = _inputs(build_bundle((q, th), params), q, th, params, perturb)
     return [column for kernel in _KERNELS for column in kernel(m, params)]
 
 
@@ -396,10 +445,10 @@ def run_suite(
     """
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
-    if not np.isfinite(box):
-        raise ValueError("box must be finite")
+    if not (np.isfinite(box) and box >= 0.0):
+        raise ValueError("box must be finite and >= 0")
     q, th = _draw_states(params.n, num_states, seed, box)
-    tags = dict(n=params.n, beta=params.beta, kappa=params.kappa, seed=seed)
+    tags = (params.n, params.beta, params.kappa, seed)
     reports = []
     for start in range(0, num_states, _SUITE_BLOCK):
         block = slice(start, start + _SUITE_BLOCK)

@@ -35,7 +35,7 @@ def _sweep_seed(n: int, kappa: float, beta: float) -> int:
 
 @pytest.fixture(scope="session")
 def residual_sweep():
-    """All eight residuals across the full (n, kappa, beta) grid."""
+    """All twelve residuals across the full (n, kappa, beta) grid."""
     reports = []
     for n in N_GRID:
         for kappa in KAPPA_GRID:
@@ -101,6 +101,17 @@ def test_criterion_04_band_and_scalar_identities(residual_sweep):
     print(f"criterion 4 PASS: band {max(worst_lower, worst_upper):.3e}, "
           f"trace {worst_trace:.3e}, diagonal {worst_diag:.3e} "
           f"over {count} states")
+
+
+def test_criterion_04_cross_check_residuals(residual_sweep):
+    # second evaluation routes of Acal, X_H[q], X_H[w] and gamma/upsilon
+    names = ("acal_routes", "xh_q_forms", "xh_w_composition", "gamma_upsilon")
+    rows = [r for r in residual_sweep if r.name in names]
+    assert len(rows) == len(names) * 2448  # every state of the sweep
+    assert all(r.passed for r in rows)
+    worst = {name: _worst(residual_sweep, name)[0] for name in names}
+    print("criterion 4 PASS: cross-checks "
+          + ", ".join(f"{name} {value:.3e}" for name, value in worst.items()))
 
 
 def test_criterion_05_exact_zero_patterns():
@@ -222,6 +233,8 @@ PERTURBATIONS = {
     "band_upper": ("Lcal_inv", 0, 7),
     "trace_energy": ("Lcal", 0, 0),
     "diagonal_velocity": ("Lcal", 1, 1),
+    "acal_routes": ("A", 0, 0),
+    "xh_w_composition": ("xhw", 1, 0),
 }
 
 

@@ -81,7 +81,7 @@ def test_verify_writes_jsonl_and_passes(tmp_path, capsys):
     rc = main(["verify", "--config", cfg, "-o", str(out)])
     assert rc == 0
     rows = [json.loads(line) for line in out.read_text().strip().split("\n")]
-    assert len(rows) == 4 * 8  # num_states x residual count
+    assert len(rows) == 4 * 12  # num_states x residual count
     assert all(row["pass"] for row in rows)
     summary = capsys.readouterr().err
     assert "0 failed" in summary
@@ -245,3 +245,8 @@ def test_compare_dumps_both_trajectories(tmp_path):
 def test_non_finite_inputs_are_usage_errors(args, field, capsys):
     assert main(args) == 2
     assert f"error: {field} must be finite" in capsys.readouterr().err
+
+
+def test_negative_box_is_a_usage_error(capsys):
+    assert main(["verify", "--box", "-1"]) == 2
+    assert "error: box must be finite and >= 0" in capsys.readouterr().err

@@ -1,15 +1,14 @@
 """Energy function, derived coordinates, and the analytic vector field."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import vdtoda.verify as verify
 from conftest import draw_states
 from vdtoda import (
     CoordinateOverflowError,
-    CrossCheckError,
     ModelParams,
     State,
     hamiltonian,
@@ -31,7 +30,7 @@ from vdtoda.hamiltonian import (
     xh_w,
     xh_x,
 )
-from vdtoda.lax import build_bundle
+from vdtoda.verify import cross_check_residuals, run_suite
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,17 +256,16 @@ def test_xh_w_check_scales_with_its_terms():
     # scaled by the (zero) results instead rejected this valid state
     params = ModelParams(8, 1.0, 1.0)
     assert np.all(np.isfinite(xh_w(HOT_REST, params)))
-    build_bundle(HOT_REST, params)
+    report = cross_check_residuals(HOT_REST, params)[2]
+    assert report.name == "xh_w_composition" and report.passed
 
 
 def test_xh_w_check_catches_a_relative_1e9_corruption(monkeypatch):
     # scaling by the terms must not blunt the check: corrupt X_H[q_a], and
     # so the composed terms w_a X_H[q_a] next to it, by a relative 1e-9
-    module = importlib.import_module("vdtoda.hamiltonian")  # the name is shadowed
-    theta_form = module._xh_q_theta
+    theta_form = verify._xh_q_theta
     params = ModelParams(6, 0.7, 1.1)
-    state = random_state(6, np.random.default_rng(5), box=1.5)
-    xh_w(state, params)
+    assert all(r.passed for r in run_suite(params, 1, 5, box=1.5))
     for a in range(params.n):
 
         def corrupted(q, th, p, a=a):
@@ -275,9 +273,9 @@ def test_xh_w_check_catches_a_relative_1e9_corruption(monkeypatch):
             qdot[:, a] *= 1.0 + 1e-9
             return qdot
 
-        monkeypatch.setattr(module, "_xh_q_theta", corrupted)
-        with pytest.raises(CrossCheckError, match="w-velocity forms disagree"):
-            xh_w(state, params)
+        monkeypatch.setattr(verify, "_xh_q_theta", corrupted)
+        failed = {r.name for r in run_suite(params, 1, 5, box=1.5) if not r.passed}
+        assert {"xh_w_composition", "xh_q_forms"} <= failed, a
 
 
 def test_rapidity_flow_reduces_at_zero_rapidity():

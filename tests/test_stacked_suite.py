@@ -15,19 +15,13 @@ import numpy as np
 import pytest
 
 import vdtoda.verify as verify
-from vdtoda import CoordinateOverflowError, CrossCheckError, ModelParams, State, random_state
-from vdtoda.hamiltonian import (
-    DerivedCoords,
-    _raise_first_failure,
-    _xh_q_check,
-    _xh_q_theta,
-    _xh_w_checked,
-    derived_coords,
-)
+from vdtoda import CoordinateOverflowError, ModelParams, State, random_state
+from vdtoda.hamiltonian import DerivedCoords
 from vdtoda.lax import _ARRAY_FIELDS, LaxBundle, build_bundle
 from vdtoda.verify import (
     _MATRIX_FIELDS,
     band_relations_residual,
+    cross_check_residuals,
     lax_equation_residual,
     lax_triad_residual,
     omega_relations_residual,
@@ -39,7 +33,7 @@ STATES = 2
 
 
 def one_by_one(state, params, perturb=None):
-    """The eight reports of one state from the public single-state functions."""
+    """The twelve reports of one state from the public single-state functions."""
     bundle = build_bundle(state, params)
     reports = [
         lax_triad_residual(state, params, bundle, perturb),
@@ -48,6 +42,7 @@ def one_by_one(state, params, perturb=None):
     reports.extend(omega_relations_residual(state, params, bundle, perturb))
     reports.extend(band_relations_residual(state, params, bundle, perturb))
     reports.extend(scalar_identities(state, params, bundle, perturb))
+    reports.extend(cross_check_residuals(state, params, bundle, perturb))
     return reports
 
 
@@ -144,9 +139,10 @@ PARAMS3 = ModelParams(3, 1.0, 1.0)
 GOOD = State(np.array([0.2, -0.1, 0.3]), np.array([0.1, 0.0, -0.2]))
 # e^{-(q_1 - q_2)} overflows: the very first coordinate check fails
 OVERFLOW = State(np.array([-800.0, 0.0, 0.0]), np.zeros(3))
-# coordinates are fine, the two Acal routes are not (inf entries)
+# coordinates are fine, the bundle is not (inf entries); this state
+# failed the two Acal routes when they were checked in build_bundle
 CROSS = State(np.array([0.0, 0.0, -120.0]), np.array([0.0, 0.0, 360.0]))
-# coordinates pass, the bundle holds an inf (Dcal): the Acal routes' gap is nan
+# coordinates pass, the bundle holds an inf (Dcal)
 NONFINITE = State(np.array([0.0, 0.0, -220.0]), np.zeros(3))
 
 
@@ -199,35 +195,36 @@ def test_stack_raises_the_earliest_failing_states_error(monkeypatch, states, blo
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_crafted_states_fail_where_intended():
     assert _loop_error([OVERFLOW])[0] is CoordinateOverflowError
-    assert _loop_error([CROSS])[0] is CrossCheckError
-    assert _loop_error([NONFINITE]) == (
-        CrossCheckError,
-        "Acal construction routes disagree: |diff| = nan > inf",
-    )
+    assert _loop_error([CROSS])[0] is CoordinateOverflowError
+    assert _loop_error([NONFINITE]) == (CoordinateOverflowError, "non-finite entries in Dcal")
     one_by_one(GOOD, PARAMS3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_nan_gap_fails_each_cross_check():
-    _, _, x, w, delta, gamma, upsilon = derived_coords(GOOD, PARAMS3).rows()
-    qdot = _xh_q_theta(GOOD.xi[None], GOOD.eta[None], PARAMS3)
-    qdot[0, 1] = np.nan
-    checks = {
-        "position velocity": _xh_q_check(qdot, x, w, delta, PARAMS3),
-        "w-velocity": _xh_w_checked(x, w, delta, gamma, upsilon, qdot, PARAMS3)[1],
-    }
-    for what, check in checks.items():
-        with pytest.raises(CrossCheckError, match=rf"{what} forms disagree: \|diff\| = nan"):
-            _raise_first_failure([check])
-    acal = r"Acal construction routes disagree: \|diff\| = nan"
-    with pytest.raises(CrossCheckError, match=acal):
+def test_a_nan_gap_fails_each_cross_check(monkeypatch):
+    theta_form = verify._xh_q_theta
+
+    def with_nan(q, th, params):
+        qdot = theta_form(q, th, params)
+        qdot[:, 1] = np.nan
+        return qdot
+
+    monkeypatch.setattr(verify, "_xh_q_theta", with_nan)
+    reports = {r.name: r for r in cross_check_residuals(GOOD, PARAMS3)}
+    bundle = build_bundle(GOOD, PARAMS3)
+    nan_gamma = replace(bundle, coords=replace(bundle.coords, gamma=np.nan))
+    reports["gamma_upsilon"] = cross_check_residuals(GOOD, PARAMS3, nan_gamma)[3]
+    reports["acal_routes"] = cross_check_residuals(GOOD, PARAMS3, perturb=("A", 0, 0, np.nan))[0]
+    assert len(reports) == 4
+    for name, report in reports.items():
+        assert np.isnan(report.max_abs) and not report.passed, name
+    with pytest.raises(CoordinateOverflowError, match="non-finite entries in Dcal"):
         build_bundle(NONFINITE, PARAMS3)
 
 
 def test_bundle_rejects_a_non_finite_field():
-    # no state reaches this guard past the cross-checks; build one directly
     bundle = build_bundle(GOOD, PARAMS3)
     Dcal = bundle.Dcal.copy()
     Dcal[1, 1] = np.inf
-    with pytest.raises(ValueError, match="non-finite entries in Dcal"):
+    with pytest.raises(CoordinateOverflowError, match="non-finite entries in Dcal"):
         replace(bundle, Dcal=Dcal)

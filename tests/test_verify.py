@@ -1,10 +1,13 @@
 """Residual suite: determinism, reporting, and sensitivity to damage."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vdtoda.verify as verify
 from vdtoda import ModelParams, random_state
 from vdtoda.lax import build_bundle
 from vdtoda.verify import (
@@ -13,6 +16,8 @@ from vdtoda.verify import (
     reports_to_jsonl,
     run_suite,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PARAMS = ModelParams(5, 0.6, 1.2)
 
@@ -25,6 +30,10 @@ RESIDUAL_NAMES = (
     "band_upper",
     "trace_energy",
     "diagonal_velocity",
+    "acal_routes",
+    "xh_q_forms",
+    "xh_w_composition",
+    "gamma_upsilon",
 )
 
 
@@ -108,10 +117,14 @@ PERTURBATIONS = {
     "band_upper": ("Lcal_inv", 0, 7),
     "trace_energy": ("Lcal", 0, 0),
     "diagonal_velocity": ("Lcal", 1, 1),
+    "acal_routes": ("A", 0, 0),
+    "xh_w_composition": ("xhw", 1, 0),
 }
 
 
-@pytest.mark.parametrize("name", RESIDUAL_NAMES)
+# xh_q_forms and gamma_upsilon read no matrix; tests in test_hamiltonian
+# and test_stacked_suite corrupt their inputs instead
+@pytest.mark.parametrize("name", PERTURBATIONS)
 def test_each_residual_detects_a_perturbed_entry(name):
     params = ModelParams(4, 0.6, 1.2)
     target, i, j = PERTURBATIONS[name]
@@ -131,7 +144,18 @@ def test_triad_residual_direct_call():
     assert report.max_abs <= 1e-10 * max(1.0, report.rel_scale)
 
 
-@pytest.mark.parametrize("box", [np.nan, np.inf])
+@pytest.mark.parametrize("box", [np.nan, np.inf, -1.0])
 def test_suite_rejects_a_non_finite_box(box):
-    with pytest.raises(ValueError, match="box must be finite"):
+    with pytest.raises(ValueError, match="box must be finite and >= 0"):
         run_suite(PARAMS, 2, 0, box=box)
+    with pytest.raises(ValueError, match="box must be finite and >= 0"):
+        random_state(5, np.random.default_rng(0), box=box)
+
+
+def test_readme_table_lists_the_emitted_residuals():
+    readme = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)`\s*\|.*\| `([0-9.e+-]+)`\s*\|$", readme, re.MULTILINE)
+    emitted = [(r.name, r.tol) for r in run_suite(PARAMS, 1, seed=3)]
+    assert [(name, float(tol)) for name, tol in rows] == emitted
+    tols = {getattr(verify, key) for key in dir(verify) if key.startswith("TOL_")}
+    assert {tol for _, tol in emitted} <= tols

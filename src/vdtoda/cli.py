@@ -4,8 +4,9 @@
 
 Configuration is a single JSON document whose keys match the RunConfig
 fields; command-line flags override file values, which override the
-built-in defaults.  Exit codes: 0 success, 1 check failure, 2 usage or
-parse error, 3 numerical breakdown.
+built-in defaults.  The fields of RunConfig define the config flags,
+their types and the type check of every value.  Exit codes: 0 success,
+1 check failure, 2 usage or parse error, 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import hamiltonian
 from .integrate import (
     Trajectory,
     TrajectoryCheckError,
@@ -45,7 +46,9 @@ __all__ = [
 ]
 
 _COMPARE_TOL = 1e-5
-_TRAJECTORY_METHODS = {"simulate": "rk", "solve": "algebraic"}
+# what a value of each scalar field may be, by the type of its default
+_KINDS = {int: (Integral, "an integer"), float: (Real, "a real number")}
+_VECTOR_HELP = {"xi": "comma-separated positions", "eta": "comma-separated rapidities"}
 # every perturbable bundle matrix but X_H[W]
 _DUMPED_MATRICES = tuple(name for name in _MATRIX_FIELDS if name != "xhw")
 
@@ -67,6 +70,17 @@ class RunConfig:
     num_states: int = 25
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _VECTOR_HELP:
+                if value is None:
+                    continue
+                vec = tuple(value) if np.iterable(value) else None
+                if vec is None or not all(map(_is_real, vec)):
+                    raise ValueError(f"{f.name} must be a sequence of real numbers, got {value!r}")
+                object.__setattr__(self, f.name, tuple(map(float, vec)))
+            elif not _is_real(value, _KINDS[type(f.default)][0]):
+                raise ValueError(f"{f.name} must be {_KINDS[type(f.default)][1]}, got {value!r}")
         ModelParams(self.n, self.beta, self.kappa)  # reuse its validation
         for name in ("t_end", "sample_dt", "rtol", "atol"):
             if not np.isfinite(getattr(self, name)):
@@ -83,12 +97,10 @@ class RunConfig:
             vec = getattr(self, name)
             if vec is None:
                 continue
-            vec = tuple(float(v) for v in vec)
             if len(vec) != self.n:
                 raise ValueError(f"{name} must have length n = {self.n}")
             if not all(np.isfinite(vec)):
                 raise ValueError(f"{name} entries must be finite")
-            object.__setattr__(self, name, vec)
 
     @property
     def params(self) -> ModelParams:
@@ -101,6 +113,13 @@ class RunConfig:
         return State(xi, eta)
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+def _is_real(value, kind: type = Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
@@ -108,15 +127,11 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
         doc = json.loads(raw)
         if not isinstance(doc, dict):
             raise ValueError("config document must be a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(doc)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for name in ("xi", "eta"):
-        if values.get(name) is not None:
-            values[name] = tuple(float(v) for v in values[name])
     return RunConfig(**values)
 
 
@@ -208,32 +223,28 @@ def cmd_trajectory(
 
 
 def cmd_compare(
-    config: RunConfig,
-    output: str | None = None,
-    method_a: str = "rk",
-    method_b: str = "algebraic",
-    dump_trajectories: str | None = None,
+    config: RunConfig, output: str | None = None, dump_trajectories: str | None = None
 ) -> int:
-    """Per-sample deviation between two solution methods.
+    """Per-sample deviation between the RK and the algebraic route.
 
     Emits `t,max_dq,max_dtheta` rows; exit 0 iff the worst deviation
     stays within 1e-5.
     """
-    traj_a = _run_method(config, method_a)
-    traj_b = _run_method(config, method_b)
+    trajs = {method: _run_method(config, method) for method in ("rk", "algebraic")}
+    rk, algebraic = trajs.values()
     # largest deviation per sample, in positions and in rapidities
     dq, dtheta = (
         np.max(np.abs(a - b), axis=1)
-        for a, b in zip(_sample_stacks(traj_a), _sample_stacks(traj_b))
+        for a, b in zip(_sample_stacks(rk), _sample_stacks(algebraic))
     )
-    rows = np.column_stack([traj_a.t, dq, dtheta])
+    rows = np.column_stack([rk.t, dq, dtheta])
     with _open_target(output) as target:
         _write_table(target, rows, ["t", "max_dq", "max_dtheta"])
     if dump_trajectories is not None:
         out = Path(dump_trajectories)
         out.mkdir(parents=True, exist_ok=True)
-        trajectory_to_csv(traj_a, out / f"trajectory_{method_a}.csv", method=method_a)
-        trajectory_to_csv(traj_b, out / f"trajectory_{method_b}.csv", method=method_b)
+        for method, traj in trajs.items():
+            trajectory_to_csv(traj, out / f"trajectory_{method}.csv", method=method)
     print(f"max |dq| = {dq.max():.3e}, max |dtheta| = {dtheta.max():.3e}", file=sys.stderr)
     return 0 if max(dq.max(), dtheta.max()) <= _COMPARE_TOL else 1
 
@@ -245,23 +256,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help_text: str, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--n", type=int)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--xi", type=_parse_vector, help="comma-separated positions")
-        p.add_argument("--eta", type=_parse_vector, help="comma-separated rapidities")
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--sample-dt", dest="sample_dt", type=float)
-        p.add_argument("--rtol", type=float)
-        p.add_argument("--atol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--num-states", dest="num_states", type=int)
+        for f in fields(RunConfig):
+            kind = _parse_vector if f.name in _VECTOR_HELP else type(f.default)
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=kind, help=_VECTOR_HELP.get(f.name))
         p.add_argument("--output", "-o", help="output path (default: stdout)")
+        p.set_defaults(**defaults)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the residual suite")
-    add_common(p_verify)
+    p_verify = command("verify", "run the residual suite", handler=cmd_verify)
     p_verify.add_argument(
         "--perturb",
         type=_parse_perturb,
@@ -270,55 +276,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--box", type=float, default=2.0, help="random state box half-width")
     p_verify.add_argument("--dump-matrices", help="directory for per-matrix CSV dumps")
 
-    for name, help_text in (
-        ("simulate", "adaptive Runge-Kutta trajectory"),
-        ("solve", "algebraic (factorization) trajectory"),
+    for name, method, help_text in (
+        ("simulate", "rk", "adaptive Runge-Kutta trajectory"),
+        ("solve", "algebraic", "algebraic (factorization) trajectory"),
     ):
-        p_traj = sub.add_parser(name, help=help_text)
-        add_common(p_traj)
+        p_traj = command(name, help_text, handler=cmd_trajectory, method=method)
         p_traj.add_argument("--spectrum-output", help="also write the spectrum CSV here")
 
-    p_cmp = sub.add_parser("compare", help="dual-method deviation report")
-    add_common(p_cmp)
-    p_cmp.add_argument("--method-a", choices=("rk", "algebraic"), default="rk")
-    p_cmp.add_argument("--method-b", choices=("rk", "algebraic"), default="algebraic")
+    p_cmp = command("compare", "dual-method deviation report", handler=cmd_compare)
     p_cmp.add_argument("--dump-trajectories", help="directory for tagged trajectory CSVs")
 
     return parser
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    # every other argparse dest is a keyword of the handler
+    handler, path = args.pop("handler"), args.pop("config")
+    del args["command"]
+    overrides = {key: args.pop(key) for key in _CONFIG_KEYS}
     try:
-        overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-        config = _load_config(args.config, overrides)
-        if args.command == "verify":
-            return cmd_verify(
-                config,
-                output=args.output,
-                perturb=args.perturb,
-                box=args.box,
-                dump_matrices=args.dump_matrices,
-            )
-        if args.command in _TRAJECTORY_METHODS:
-            return cmd_trajectory(
-                config,
-                _TRAJECTORY_METHODS[args.command],
-                output=args.output,
-                spectrum_output=args.spectrum_output,
-            )
-        if args.command == "compare":
-            return cmd_compare(
-                config,
-                output=args.output,
-                method_a=args.method_a,
-                method_b=args.method_b,
-                dump_trajectories=args.dump_trajectories,
-            )
-        raise ValueError(f"unknown command {args.command!r}")
+        return handler(_load_config(path, overrides), **args)
     except TrajectoryCheckError as err:
         print(f"check failure: {err}", file=sys.stderr)
         return 1

@@ -411,37 +411,39 @@ def build_bundle(
     beta, n = params.beta, params.n
     N = 2 * n
 
-    d, W, L, g, Hcal, Lcal = _lax_chain(x, w, delta, params)
-    phi, psi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
-    Acal = _acal_explicit(x, w, delta, phi, bump, params)
+    # an inf or nan made here raises CoordinateOverflowError in LaxBundle
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, W, L, g, Hcal, Lcal = _lax_chain(x, w, delta, params)
+        phi, psi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
+        Acal = _acal_explicit(x, w, delta, phi, bump, params)
 
-    g_inv = g.copy()
-    g_inv[:, n - 1, n] = g_inv[:, n, n - 1] = -g[:, n - 1, n]
-    Lcal_inv = g_inv @ omega_conjugate(Hcal)
+        g_inv = g.copy()
+        g_inv[:, n - 1, n] = g_inv[:, n, n - 1] = -g[:, n - 1, n]
+        Lcal_inv = g_inv @ omega_conjugate(Hcal)
 
-    xhw = _xh_w_arrays(x, w, delta, upsilon, params)[0]
-    Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
+        xhw = _xh_w_arrays(x, w, delta, upsilon, params)[0]
+        Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
 
-    arrays = dict(
-        D=_diagonal(d),
-        W=W,
-        L=L,
-        Dcal=Dcal,
-        A=A,
-        B=B,
-        Acal=Acal,
-        g=g,
-        g_inv=g_inv,
-        Omega=np.broadcast_to(build_omega(n), (q.shape[0], N, N)),
-        Hcal=Hcal,
-        Lcal=Lcal,
-        Lcal_inv=Lcal_inv,
-        Ycal=0.5 * beta * (Lcal - Lcal_inv),
-        Q=_block_diagonal(q),
-        phi=phi,
-        psi=psi,
-        xhw=XhW,
-    )
+        arrays = dict(
+            D=_diagonal(d),
+            W=W,
+            L=L,
+            Dcal=Dcal,
+            A=A,
+            B=B,
+            Acal=Acal,
+            g=g,
+            g_inv=g_inv,
+            Omega=np.broadcast_to(build_omega(n), (q.shape[0], N, N)),
+            Hcal=Hcal,
+            Lcal=Lcal,
+            Lcal_inv=Lcal_inv,
+            Ycal=0.5 * beta * (Lcal - Lcal_inv),
+            Q=_block_diagonal(q),
+            phi=phi,
+            psi=psi,
+            xhw=XhW,
+        )
     return LaxBundle(**{name: a[0] if one else a for name, a in arrays.items()}, coords=coords)
 
 

@@ -136,11 +136,13 @@ def _small_pivot(d: np.ndarray) -> np.ndarray:
 
 
 def _checked_pivots(r: np.ndarray) -> np.ndarray:
-    """The pivots of one elimination; a pivot under the floor raises."""
+    """The pivots of one elimination; the first pivot under the floor or not finite raises."""
     d = np.diag(r).copy()
-    j = int(_small_pivot(d))
-    if j:
-        raise FactorizationBreakdownError(_PIVOT_UNDERFLOW, j=j)
+    bad = (np.abs(d) < _PIVOT_FLOOR) | ~np.isfinite(d)
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = _PIVOT_UNDERFLOW if np.isfinite(d[j]) else "non-finite pivot in minor chain"
+        raise FactorizationBreakdownError(what, j=j + 1)
     return d
 
 
@@ -197,7 +199,7 @@ def ldu(M: np.ndarray) -> LduFactors:
     M0 = np.asarray(M, dtype=float)
     scale = max(1.0, float(np.max(np.abs(M0))))
     gap = float(np.max(np.abs(rebuilt - M0)))
-    if gap > _RECONSTRUCTION_TOL * scale:
+    if not gap <= _RECONSTRUCTION_TOL * scale:
         raise CrossCheckError(
             f"factor reconstruction off by {gap:.3e} (> {_RECONSTRUCTION_TOL * scale:.3e})"
         )

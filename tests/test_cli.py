@@ -120,6 +120,36 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["verify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"xi": 5},
+        {"beta": [1]},
+        {"t_end": "5"},
+        {"num_states": 2.5},
+        {"seed": "a"},
+        {"num_states": True},  # a bool is no integer here
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, **doc)
+    assert main(["verify", "--config", cfg]) == 2
+    (key,) = doc
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "solve", "compare"])
+def test_every_config_key_is_a_flag(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    for key in (f.name for f in fields(RunConfig)):
+        assert f"--{key.replace('_', '-')} {key.upper()}" in text
+    assert "--method" not in text  # compare always runs RK against the algebraic route
+
+
 def test_bad_perturb_spec_exits_2(tmp_path):
     # malformed flag values are rejected by the parser itself
     cfg = write_config(tmp_path, **BASE)
@@ -159,6 +189,19 @@ def test_simulate_writes_spectrum(tmp_path):
     assert rc == 0
     header = spec.read_text().split("\n", 1)[0].split(",")
     assert len(header) == 1 + 2 * 8
+
+
+def test_vector_flags_match_config_file(tmp_path):
+    xi, eta = [0.5, 0.1, -0.2, -0.6], [-0.3, 0.2, 0.0, 0.4]
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    cfg = write_config(tmp_path, **BASE, xi=xi, eta=eta)
+    assert main(["simulate", "--config", cfg, "-o", str(from_file)]) == 0
+    cfg = write_config(tmp_path, **BASE)
+    flags = [f"--{name}={','.join(map(repr, vec))}" for name, vec in (("xi", xi), ("eta", eta))]
+    assert main(["simulate", "--config", cfg, *flags, "-o", str(from_flags)]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+    first = from_file.read_text().split("\n")[1].split(",")
+    assert [float(v) for v in first[1:9]] == xi + eta
 
 
 def test_overflowing_start_exits_3(tmp_path):

@@ -55,6 +55,30 @@ def test_leading_minors_breakdown():
     assert "minor index 1" in str(info.value)
 
 
+NON_FINITE = "non-finite pivot in minor chain"
+
+
+@pytest.mark.parametrize(
+    "M, message, j",
+    [
+        # the second pivot is -inf
+        ([[1e-200, 1e200], [1e200, 1.0]], NON_FINITE, 2),
+        # ... and the third nan
+        ([[1e-200, 1e200, 1.0], [1e200, 1.0, 1.0], [1.0, 1.0, 1.0]], NON_FINITE, 2),
+        ([[np.inf, 1.0], [1.0, 1.0]], NON_FINITE, 1),
+        # a pivot under the floor before an infinite one
+        ([[1e-310, 1.0], [1.0, 1.0]], "pivot underflow in minor chain", 1),
+    ],
+)
+@pytest.mark.parametrize("factor", [leading_minors, ldu])
+def test_first_bad_pivot_is_a_breakdown(factor, M, message, j):
+    # tier-1 turns RuntimeWarnings into errors: none may escape on the way
+    with pytest.raises(FactorizationBreakdownError) as info:
+        factor(np.array(M))
+    assert str(info.value) == f"{message} (minor index {j})"
+    assert info.value.j == j
+
+
 def test_leading_minors_requires_square():
     with pytest.raises(ValueError):
         leading_minors(np.ones((2, 3)))

@@ -171,7 +171,6 @@ def _loop_error(states):
     return _error(loop)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("block", [1, 2, 64])
 @pytest.mark.parametrize(
     "states",
@@ -192,7 +191,6 @@ def test_stack_raises_the_earliest_failing_states_error(monkeypatch, states, blo
     assert expect == _loop_error([first_bad])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_crafted_states_fail_where_intended():
     assert _loop_error([OVERFLOW])[0] is CoordinateOverflowError
     assert _loop_error([CROSS])[0] is CoordinateOverflowError
@@ -200,7 +198,6 @@ def test_crafted_states_fail_where_intended():
     one_by_one(GOOD, PARAMS3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_gap_fails_each_cross_check(monkeypatch):
     theta_form = verify._xh_q_theta
 

@@ -93,6 +93,8 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.num_states < 1:
             raise ValueError("num_states must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("xi", "eta"):
             vec = getattr(self, name)
             if vec is None:

@@ -274,13 +274,18 @@ def derived_coords(
     """Compute (s, p, x, w, delta, gamma, upsilon) at one state.
 
     ``state`` may also be a pair (xi, eta) of (S, n) arrays; the result
-    then holds the stack of S states.
+    then holds the stack of S states.  A gamma or upsilon that overflows
+    raises ``CoordinateOverflowError`` for the earliest such state.
     """
     q, th, one = _stack_of(state)
     s, p, x, w, delta = _coord_arrays(q, th, params)
-    half_minus = x[:, -1] * (1.0 + w[:, -2]) / delta
-    half_plus = (1.0 + w[:, -1]) / x[:, -1]
-    rows = (s, p, x, w, delta, half_minus + half_plus, -half_minus + half_plus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_minus = x[:, -1] * (1.0 + w[:, -2]) / delta
+        half_plus = (1.0 + w[:, -1]) / x[:, -1]
+        gamma, upsilon = half_minus + half_plus, -half_minus + half_plus
+    ok = np.isfinite(gamma) & np.isfinite(upsilon)
+    _raise_first_failure([(ok, CoordinateOverflowError, _OVERFLOW + "gamma and upsilon")])
+    rows = (s, p, x, w, delta, gamma, upsilon)
     return DerivedCoords(*(r[0] if one else r for r in rows))
 
 

@@ -1,9 +1,9 @@
 """Reference dynamics by adaptive Runge-Kutta integration.
 
 The chain is integrated in natural coordinates by ``solve_ivp``, the
-module's own Dormand-Prince 5(4) integrator with dense output sampled on a
-uniform grid.  It takes the same steps and gives the same samples, bit
-for bit, as scipy's RK45, without scipy's per-step Python layers: the
+module's own Dormand-Prince 8(5,3) integrator with dense output sampled on
+a uniform grid.  It takes the same steps and gives the same samples, bit
+for bit, as scipy's DOP853, without scipy's per-step Python layers: the
 RHS kernel writes each stage straight into its row of the stage array,
 and the samples of a step come from one interpolant evaluation.
 
@@ -55,29 +55,69 @@ __all__ = [
 # speed bound to absorb sampling rounding.
 _DRIFT_FACTOR = 100.0
 _SPEED_SLACK = 1.0 + 1e-6
+_MAX_SAMPLES = 10**6  # most samples one trajectory may hold
 
-# The Dormand-Prince 5(4) pair with scipy's RK45 coefficients: the
-# weights A of stages 2-6 (stage 1 is the derivative at the start of
-# the step), solution weights B, error weights E (fifth minus fourth
-# order, last-stage row included) and the quartic dense-output matrix P.
-_A = np.array([
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+# The Dormand-Prince 8(5,3) pair (DOP853) with scipy's coefficients, nonzero
+# entries only.  Row s of A weighs the earlier stages in stage s: rows 1-11
+# for the step (stage 0 is the derivative at its start), row 12 is the
+# solution weights B (so stage 12 is the derivative at the end), and rows
+# 13-15 the three extra stages of the dense output.  E holds the error
+# weights of the fifth- and third-order estimators, D the last four rows
+# of the seventh-order interpolant.
+_A_PATTERN = (
+    [[0], [0, 1], [0, 2], [0, 2, 3], [0, 3, 4]]
+    + [[0, *range(3, s)] for s in range(6, 12)]
+    + [[0, *range(5, 12)], [0, *range(6, 13)], [0, 5, 6, 7, 10, 11, 12, 13]]
+    + [[0, 5, 6, 7, 8, 12, 13, 14]]
+)
+_A, _E, _D = np.zeros((16, 16)), np.zeros((2, 13)), np.zeros((4, 16))
+_A[[s for s, cols in enumerate(_A_PATTERN, 1) for _ in cols], sum(_A_PATTERN, [])] = [
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685,
+    0.08876275643042054, 0.2413651341592667, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.17082860872947386, 0.12546768756682242, 0.037109375,
+    0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479,
+    0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023, 0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996, 0.47766253643826434,
+    -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423,
+    -33.28821096898486, -0.020331201708508627, -0.9371424300859873, 5.186372428844064,
+    1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196, 2.273310147516538, -10.53449546673725,
+    -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.054293734116568765,
+    4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
+    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+    0.007567897660545699, -0.008298, 0.03183464816350214, 0.028300909672366776,
+    0.053541988307438566, -0.05492374857139099, -0.00010834732869724932,
+    0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+]
+_E[:, [0, *range(5, 12)]] = np.reshape([
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+], (2, 8))
+_D[:, [0, *range(5, 16)]] = np.reshape([
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564,
+], (4, 12))
+_B = _A[12, :12]
+_E5, _E3 = _E
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -132,13 +172,17 @@ def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
 
     The sample count is floor(t_end / sample_dt) + 1, with a small
     relative fuzz so binary representation of the ratio (for example
-    5 / 0.05) does not lose the final sample.
+    5 / 0.05) does not lose the final sample.  A count above
+    ``_MAX_SAMPLES`` raises ``ValueError`` before anything is allocated.
     """
     t_end, sample_dt = float(t_end), float(sample_dt)
     if not (0.0 <= t_end < np.inf and 0.0 < sample_dt < np.inf):
         raise ValueError("t_end must be finite and >= 0, sample_dt finite and > 0")
-    k = int(np.floor(t_end / sample_dt * (1.0 + 4.0 * np.finfo(float).eps) + 1e-12)) + 1
-    times = sample_dt * np.arange(k)
+    k = np.floor(t_end / sample_dt * (1.0 + 4.0 * np.finfo(float).eps) + 1e-12) + 1
+    if not k <= _MAX_SAMPLES:
+        msg = f"sample_dt = {sample_dt} and t_end = {t_end} give more than {_MAX_SAMPLES}"
+        raise ValueError(msg + " samples")
+    times = sample_dt * np.arange(int(k))
     return np.minimum(times, t_end)
 
 
@@ -148,7 +192,7 @@ def _rms(x: np.ndarray) -> np.float64:
 
 
 def _initial_step(fun, y0, f0, t_end, rtol, atol) -> np.float64:
-    # Hairer, Norsett & Wanner, Sec. II.4, for an error estimator of order 4.
+    # Hairer, Norsett & Wanner, Sec. II.4, for an error estimator of order 7.
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -160,21 +204,25 @@ def _initial_step(fun, y0, f0, t_end, rtol, atol) -> np.float64:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, t_end)
 
 
 def solve_ivp(
     fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float
 ) -> np.ndarray:
-    """Adaptive Dormand-Prince 5(4) integration of y' = fun(y) over [0, t_end].
+    """Adaptive Dormand-Prince 8(5,3) integration of y' = fun(y) over [0, t_end].
 
-    Takes the same steps and returns the same samples, bit for bit, as
-    ``scipy.integrate.solve_ivp(method="RK45", t_eval=t_eval)``: the
-    same initial step, error norm and step-size rule (safety 0.9, factor
-    within [0.2, 10]), the same minimum step of 10 ulp of t, and samples
-    from the same quartic interpolant of each accepted step.  An rtol
-    below 100 eps is raised to it with scipy's warning.
+    Takes the same steps, with as many ``fun`` calls, and returns the
+    same samples, bit for bit, as ``scipy.integrate.solve_ivp(method=
+    "DOP853", t_eval=t_eval)``: the same initial step, error norm
+    |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) N) and step-size rule (safety 0.9,
+    exponent -1/8, factor within [0.2, 10]), the same minimum step of
+    10 ulp of t, and samples from the same seventh-order interpolant.  A
+    step costs 12 evaluations, the last of which starts the next step;
+    the interpolant's three extra stages are evaluated only for a step
+    holding a sample.  An rtol below 100 eps is raised to it with
+    scipy's warning.
 
     ``fun(y, out)`` writes the derivative at y into ``out`` (the system
     is autonomous); each stage is written straight into its row of the
@@ -193,10 +241,11 @@ def solve_ivp(
     y = np.array(y0, dtype=float)
     times = [float(t) for t in t_eval]
     out = np.empty((len(times), y.size))
-    K = np.empty((7, y.size))
-    KT, KT_B = K.T, K[:-1].T
-    stages = [(K[:s].T, a[:s], K[s]) for s, a in enumerate(_A, start=1)]
-    f, f_new = K[0], K[-1]
+    K = np.empty((16, y.size))
+    F = np.empty((7, y.size))
+    KT, KT_B = K[:13].T, K[:12].T
+    stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(16)]
+    f, f_new = K[0], K[12]
     fun(y, f)
     h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
     abs_y = np.abs(y)
@@ -211,31 +260,38 @@ def solve_ivp(
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            for K_s, a, k in stages:
+            for K_s, a, k in stages[1:12]:
                 fun(y + np.dot(K_s, a) * h, k)
             y_new = y + h * np.dot(KT_B, _B)
             fun(y_new, f_new)
             abs_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_new)
-            scale *= rtol
-            scale += atol
-            err = np.dot(KT, _E)
-            err *= h
-            err /= scale
-            error_norm = _rms(err)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            e5, e3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
+            # np.linalg.norm(e) ** 2, as the same operations
+            n5, n3 = np.sqrt(e5.dot(e5)) ** 2, np.sqrt(e3.dot(e3)) ** 2
+            denom = np.sqrt((n5 + 0.01 * n3) * y.size)
+            error_norm = 0.0 if n5 == n3 == 0 else abs(h) * n5 / denom
             if error_norm < 1:
-                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
         # the samples in (t, t_new], and t = 0 on the first step
         j = bisect_right(times, t_new, i)
         if j > i:
-            x = (t_eval[i:j] - t) / h
-            dense = h * np.dot(KT.dot(_P), np.cumprod([x, x, x, x], axis=0))
-            dense += y[:, None]
-            out[i:j] = dense.T
+            for K_s, a, k in stages[13:]:
+                fun(y + np.dot(K_s, a) * h, k)
+            dy = y_new - y
+            F[:3] = dy, h * f - dy, 2 * dy - h * (f_new + f)
+            F[3:] = h * np.dot(_D, K)
+            x = ((t_eval[i:j] - t) / h)[:, None]
+            dense = np.zeros((j - i, y.size))
+            for p, row in enumerate(F[::-1]):
+                dense += row
+                dense *= x if p % 2 == 0 else 1 - x
+            dense += y
+            out[i:j] = dense
             i = j
         t, y, abs_y = t_new, y_new, abs_new
         f[:] = f_new
@@ -324,8 +380,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate the equations of motion over [0, t_end].
 
-    Local error per step is controlled to atol + rtol * |y| by an
-    embedded 5(4) pair; samples fall on multiples of sample_dt.  The
+    Local error per step is controlled to atol + rtol * |y| by the
+    embedded 8(5,3) pair; samples fall on multiples of sample_dt.  The
     accepted energy drift budget is 100 * rtol * |H(state)|.
     """
     if not 0.0 < t_end < np.inf:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import dtrtrs
 
 from .core import CoordinateOverflowError, CrossCheckError, ModelParams, State
 from .hamiltonian import _PAIR_OVERFLOW, _factor_arrays, _raise_first_failure, hamiltonian
@@ -213,12 +212,16 @@ def _generator(zeta: State, params: ModelParams, bundle: LaxBundle | None) -> np
 def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     """d/dt ln m_j for j = 1..n: the first n diagonal entries of l^{-1} Y l.
 
-    l is unit lower triangular, so the leading n x n block of l^{-1} is
-    the inverse of the leading block of l and one n x n triangular solve
-    suffices.
+    l is a stack (m, N, N) of unit lower triangular factors, so the
+    leading n x n block of each l^{-1} is the inverse of the leading block
+    of l, and one n x n forward substitution per sample suffices.  Every
+    step is elementwise over the stack, so a sample gets the same bits
+    alone or inside a stack.  Returns the rates as (m, n) rows.
     """
-    Z, _ = dtrtrs(l[:n, :n], Y[:n] @ l[:, :n], lower=1, unitdiag=1)
-    return np.diag(Z).copy()
+    Z = Y[:n] @ l[..., :n]
+    for j in range(n - 1):
+        Z[..., j + 1 :, :] -= l[..., j + 1 : n, j, None] * Z[..., j, None, :]
+    return np.diagonal(Z, axis1=-2, axis2=-1).copy()
 
 
 def _samples(
@@ -266,16 +269,12 @@ def _samples(
             j=int(np.argmax(low[m])) + 1,
             t=float(times[m]),
         )
-    rates = np.empty((m, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            rates[k] = _minor_log_rates(l[k], Y, n)
-            if not np.isfinite(rates[k]).all():
-                error = FactorizationBreakdownError(
-                    "non-finite minor log-rates", t=float(times[k])
-                )
-                m = k
-                break
+        rates = _minor_log_rates(l[:m], Y, n)
+    bad = ~np.isfinite(rates).all(axis=1)
+    if bad.any():
+        m = int(np.argmax(bad))
+        error = FactorizationBreakdownError("non-finite minor log-rates", t=float(times[m]))
     return xi + np.log(head[:m]), rates[:m], error
 
 

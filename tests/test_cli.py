@@ -293,3 +293,16 @@ def test_non_finite_inputs_are_usage_errors(args, field, capsys):
 def test_negative_box_is_a_usage_error(capsys):
     assert main(["verify", "--box", "-1"]) == 2
     assert "error: box must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "compare"])
+def test_oversized_sample_grid_is_a_usage_error(command, tmp_path, capsys):
+    out = str(tmp_path / "t.csv")
+    assert main([command, "--sample-dt", "1e-300", "--t-end", "1", "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: sample_dt = 1e-300 and t_end = 1.0 give more than 1000000" in err

@@ -19,6 +19,7 @@ from vdtoda import (
     time_reversal,
 )
 from vdtoda.hamiltonian import (
+    _coord_arrays,
     derived_coords,
     eom,
     f_mu,
@@ -305,3 +306,16 @@ def test_extreme_positions_raise_instead_of_overflowing():
     st = State(np.array([0.0, 0.0, -400.0]), np.zeros(3))
     with pytest.raises(CoordinateOverflowError):
         hamiltonian(st, params)
+
+
+def test_overflowing_gamma_raises_typed_error():
+    # w_2 = e^{700} and x_3 about e^{48} are finite, x_3 (1 + w_2) is not
+    params = ModelParams(3, 1.0, 1.0)
+    hot = State(np.array([0.0, -350.0, 350.0]), np.array([0.0, 0.0, 400.0]))
+    _, _, x, w, _ = _coord_arrays(hot.xi[None], hot.eta[None], params)
+    assert np.isfinite(x).all() and np.isfinite(w).all()
+    with pytest.raises(CoordinateOverflowError, match="gamma and upsilon"):
+        derived_coords(hot, params)
+    stack = (np.stack([np.zeros(3), hot.xi]), np.stack([np.zeros(3), hot.eta]))
+    with pytest.raises(CoordinateOverflowError, match="gamma and upsilon"):
+        derived_coords(stack, params)

@@ -1,11 +1,16 @@
 """Adaptive integration, trajectory containers, and CSV emission."""
 
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+import vdtoda
 from vdtoda import (
     ModelParams,
     State,
@@ -16,8 +21,14 @@ from vdtoda import (
 )
 from vdtoda.hamiltonian import _eom_arrays, hamiltonian
 from vdtoda.integrate import (
+    _A,
+    _B,
+    _D,
+    _E3,
+    _E5,
     StepSizeUnderflowError,
     Trajectory,
+    _sample_stacks,
     backward_via_reversal,
     initial_only,
     sample_times,
@@ -25,7 +36,7 @@ from vdtoda.integrate import (
     spectrum_to_csv,
     trajectory_to_csv,
 )
-from vdtoda.integrate import solve_ivp as rk45
+from vdtoda.integrate import solve_ivp as dop853
 
 PARAMS = ModelParams(4, 0.5, 1.0)
 
@@ -52,6 +63,13 @@ def test_sample_grid_rejects_bad_input():
         sample_times(-1.0, 0.1)
     with pytest.raises(ValueError):
         sample_times(1.0, 0.0)
+
+
+def test_sample_grid_caps_its_size():
+    assert len(sample_times(999_999.0, 1.0)) == 10**6
+    for t_end, sample_dt in [(1e6, 1.0), (1.0, 1e-300), (1e10, 5e-324)]:
+        with pytest.raises(ValueError, match="sample_dt = .* and t_end = .* give more"):
+            sample_times(t_end, sample_dt)
 
 
 @pytest.mark.parametrize(
@@ -83,9 +101,9 @@ def _chain_rhs(params):
 def _ours_and_scipy(fun, scipy_fun, t_end, y0, times, rtol, atol):
     ours, our_calls = _counted(fun)
     theirs, their_calls = _counted(scipy_fun)
-    got = rk45(ours, t_end, y0, times, rtol, atol)
+    got = dop853(ours, t_end, y0, times, rtol, atol)
     sol = solve_ivp(
-        theirs, (0.0, t_end), y0, method="RK45", t_eval=times, rtol=rtol, atol=atol
+        theirs, (0.0, t_end), y0, method="DOP853", t_eval=times, rtol=rtol, atol=atol
     )
     return got, our_calls, sol, their_calls
 
@@ -95,7 +113,7 @@ def _ours_and_scipy(fun, scipy_fun, t_end, y0, times, rtol, atol):
     "seed, t_end, rtol, atol",
     [(7, 5.0, 1e-10, 1e-12), (601, 5.0, 1e-10, 1e-12), (4242, 2.0, 1e-12, 1e-14)],
 )
-def test_integrator_takes_scipy_rk45_steps_bitwise(seed, t_end, rtol, atol):
+def test_integrator_takes_scipy_dop853_steps_bitwise(seed, t_end, rtol, atol):
     params = ModelParams(8, 0.5, 1.0)
     rng = np.random.default_rng(seed)
     y0 = np.concatenate([rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)])
@@ -114,11 +132,17 @@ def test_integrator_fails_like_scipy_at_a_blow_up():
     # y' = y^2, y(0) = 1 blows up at t = 1
     times = np.linspace(0.0, 2.0, 9)
     with pytest.raises(StepSizeUnderflowError) as info:
-        rk45(
+        dop853(
             lambda y, out: np.multiply(y, y, out=out), 2.0, np.ones(1), times, 1e-6, 1e-9
         )
     sol = solve_ivp(
-        lambda _t, y: y * y, (0.0, 2.0), np.ones(1), t_eval=times, rtol=1e-6, atol=1e-9
+        lambda _t, y: y * y,
+        (0.0, 2.0),
+        np.ones(1),
+        method="DOP853",
+        t_eval=times,
+        rtol=1e-6,
+        atol=1e-9,
     )
     assert not sol.success
     assert str(info.value) == f"{sol.message} (time reached: {sol.t[-1]})"
@@ -130,16 +154,41 @@ def test_integrator_clamps_rtol_with_scipy_warning():
     times = np.linspace(0.0, 1.0, 5)
     y0 = np.array([1.0, 0.5])
     with pytest.warns(UserWarning) as ours:
-        got = rk45(
+        got = dop853(
             lambda y, out: np.negative(y, out=out), 1.0, y0, times, 1e-16, 1e-14
         )
     with pytest.warns(UserWarning) as theirs:
         sol = solve_ivp(
-            lambda _t, y: -y, (0.0, 1.0), y0, t_eval=times, rtol=1e-16, atol=1e-14
+            lambda _t, y: -y,
+            (0.0, 1.0),
+            y0,
+            method="DOP853",
+            t_eval=times,
+            rtol=1e-16,
+            atol=1e-14,
         )
     assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
     assert "rtol" in str(ours[0].message)
     assert np.array_equal(got, sol.y.T)
+
+
+def test_vendored_tables_equal_scipy_dop853():
+    c = dop853_coefficients
+    for ours, theirs in [(_A, c.A), (_B, c.B), (_E3, c.E3), (_E5, c.E5), (_D, c.D)]:
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    root = str(Path(vdtoda.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import vdtoda; "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- container
@@ -210,6 +259,19 @@ def test_forward_then_reversed_forward_returns_home():
     home = time_reversal(back)
     assert np.max(np.abs(home.xi - st.xi)) < 1e-7
     assert np.max(np.abs(home.eta - st.eta)) < 1e-7
+
+
+def test_rk_route_matches_algebraic_route_on_dense_pool():
+    # 16 dense-pool states at the CLI tolerances (rtol 1e-10, atol 1e-12)
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(16):
+        st = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))
+        rk = _sample_stacks(integrate(st, params, 5.0, sample_dt=0.05))
+        ref = _sample_stacks(solve_trajectory(st, params, 5.0, sample_dt=0.05))
+        worst = max(worst, *(float(np.max(np.abs(a - b))) for a, b in zip(rk, ref)))
+    assert worst <= 1e-8
 
 
 def test_rk_error_decreases_with_tolerance():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 
 from vdtoda import (
     CoordinateOverflowError,
@@ -17,6 +18,8 @@ from vdtoda.integrate import TrajectoryCheckError, spectral_drift
 from vdtoda.lax import build_bundle
 from vdtoda.solve import (
     FactorizationBreakdownError,
+    _eliminate,
+    _minor_log_rates,
     _sample_at,
     _samples,
     ldu,
@@ -263,6 +266,25 @@ def test_block_stops_at_first_non_finite_rate():
 
 
 # ---------------------------------------------------------- stacked blocks
+
+
+def test_stacked_rates_match_per_sample_triangular_solves():
+    # dense-pool states: n = 8, beta 0.5, kappa 1, |xi_a|, |eta_a| <= 1
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(7)
+    times = 0.05 * np.arange(1, 101)
+    for _ in range(4):
+        st = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))
+        Y = build_bundle(st, params).Ycal
+        l, _ = _eliminate(matrix_exp(times[:, None, None] * Y))
+        rates = _minor_log_rates(l, Y, 8)
+        assert rates.shape == (100, 8)
+        for k, l_k in enumerate(l):
+            Z, info = dtrtrs(l_k[:8, :8], Y[:8] @ l_k[:, :8], lower=1, unitdiag=1)
+            assert info == 0
+            ref = np.diag(Z)
+            assert np.max(np.abs(rates[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(_minor_log_rates(l[k : k + 1], Y, 8)[0], rates[k])
 
 
 def test_stacked_exponential_is_bitwise_per_matrix():

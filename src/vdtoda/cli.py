@@ -166,8 +166,10 @@ def cmd_verify(
     if dump_matrices is not None:
         _dump_bundle(config, dump_matrices)
     failed = sum(1 for r in reports if not r.passed)
+    worst = max(reports, key=lambda r: np.nan_to_num(r.margin, nan=np.inf))  # nan ranks worst
     print(
-        f"{len(reports)} residual reports, {failed} failed",
+        f"{len(reports)} residual reports, {failed} failed, worst margin {worst.margin:.1e}"
+        f" ({worst.name}, state {worst.state_index})",
         file=sys.stderr,
     )
     return 0 if failed == 0 else 1

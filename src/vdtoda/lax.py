@@ -171,13 +171,14 @@ class LaxBundle:
     xhw: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = self.coords.rows()[0].shape[0]
         arrays = {name: np.asarray(getattr(self, name)).view() for name in _ARRAY_FIELDS}
-        finite = {name: np.isfinite(a).reshape(rows, -1).all(axis=1) for name, a in arrays.items()}
-        _raise_first_failure(
-            (ok, CoordinateOverflowError, f"non-finite entries in {name}")
-            for name, ok in finite.items()
-        )
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            rows = self.coords.rows()[0].shape[0]
+            finite = (np.isfinite(a).reshape(rows, -1).all(axis=1) for a in arrays.values())
+            _raise_first_failure(
+                (ok, CoordinateOverflowError, f"non-finite entries in {name}")
+                for name, ok in zip(arrays, finite)
+            )
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -35,7 +35,8 @@ residual that stays small under a 1e-3 corruption is testing nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +85,8 @@ _SUITE_BLOCK = 64
 _MATRIX_FIELDS = tuple(name for name in _ARRAY_FIELDS if name not in ("phi", "psi"))
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualReport:
-    """Outcome of one identity check at one state."""
+class ResidualReport(NamedTuple):
+    """Outcome of one identity check at one state (an immutable record)."""
 
     name: str
     max_abs: float
@@ -102,6 +102,11 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return bool(self.max_abs <= self.tol * max(1.0, self.rel_scale))
+
+    @property
+    def margin(self) -> float:
+        """max_abs over the bar it must stay under: at most 1 exactly when passed."""
+        return self.max_abs / (self.tol * max(1.0, self.rel_scale))
 
 
 _BLOCKS = ("pp", "pm", "mp", "mm")
@@ -152,9 +157,8 @@ def _xh_of_L(m: dict[str, np.ndarray]) -> np.ndarray:
 
 def _block_maxima(M: np.ndarray) -> np.ndarray:
     """max |.| of the pp, pm, mp and mm blocks of each state, as (S, 4)."""
-    n = M.shape[-1] // 2
-    blocks = (M[:, :n, :n], M[:, :n, n:], M[:, n:, :n], M[:, n:, n:])
-    return np.stack([_amax(b) for b in blocks], axis=1)
+    S, n = M.shape[0], M.shape[-1] // 2
+    return np.abs(M).reshape(S, 2, n, 2, n).max(axis=(2, 4)).reshape(S, 4)
 
 
 def _gauge_rate(m: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
@@ -280,21 +284,17 @@ _KERNELS = (_triad, _lax_equation, _omega, _band, _scalar, _cross)
 
 
 def _reports(column, tags: tuple = (None,) * 4, start: int | None = None) -> list[ResidualReport]:
-    """One report per state of a kernel column.
+    """One report per state of a kernel column, built in one pass.
 
     ``tags`` are the reports' (n, beta, kappa, seed); with ``start``, each
-    also gets its state index, counted from there.
+    also gets its state index, counted from there.  Only the columns with
+    block maxima build a ``blocks`` dict per state.
     """
     name, tol, max_abs, rel_scale, blocks = column
-    size = len(max_abs)
-    blocks = [None] * size if blocks is None else blocks.tolist()
-    index = [None] * size if start is None else range(start, start + size)
-    return [
-        ResidualReport(
-            name, value, scale, tol, *tags, i, None if row is None else dict(zip(_BLOCKS, row))
-        )
-        for i, value, scale, row in zip(index, max_abs.tolist(), rel_scale.tolist(), blocks)
-    ]
+    index = repeat(None) if start is None else range(start, start + len(max_abs))
+    rows = repeat(None) if blocks is None else map(dict, map(zip, repeat(_BLOCKS), blocks.tolist()))
+    fields = repeat(name), max_abs.tolist(), rel_scale.tolist(), repeat(tol), *map(repeat, tags)
+    return list(map(ResidualReport, *fields, index, rows))
 
 
 def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
@@ -458,24 +458,20 @@ def run_suite(
     return reports
 
 
+_JSONL_FIELDS = ("name", "n", "beta", "kappa", "seed", "state_index", "max_abs", "rel_scale", "tol")
+
+
 def reports_to_jsonl(reports: list[ResidualReport]) -> str:
-    """One JSON object per line; floats serialize round-trip safe."""
-    lines = []
-    for r in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "name": r.name,
-                    "n": r.n,
-                    "beta": r.beta,
-                    "kappa": r.kappa,
-                    "seed": r.seed,
-                    "state_index": r.state_index,
-                    "max_abs": r.max_abs,
-                    "rel_scale": r.rel_scale,
-                    "tol": r.tol,
-                    "pass": r.passed,
-                }
-            )
+    """One JSON object per line; floats serialize round-trip safe.
+
+    Keys: ``_JSONL_FIELDS``, then ``pass``, ``margin`` and ``blocks``
+    (null for the residuals without block maxima).
+    """
+    return "".join(
+        json.dumps(
+            {key: getattr(r, key) for key in _JSONL_FIELDS}
+            | {"pass": r.passed, "margin": r.margin, "blocks": r.blocks}
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+        + "\n"
+        for r in reports
+    )

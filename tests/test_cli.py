@@ -85,6 +85,11 @@ def test_verify_writes_jsonl_and_passes(tmp_path, capsys):
     assert all(row["pass"] for row in rows)
     summary = capsys.readouterr().err
     assert "0 failed" in summary
+    worst = max(rows, key=lambda row: row["margin"])
+    assert summary.strip() == (
+        f"48 residual reports, 0 failed, worst margin {worst['margin']:.1e}"
+        f" ({worst['name']}, state {worst['state_index']})"
+    )
 
 
 def test_verify_perturbation_fails(tmp_path):

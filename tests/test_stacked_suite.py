@@ -62,7 +62,7 @@ def test_stacked_reports_equal_single_state_calls(kappa, beta):
         for perturb in specs:
             stacked = run_suite(params, STATES, seed, perturb=perturb)
             expect = [
-                replace(r, n=n, beta=beta, kappa=kappa, seed=seed, state_index=i)
+                r._replace(n=n, beta=beta, kappa=kappa, seed=seed, state_index=i)
                 for i, st in enumerate(states)
                 for r in one_by_one(st, params, perturb)
             ]

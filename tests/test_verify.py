@@ -60,6 +60,16 @@ def test_pass_rule_uses_relative_scale_floor():
     assert not r3.passed
 
 
+def test_reports_are_immutable_and_keep_keyword_defaults():
+    r = ResidualReport(name="x", max_abs=5e-11, rel_scale=0.01, tol=1e-10)
+    assert (r.n, r.beta, r.kappa, r.seed, r.state_index, r.blocks) == (None,) * 6
+    assert r.margin == 5e-11 / 1e-10
+    for report in (r, run_suite(PARAMS, 1, seed=3)[0]):
+        for field in ResidualReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, field, 0.0)
+
+
 def test_jsonl_schema_and_round_trip():
     reports = run_suite(PARAMS, 3, seed=6)
     text = reports_to_jsonl(reports)
@@ -69,10 +79,16 @@ def test_jsonl_schema_and_round_trip():
         row = json.loads(line)
         assert set(row) == {
             "name", "n", "beta", "kappa", "seed", "state_index",
-            "max_abs", "rel_scale", "tol", "pass",
+            "max_abs", "rel_scale", "tol", "pass", "margin", "blocks",
         }
         assert row["max_abs"] == r.max_abs  # repr round-trip, no rounding
         assert row["pass"] is True
+        assert row["margin"] == r.margin and (row["margin"] <= 1.0) is row["pass"]
+        assert row["blocks"] == r.blocks
+    perturbed = run_suite(PARAMS, 3, seed=6, perturb=("L", 1, 0, 1e-3))
+    assert not all(r.passed for r in perturbed)
+    for r in perturbed:
+        assert (r.margin <= 1.0) is r.passed
 
 
 def test_suite_is_deterministic_per_seed():

@@ -114,6 +114,28 @@ class State:
     def n(self) -> int:
         return self.xi.shape[0]
 
+    @classmethod
+    def from_stacks(cls, xi, eta) -> tuple[State, ...]:
+        """One state per row of the (samples, n) stacks xi and eta.
+
+        Each stack is copied once as float, checked for finiteness once
+        (raising the constructor's ``ValueError``) and made read-only; the
+        states' arrays are row views of those copies, set without running
+        ``__init__`` per row.
+        """
+        xi = np.array(xi, dtype=float)
+        eta = np.array(eta, dtype=float)
+        if xi.ndim != 2 or xi.shape != eta.shape:
+            raise ValueError("xi and eta must be two-dimensional and of equal shape")
+        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
+            raise ValueError("state entries must be finite")
+        xi.flags.writeable = False
+        eta.flags.writeable = False
+        states = tuple(object.__new__(cls) for _ in xi)
+        for state, a, b in zip(states, xi, eta):
+            state.__dict__.update(xi=a, eta=b)
+        return states
+
 
 def _check_label(a: int, n: int) -> None:
     # Particle labels are 1-based: a = 1 .. n.

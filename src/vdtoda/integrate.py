@@ -14,15 +14,20 @@ between consecutive samples.  The eigenvalues of the Lax matrix are
 recorded per sample with a consistent ordering, so isospectrality can
 be measured as a drift number.  Only Lcal is built per sample, and one
 eigvals call covers the whole stack; the construction cross-checks run
-in ``build_bundle`` (and so in the verification suite), not here.
+in ``build_bundle`` (and so in the verification suite), not here.  The
+ordering is the per-sample minimal-cost assignment, found in blocks of
+samples by one nearest-eigenvalue pass wherever the nearest entries are
+the unique optimum, and by ``linear_sum_assignment`` at any other
+sample, so it is bitwise the assignment of every sample in turn.
 
 Both routes hand their samples over as stacked (samples, n) arrays of
 positions and rapidities, the one form every per-sample quantity is
 evaluated on: the energies in one call of the kernel behind
 ``hamiltonian``, the bounds on the whole stack, and the Lax coordinates
 in one call of the kernel behind ``derived_coords``.  Each check still
-applies per sample and reports the earliest sample that fails it; the
-``State`` of each sample is built once, for ``Trajectory.states``.
+applies per sample and reports the earliest sample that fails it.  The
+stacks are checked for finite entries once, and ``Trajectory.states``
+holds read-only row views of one copy of them (``State.from_stacks``).
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ __all__ = [
 _DRIFT_FACTOR = 100.0
 _SPEED_SLACK = 1.0 + 1e-6
 _MAX_SAMPLES = 10**6  # most samples one trajectory may hold
+# Samples per stacked spectrum-matching pass: its (block, N, N) cost stack
+# bounds the working set for any sample count.
+_MATCH_BLOCK = 128
 
 # The Dormand-Prince 8(5,3) pair (DOP853) with scipy's coefficients, nonzero
 # entries only.  Row s of A weighs the earlier stages in stage s: rows 1-11
@@ -141,7 +149,10 @@ class Trajectory:
     t[0] = 0 and t is strictly increasing; energy[i] is the energy at
     states[i]; spectrum[i] holds the eigenvalues of the Lax matrix at
     sample i, ordered consistently with sample i-1 by minimal-distance
-    assignment.
+    assignment.  Trajectories from this package hold states whose arrays
+    are read-only row views of one stack per field (``State.from_stacks``);
+    any tuple of ``State`` of the right length is accepted, for example
+    through ``dataclasses.replace(traj, states=...)``.
     """
 
     params: ModelParams
@@ -298,17 +309,70 @@ def solve_ivp(
     return out
 
 
+def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest entry of b[k] to each entry of a[k], over a block of samples k.
+
+    ``a`` and ``b`` are (B, N) stacks (``a`` may broadcast).  Returns the
+    costs |a_i - b_j| (B, N, N), the nearest column of each row (B, N) and
+    a (B,) mask of the samples where the costs are finite, every row's
+    minimum occurs once and the nearest columns form a permutation.  There
+    that permutation is the unique minimal-cost assignment, whatever the
+    tie rule of a solver, and ``linear_sum_assignment`` returns it exactly:
+    each row in turn finds its minimum free, so no dual variable moves.
+    """
+    cost = np.abs(a[:, :, None] - b[:, None, :])
+    size = cost.shape[2]
+    col = cost.argmin(axis=2)
+    last = size - 1 - cost[:, :, ::-1].argmin(axis=2)
+    exact = (
+        np.isfinite(cost).all(axis=(1, 2))
+        & (col == last).all(axis=1)
+        & (np.sort(col, axis=1) == np.arange(size)).all(axis=1)
+    )
+    return cost, col, exact
+
+
+def _compose(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
+    # perm_k = steps[k][perm_{k-1}] with perm_{-1} = first, for every k at
+    # once: a prefix composition in log2(len(steps)) gathers, written over
+    # steps
+    count, size = steps.shape
+    offsets = size * np.arange(count)[:, None]
+    shift = 1
+    while shift < count:
+        steps[shift:] = np.take(steps[shift:], steps[:-shift] + offsets[: count - shift])
+        shift *= 2
+    return steps[:, first]
+
+
+def _match_rows(lams: np.ndarray) -> np.ndarray:
+    """Order each row of ``lams`` (S, N) consistently with the row before it.
+
+    Row 0 is sorted by (real, imag); each later row is permuted by the
+    minimal-cost assignment to the matched row before it under the cost
+    |prev_i - lam_j|.  In blocks of consecutive samples, the nearest-entry
+    permutations from ``_nearest`` are composed in time order; a sample
+    where that test fails (ties, repeated or crossing eigenvalues, nan)
+    calls ``linear_sum_assignment`` on the cost matrix instead.  Either
+    way each row is the one the per-sample assignment gives, bit for bit.
+    """
+    perms = np.empty(lams.shape, dtype=np.intp)
+    perms[0] = np.lexsort((lams[0].imag, lams[0].real))
+    for start in range(1, len(lams), _MATCH_BLOCK):
+        stop = min(start + _MATCH_BLOCK, len(lams))
+        cost, col, exact = _nearest(lams[start - 1 : stop - 1], lams[start:stop])
+        k = start
+        for slow in [*(start + np.flatnonzero(~exact)).tolist(), stop]:
+            perms[k:slow] = _compose(col[k - start : slow - start], perms[k - 1])
+            if slow < stop:  # the cost rows in the order of the matched row before
+                perms[slow] = linear_sum_assignment(cost[slow - start][perms[slow - 1]])[1]
+            k = slow + 1
+    return np.take_along_axis(lams, perms, axis=1)
+
+
 def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
     # One stacked eigvals over (samples, 2n, 2n); only Lcal is built per sample.
-    lams = np.linalg.eigvals(_lax_matrices(xi, eta, params))
-    prev = lams[0][np.lexsort((lams[0].imag, lams[0].real))]
-    rows = [prev]
-    for lam in lams[1:]:
-        cost = np.abs(prev[:, None] - lam[None, :])
-        _, col = linear_sum_assignment(cost)
-        prev = lam[col]
-        rows.append(prev)
-    return np.array(rows)
+    return _match_rows(np.linalg.eigvals(_lax_matrices(xi, eta, params)))
 
 
 def _check_bounds(
@@ -353,7 +417,7 @@ def _assemble(
     drift_tol: float,
 ) -> Trajectory:
     # xi and eta are the stacked samples (S, n)
-    states = tuple(State(a, b) for a, b in zip(xi, eta))
+    states = State.from_stacks(xi, eta)
     energy = _energy_arrays(xi, eta, params)
     _check_bounds(params, t, xi, eta, energy, drift_tol)
     spectrum = _matched_spectra(xi, eta, params)
@@ -422,13 +486,21 @@ def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Traj
 
 
 def spectral_drift(traj: Trajectory) -> float:
-    """Largest matched-eigenvalue deviation from the t = 0 spectrum."""
-    base = traj.spectrum[0]
+    """Largest matched-eigenvalue deviation from the t = 0 spectrum.
+
+    Each row is matched to row 0 by the minimal-cost assignment, found as
+    in ``_match_rows``: nearest entries where they are the unique optimum,
+    ``linear_sum_assignment`` at any other row.
+    """
+    base, rows = traj.spectrum[0], traj.spectrum[1:]
     drift = 0.0
-    for row in traj.spectrum[1:]:
-        cost = np.abs(base[:, None] - row[None, :])
-        r, c = linear_sum_assignment(cost)
-        drift = max(drift, float(cost[r, c].max()))
+    for start in range(0, len(rows), _MATCH_BLOCK):
+        block = rows[start : start + _MATCH_BLOCK]
+        cost, _, exact = _nearest(base[None], block)
+        drift = max(drift, float(cost[exact].min(axis=2).max(initial=0.0)))
+        for slow in cost[~exact]:
+            r, c = linear_sum_assignment(slow)
+            drift = max(drift, float(slow[r, c].max()))
     return drift
 
 

@@ -35,6 +35,7 @@ residual that stays small under a 1e-3 corruption is testing nothing.
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from typing import NamedTuple
 
@@ -461,16 +462,28 @@ def run_suite(
 _JSONL_FIELDS = ("name", "n", "beta", "kappa", "seed", "state_index", "max_abs", "rel_scale", "tol")
 
 
+def _json_safe(value):
+    # a non-finite float, also inside a dict, becomes None (JSON null)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def reports_to_jsonl(reports: list[ResidualReport]) -> str:
     """One JSON object per line; floats serialize round-trip safe.
 
     Keys: ``_JSONL_FIELDS``, then ``pass``, ``margin`` and ``blocks``
-    (null for the residuals without block maxima).
+    (null for the residuals without block maxima).  A non-finite float
+    (a nan or infinite residual, margin or block maximum) is written as
+    null, so every line is strict JSON.
     """
     return "".join(
         json.dumps(
-            {key: getattr(r, key) for key in _JSONL_FIELDS}
-            | {"pass": r.passed, "margin": r.margin, "blocks": r.blocks}
+            {key: _json_safe(getattr(r, key)) for key in _JSONL_FIELDS}
+            | {"pass": r.passed, "margin": _json_safe(r.margin), "blocks": _json_safe(r.blocks)},
+            allow_nan=False,
         )
         + "\n"
         for r in reports

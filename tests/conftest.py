@@ -1,3 +1,6 @@
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,27 @@ def moderate_params(n: int, kappa: float = 1.0) -> ModelParams:
     # beta = 0.5 with |xi|, |eta| <= 1 keeps every flow-based check well
     # inside the double-precision horizon of the factorization solver
     return ModelParams(n, 0.5, kappa)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts the calls of ``owner.name`` for one test.
+
+    ``owner`` is a module (for a function bound in it) or a class (for a
+    method such as ``__init__``).  Returns a namespace whose ``count``
+    grows by one per call; the original is restored after the test.
+    """
+
+    def install(owner, name: str) -> SimpleNamespace:
+        original = getattr(owner, name)
+        counter = SimpleNamespace(count=0)
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            counter.count += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return counter
+
+    return install

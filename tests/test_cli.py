@@ -101,6 +101,27 @@ def test_verify_perturbation_fails(tmp_path):
     assert any(not row["pass"] for row in rows)
 
 
+@pytest.mark.parametrize(
+    "spec, failing",
+    [("A,0,0,nan", {"acal_routes"}), ("L,0,0,nan", {"lax_triad", "lax_equation"})],
+)
+def test_verify_jsonl_is_strict_json_with_non_finite_residuals(tmp_path, spec, failing):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    out = tmp_path / "reports.jsonl"
+    rc = main(["verify", "--n", "3", "--num-states", "1", "--perturb", spec, "-o", str(out)])
+    assert rc == 1
+    rows = [json.loads(line, parse_constant=reject) for line in out.read_text().splitlines()]
+    assert len(rows) == 12
+    assert {row["name"] for row in rows if not row["pass"]} == failing
+    for row in rows:
+        if not row["pass"]:
+            assert row["max_abs"] is None and row["margin"] is None
+    if "lax_triad" in failing:
+        assert None in rows[0]["blocks"].values()
+
+
 def test_verify_dumps_matrices(tmp_path):
     cfg = write_config(tmp_path, **BASE)
     mats = tmp_path / "mats"

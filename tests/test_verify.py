@@ -91,6 +91,24 @@ def test_jsonl_schema_and_round_trip():
         assert (r.margin <= 1.0) is r.passed
 
 
+def test_jsonl_writes_non_finite_floats_as_null():
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    blocks = {"pp": np.nan, "pm": 0.0, "mp": np.inf, "mm": 2.5e-17}
+    reports = [
+        ResidualReport("x", np.nan, 1.0, 1e-10, n=3, beta=1.0, kappa=0.0, blocks=blocks),
+        ResidualReport("y", 0.0, np.inf, 1e-10),
+        ResidualReport("z", np.inf, 1.0, 1e-10),
+    ]
+    rows = [json.loads(line, parse_constant=reject) for line in reports_to_jsonl(reports).splitlines()]
+    assert rows[0]["max_abs"] is None and rows[0]["margin"] is None
+    assert rows[0]["blocks"] == {"pp": None, "pm": 0.0, "mp": None, "mm": 2.5e-17}
+    assert (rows[1]["max_abs"], rows[1]["rel_scale"], rows[1]["margin"]) == (0.0, None, 0.0)
+    assert (rows[2]["max_abs"], rows[2]["margin"], rows[2]["blocks"]) == (None, None, None)
+    assert [row["pass"] for row in rows] == [False, True, False]
+
+
 def test_suite_is_deterministic_per_seed():
     a = reports_to_jsonl(run_suite(PARAMS, 5, seed=42))
     b = reports_to_jsonl(run_suite(PARAMS, 5, seed=42))

@@ -486,7 +486,9 @@ def _eom_arrays(
     fluxes plus the boundary terms at site n, taken in scalars.  The
     result is written into ``out`` (a fresh array if None) and returned.
     Overflow anywhere surfaces as inf or nan in the output, which is
-    checked once and raises ``CoordinateOverflowError``.
+    checked once and raises ``CoordinateOverflowError``; a weight w_a
+    that underflowed to 0 raises ``CoordinateUnderflowError``, as the
+    coordinate guards do, so integration stops at the first such stage.
     """
     beta, kappa = params.beta, params.kappa
     n = q.shape[0]
@@ -500,7 +502,8 @@ def _eom_arrays(
         w[-1] = -2.0 * q[-1]
         np.exp(w, out=w)
         w *= beta * beta
-        w_n1, w_n = w[-2:].tolist()
+        ws = w.tolist()
+        w_n1, w_n = ws[-2:]
         wk = kappa * kappa * w_n
         # beta s_a = ln f_a - ln f_{a-1}, with both boundary factors at n;
         # x_a = e^{beta theta_a + beta s_a}
@@ -549,8 +552,12 @@ def _eom_arrays(
             + corner
             - 2.0 * (g_n + gk) * qdot[-1].item() / beta
         )
-    if not np.isfinite(out).all():
-        raise CoordinateOverflowError("overflow while evaluating the equations of motion")
+    # a weight that underflowed to 0 leaves the output finite
+    finite = np.isfinite(out).all()
+    if not finite or 0.0 in ws:
+        if not finite:
+            raise CoordinateOverflowError("overflow while evaluating the equations of motion")
+        raise CoordinateUnderflowError("x and w entries must be positive")
     return out
 
 

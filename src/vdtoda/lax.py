@@ -32,7 +32,7 @@ when a coordinate guard fails or a matrix is not finite.  Each check
 runs once per stack and every step acts matrix by matrix, so a state
 gets the same bits alone or inside a stack.  Trajectories pass their
 samples as (samples, n) stacks of positions and rapidities to
-``_lax_matrices``, which builds Lcal alone.
+``_lax_blocks``, which builds Lcal alone, one block of samples at a time.
 """
 
 from __future__ import annotations
@@ -373,22 +373,30 @@ def _lax_chain(
     return d, W, L, g, Hcal, Hcal @ g
 
 
-def _lax_matrices(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Lcal alone at every state of a stack (q, th of shape (S, n)), as (S, 2n, 2n).
+def _lax_blocks(q: np.ndarray, th: np.ndarray, params: ModelParams):
+    """Lcal alone at every state of a stack (q, th of shape (S, n)), block by block.
 
-    Entry i is bitwise equal to ``build_bundle(State(q[i], th[i]), params).Lcal``.
-    The coordinates of all states come from one stacked evaluation.
-    Trajectories use this for the spectrum.
+    Yields (rows, Lcal) for consecutive blocks of at most ``_CHAIN_BLOCK``
+    states: ``rows`` slices the stack and ``Lcal`` holds its (block, 2n, 2n)
+    matrices, entry i bitwise equal to
+    ``build_bundle(State(q[i], th[i]), params).Lcal``.  The coordinates of
+    all states come from one stacked evaluation, whose guards run before
+    the first block.  The chain keeps about ten stacks alive at once, so
+    the blocks bound that working set at any stack length.  Trajectories
+    use this for the spectrum.
     """
     _, _, x, w, delta = _coord_arrays(q, th, params)
+    for k in range(0, q.shape[0], _CHAIN_BLOCK):
+        rows = slice(k, k + _CHAIN_BLOCK)
+        yield rows, _lax_chain(x[rows], w[rows], delta[rows], params)[-1]
+
+
+def _lax_matrices(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Lcal alone at every state of a stack, as one (S, 2n, 2n) array of ``_lax_blocks``."""
     N = 2 * params.n
     out = np.empty((q.shape[0], N, N))
-    # The chain keeps about ten stacks alive at once; feeding it blocks
-    # of samples bounds that working set, which would otherwise grow
-    # with the trajectory length.
-    for k in range(0, q.shape[0], _CHAIN_BLOCK):
-        part = slice(k, k + _CHAIN_BLOCK)
-        out[part] = _lax_chain(x[part], w[part], delta[part], params)[-1]
+    for rows, Lcal in _lax_blocks(q, th, params):
+        out[rows] = Lcal
     return out
 
 

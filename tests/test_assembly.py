@@ -1,14 +1,17 @@
-"""Stacked trajectory assembly: spectrum matching and sample states.
+"""Stacked trajectory assembly: spectrum matching, sample states, lazy spectrum.
 
 ``_match_rows`` orders each sample's eigenvalues by nearest entries where
 they are the unique optimal assignment and falls back to
 ``linear_sum_assignment`` elsewhere; these tests pin it, bit for bit, to
 the per-sample assignment loop it replaces.  ``State.from_stacks`` builds
-the sample states as read-only row views of one checked copy.
+the sample states as read-only row views of one checked copy.  The
+spectrum is computed blockwise on first read, with the bits of one
+stacked ``eigvals`` call, while every check still runs in ``_assemble``.
 """
 
 import dataclasses
 import sys
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,11 +22,28 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import moderate_params
-from vdtoda import ModelParams, State, integrate, time_reversal
-from vdtoda.integrate import _assemble, _match_rows, _sample_stacks, spectral_drift
+from vdtoda import (
+    CoordinateUnderflowError,
+    ModelParams,
+    State,
+    integrate,
+    random_state,
+    solve_trajectory,
+    time_reversal,
+)
+from vdtoda.integrate import (
+    Trajectory,
+    _assemble,
+    _match_rows,
+    _matched_spectra,
+    _sample_stacks,
+    backward_via_reversal,
+    spectral_drift,
+)
 from vdtoda.lax import _lax_matrices
 
 integrate_module = sys.modules["vdtoda.integrate"]
+lax_module = sys.modules["vdtoda.lax"]
 
 
 def per_sample_match(lams: np.ndarray) -> np.ndarray:
@@ -146,8 +166,9 @@ def test_assembly_calls_no_assignment_and_no_state_init(dense_traj, count_calls)
     assignments = count_calls(integrate_module, "linear_sum_assignment")
     inits = count_calls(State, "__init__")
     traj = _assemble(dense_traj.params, dense_traj.t, xi, eta, np.inf)
+    spectrum = traj.spectrum  # the matching runs on this first read
     assert (assignments.count, inits.count) == (0, 0)
-    assert same_bits(traj.spectrum, dense_traj.spectrum)
+    assert same_bits(spectrum, dense_traj.spectrum)
 
 
 def test_assembled_spectrum_equals_per_sample_assignment(dense_traj):
@@ -205,3 +226,107 @@ def test_replacing_states_keeps_working():
     assert same_bits(swapped.spectrum, traj.spectrum)
     with pytest.raises(ValueError, match="inconsistent sample counts"):
         dataclasses.replace(traj, states=traj.states[1:])
+
+
+# ---------------------------------------------------------- lazy spectrum
+
+
+def eager_spectrum(traj: Trajectory) -> np.ndarray:
+    # the reference: one stacked eigvals over every Lcal, then the matching
+    lams = np.linalg.eigvals(_lax_matrices(*_sample_stacks(traj), traj.params))
+    return _match_rows(lams).astype(complex)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("route", ["integrate", "solve_trajectory", "backward_via_reversal"])
+def test_read_spectrum_equals_one_stacked_eigvals_bitwise(route, kappa):
+    state = State(np.array([0.3, -0.2, 0.1, 0.5]), np.array([0.2, -0.4, 0.0, 0.1]))
+    params = moderate_params(4, kappa)
+    if route == "solve_trajectory":
+        traj = solve_trajectory(state, params, 2.0, sample_dt=0.05)
+    else:
+        traj = integrate(state, params, 2.0, sample_dt=0.05)
+        if route == "backward_via_reversal":
+            traj = backward_via_reversal(traj, params)
+    if kappa == 0.0:  # every eigenvalue real: eigvals returns a real array
+        assert np.linalg.eigvals(_lax_matrices(*_sample_stacks(traj), params)).dtype == float
+    assert same_bits(traj.spectrum, eager_spectrum(traj))
+
+
+@pytest.mark.parametrize("block", [1, 4, 32])
+def test_blockwise_eigvals_keep_the_bits_of_one_stacked_call(block):
+    # at beta 1.9, n = 10 some of these states have complex eigenvalues and
+    # some only real ones; with blocks of 4, rows 20-23 form an all-real block
+    params = ModelParams(10, 1.9, 0.0)
+    states = [random_state(10, np.random.default_rng(seed), box=1.0) for seed in range(40)]
+    xi, eta = np.array([s.xi for s in states]), np.array([s.eta for s in states])
+    kinds = {np.linalg.eigvals(_lax_matrices(xi[k : k + 4], eta[k : k + 4], params)).dtype
+             for k in range(0, 40, 4)}
+    assert kinds == {np.dtype(float), np.dtype(complex)}
+    want = _match_rows(np.linalg.eigvals(_lax_matrices(xi, eta, params))).astype(complex)
+    with mock.patch.object(lax_module, "_CHAIN_BLOCK", block):
+        assert same_bits(_matched_spectra(xi, eta, params), want)
+
+
+def test_spectrum_is_computed_once_on_first_read(dense_traj, count_calls):
+    xi, eta = _sample_stacks(dense_traj)
+    calls = count_calls(integrate_module, "_matched_spectra")
+    traj = _assemble(dense_traj.params, dense_traj.t, xi, eta, np.inf)
+    assert calls.count == 0
+    first = traj.spectrum
+    assert calls.count == 1
+    assert traj.spectrum is first and spectral_drift(traj) == spectral_drift(dense_traj)
+    assert calls.count == 1
+    assert first.dtype == complex and first.shape == (101, 16) and not first.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.spectrum = first
+
+
+def test_replacing_states_keeps_the_unread_spectrum_of_the_original(dense_traj):
+    xi, eta = _sample_stacks(dense_traj)
+    traj = _assemble(dense_traj.params, dense_traj.t, xi, eta, np.inf)
+    swapped = dataclasses.replace(traj, states=State.from_stacks(xi + 0.5, eta))
+    assert same_bits(swapped.spectrum, dense_traj.spectrum)
+    assert not np.array_equal(_matched_spectra(xi + 0.5, eta, traj.params), swapped.spectrum)
+
+
+def test_explicit_spectrum_is_checked_at_construction(dense_traj):
+    fields = dict(params=dense_traj.params, t=dense_traj.t, states=dense_traj.states,
+                  energy=dense_traj.energy)
+    with pytest.raises(ValueError, match="inconsistent sample counts"):
+        Trajectory(**fields, spectrum=dense_traj.spectrum[1:])
+    with pytest.raises(TypeError):
+        Trajectory(**fields)  # the spectrum stays a required field
+    given = Trajectory(**fields, spectrum=dense_traj.spectrum.real)
+    assert given.spectrum.dtype == complex and not given.spectrum.flags.writeable
+    assert same_bits(given.spectrum, dense_traj.spectrum.real.astype(complex))
+
+
+def test_underflowing_sample_raises_from_assembly_not_from_a_read(dense_traj):
+    # samples at rest 1000 apart, which pass every check but the coordinate
+    # guard: e^{-(q_a - q_{a+1})} underflows to 0
+    xi = np.tile(np.linspace(7000.0, 0.0, 8), (101, 1))
+    with pytest.raises(CoordinateUnderflowError, match="x and w entries must be positive"):
+        _assemble(dense_traj.params, dense_traj.t, xi, np.zeros_like(xi), np.inf)
+
+
+def spectrum_peak(traj: Trajectory) -> int:
+    # peak traced memory of the computation a first read of the spectrum runs
+    xi, eta = _sample_stacks(traj)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _matched_spectra(xi, eta, traj.params)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_per_sample_is_bounded():
+    # one (S, 2n, 2n) stack of Lcal alone would be 4.6 KB per sample at n = 12
+    params = ModelParams(12, 0.5, 1.0)
+    rng = np.random.default_rng(0)
+    state = State(rng.uniform(-1.0, 1.0, 12), rng.uniform(-1.0, 1.0, 12))
+    short, long = (integrate(state, params, 1.0, sample_dt=dt) for dt in (1e-3, 2.5e-4))
+    per_sample = (spectrum_peak(long) - spectrum_peak(short)) / (len(long.t) - len(short.t))
+    assert per_sample < 2048

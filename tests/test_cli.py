@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -237,7 +238,7 @@ def test_overflowing_start_exits_3(tmp_path):
 
 def test_underflowing_coordinates_exit_3(tmp_path, capsys):
     # a hot state whose particles drift more than ~745 apart: w_a underflows
-    # to 0 in the spectrum's coordinates, a numerical breakdown, not a usage error
+    # to 0 in the equations of motion, a numerical breakdown, not a usage error
     state = random_state(8, np.random.default_rng(21), box=5.0)
     cfg = write_config(
         tmp_path, n=8, beta=1.0, kappa=1.0, xi=state.xi.tolist(), eta=state.eta.tolist(), t_end=3.0
@@ -289,6 +290,24 @@ def test_compare_methods(tmp_path, capsys):
     assert lines[0] == "t,max_dq,max_dtheta"
     assert len(lines) == 1 + 5
     assert "max |dq|" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, spectra",
+    [
+        ("compare", ["--dump-trajectories", "dump"], 0),  # reads no spectrum
+        ("simulate", ["--spectrum-output", "spec.csv"], 1),  # CSV and drift share one
+        ("solve", [], 1),  # prints the spectral drift
+    ],
+)
+def test_spectrum_is_computed_only_where_a_command_reads_it(
+    tmp_path, count_calls, command, extra, spectra
+):
+    cfg = write_config(tmp_path, **BASE)
+    calls = count_calls(sys.modules["vdtoda.integrate"], "_matched_spectra")
+    extra = [str(tmp_path / e) if e in ("dump", "spec.csv") else e for e in extra]
+    assert main([command, "--config", cfg, "-o", str(tmp_path / "out.csv"), *extra]) == 0
+    assert calls.count == spectra
 
 
 def test_compare_dumps_both_trajectories(tmp_path):

@@ -1,11 +1,13 @@
 """The lean trajectory route against the guarded reference routes.
 
-The fused RHS kernel, the stacked Lcal builder with its single eigvals
-call, and the one-solve position rates each replace a slower route;
+The fused RHS kernel, the stacked Lcal builder with its blockwise eigvals
+calls, and the one-solve position rates each replace a slower route;
 these tests pin the two to each other.  The reference for the RHS, the
 chain rule through the canonical pair with the dense Jacobian of s,
 lives here.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import linear_sum_assignment
 
 from conftest import draw_states, moderate_params
-from vdtoda import CoordinateOverflowError, ModelParams, State, integrate
+from vdtoda import (
+    CoordinateOverflowError,
+    CoordinateUnderflowError,
+    ModelParams,
+    State,
+    integrate,
+)
 from vdtoda.hamiltonian import (
     _eom_arrays,
     _xh_p_from_coords,
@@ -34,6 +42,8 @@ from vdtoda.solve import (
     position_rates_at,
     positions_at,
 )
+
+integrate_module = sys.modules["vdtoda.integrate"]
 
 
 @st.composite
@@ -125,6 +135,46 @@ def test_fused_rhs_raises_on_overflow(kappa, where):
         xi[-1] = -400.0  # e^{-2 q_n} overflows
     with pytest.raises(CoordinateOverflowError):
         _eom_arrays(xi, np.zeros(4), params)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.5])
+@pytest.mark.parametrize("where", ["separation", "wall"])
+def test_fused_rhs_raises_on_underflow(kappa, where):
+    params = ModelParams(4, 0.5, kappa)
+    if where == "separation":
+        xi = np.array([800.0, 0.0, -1.0, -2.0])  # w_1 = beta^2 e^{-800} is 0
+    else:
+        xi = np.array([1200.0, 800.0, 400.0, 400.0])  # w_n = beta^2 e^{-800} is 0
+    message = "x and w entries must be positive"
+    with pytest.raises(CoordinateUnderflowError, match=message):
+        _eom_arrays(xi, np.zeros(4), params)
+    with pytest.raises(CoordinateUnderflowError, match=message):
+        derived_coords(State(xi, np.zeros(4)), params)  # the coordinate guard agrees
+
+
+def test_integration_stops_where_a_weight_underflows(monkeypatch, count_calls):
+    # particle 1 runs away: q_1 - q_2 grows past ~745 at t ~ 0.1, where the
+    # weight w_1 = e^{-(q_1 - q_2)} underflows to 0
+    state = State(np.array([1000.0, 256.0, 255.0]), np.array([3.0, 0.0, 0.0]))
+    params = ModelParams(3, 1.0, 1.0)
+    message = "x and w entries must be positive"
+    guarded = count_calls(integrate_module, "_eom_arrays")
+    with pytest.raises(CoordinateUnderflowError, match=message):
+        integrate(state, params, 5.0)
+
+    def unguarded(q, th, params, out):
+        try:
+            return _eom_arrays(q, th, params, out=out)
+        except CoordinateUnderflowError:
+            return out  # written in full before the guard
+
+    # without the RHS guard the run steps to t_end, and integrate itself
+    # still refuses it, through the coordinate guard of the assembly
+    monkeypatch.setattr(integrate_module, "_eom_arrays", unguarded)
+    stepped = count_calls(integrate_module, "_eom_arrays")
+    with pytest.raises(CoordinateUnderflowError, match=message):
+        integrate(state, params, 5.0)
+    assert 0 < guarded.count < stepped.count / 5
 
 
 # ---------------------------------------------------------------- spectra

@@ -5,7 +5,9 @@ R^{2n}: particle positions xi and particle rapidities eta.  This module
 holds the parameter container, the immutable state type, 1-based
 coordinate accessors, and the three elementary point maps used
 throughout: time reversal, reflection, and the multiplicative
-coordinate shift.
+coordinate shift.  Its two error types report a coordinate that left
+the floating-point range; the other numerical breakdowns have theirs in
+``solve`` and ``integrate``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 __all__ = [
     "CoordinateOverflowError",
     "CoordinateUnderflowError",
-    "CrossCheckError",
     "ModelParams",
     "State",
     "position",
@@ -46,15 +47,6 @@ class CoordinateUnderflowError(CoordinateOverflowError, ValueError):
     far-off x_a) round to 0, which leaves the Lax matrices singular.  It
     is a numerical breakdown like an overflow, and also a ``ValueError``
     because it reports an invalid (non-positive) coordinate.
-    """
-
-
-class CrossCheckError(ArithmeticError):
-    """Two analytically equal evaluation routes disagreed beyond tolerance.
-
-    The LDU factors (``ldu``) and the Hessenberg bands (``hessenberg_parts``)
-    are checked against a second route as a transcription guard; a mismatch
-    indicates a numerical breakdown (or a bug), never a property of the model.
     """
 
 

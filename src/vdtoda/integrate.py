@@ -16,10 +16,9 @@ be measured as a drift number.  That spectrum is computed on the first
 read of ``Trajectory.spectrum``, not during assembly, so a caller that
 never reads it pays nothing; every check, the coordinate guards of
 Lcal included, still runs before a trajectory is returned.  Only Lcal
-is built per sample, one block of samples at a time with one eigvals
-call per block, so no (samples, 2n, 2n) stack is held; the construction
-cross-checks run in ``build_bundle`` (and so in the verification
-suite), not here.  The ordering is the per-sample minimal-cost
+is built per sample, by the factor chain of ``lax``, one block of
+samples at a time with one eigvals call per block, so no
+(samples, 2n, 2n) stack is held.  The ordering is the per-sample minimal-cost
 assignment, found in blocks of samples by one nearest-eigenvalue pass
 wherever the nearest entries are the unique optimum, and by
 ``linear_sum_assignment`` at any other sample, so it is bitwise the
@@ -50,7 +49,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, State
 from .hamiltonian import _coord_arrays, _energy_arrays, _eom_arrays, hamiltonian
-from .lax import _lax_blocks
+from .lax import _lax_chain
 
 __all__ = [
     "Trajectory",
@@ -71,6 +70,9 @@ _MAX_SAMPLES = 10**6  # most samples one trajectory may hold
 # Samples per stacked spectrum-matching pass: its (block, N, N) cost stack
 # bounds the working set for any sample count.
 _MATCH_BLOCK = 128
+# Samples per Lcal evaluation of the spectrum: the factor chain keeps about
+# ten (block, N, N) stacks alive at once.
+_CHAIN_BLOCK = 32
 
 # The Dormand-Prince 8(5,3) pair (DOP853) with scipy's coefficients, nonzero
 # entries only.  Row s of A weighs the earlier stages in stage s: rows 1-11
@@ -422,15 +424,19 @@ def _match_rows(lams: np.ndarray) -> np.ndarray:
 def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
     """Matched spectrum of Lcal at every sample of the stacks (S, n), as complex (S, 2n).
 
-    Only Lcal is built, and ``eigvals`` runs once per block of
-    ``_lax_blocks`` into one preallocated array, so no (S, 2n, 2n) stack
-    is held.  ``eigvals`` acts matrix by matrix, so the eigenvalues are
-    bitwise those of one stacked call; a block whose eigenvalues are all
-    real gets imaginary parts +0.0, as casting that call's result would.
+    The coordinates come from one stacked evaluation; then Lcal alone is
+    built, bitwise the ``build_bundle`` one, and ``eigvals`` runs once per
+    ``_CHAIN_BLOCK`` samples into one preallocated array, so no
+    (S, 2n, 2n) stack is held.  ``eigvals`` acts matrix by matrix, so the
+    eigenvalues are bitwise those of one stacked call; a block whose
+    eigenvalues are all real gets imaginary parts +0.0, as casting that
+    call's result would.
     """
+    _, _, x, w, delta = _coord_arrays(xi, eta, params)
     lams = np.empty((xi.shape[0], 2 * params.n), dtype=complex)
-    for rows, Lcal in _lax_blocks(xi, eta, params):
-        lams[rows] = np.linalg.eigvals(Lcal)
+    for k in range(0, xi.shape[0], _CHAIN_BLOCK):
+        rows = slice(k, k + _CHAIN_BLOCK)
+        lams[rows] = np.linalg.eigvals(_lax_chain(x[rows], w[rows], delta[rows], params)[-1])
     return _match_rows(lams)
 
 
@@ -582,12 +588,15 @@ def _write_table(target, rows, header: list[str] | None = None, tag: str | None 
 
     ``target`` is a path or an open text file.  ``header`` is the first
     line's column names; ``tag`` is appended to every row as a last column.
+    Rows are written one at a time (the file object buffers them), so
+    the text is never held whole.
     """
-    lines = [] if header is None else [",".join(header)]
     tail = [] if tag is None else [tag]
-    lines += [",".join([format(float(v), ".17g") for v in row] + tail) for row in rows]
     with _text_sink(target) as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([format(float(v), ".17g") for v in row] + tail) + "\n")
 
 
 def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> None:

@@ -32,7 +32,9 @@ Conditioning caveat: entries of exp(t Ycal) grow exponentially in t, so
 double precision limits the usable horizon; at the desk scales used
 here (|t| up to about 10 at moderate energies) the method stays well
 inside its budget, and any breakdown surfaces as a structured error
-rather than silent noise.
+rather than silent noise: ``CoordinateOverflowError`` for the
+exponential, ``FactorizationBreakdownError`` for the elimination (and
+for Gauss factors of ``ldu`` that do not rebuild their matrix).
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import CoordinateOverflowError, CrossCheckError, ModelParams, State
+from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import _PAIR_OVERFLOW, _factor_arrays, _raise_first_failure, hamiltonian
 from .integrate import Trajectory, _assemble, sample_times
-from .lax import LaxBundle, build_bundle
+from .lax import build_bundle
 
 __all__ = [
     "FactorizationBreakdownError",
@@ -73,6 +75,8 @@ class FactorizationBreakdownError(ArithmeticError):
     Along the exact flow every minor is strictly positive, so this
     always signals a conditioning failure, never model behavior.  The
     minor index (1-based) and, when known, the sample time are attached.
+    ``ldu`` also raises it, with neither attached, when its Gauss factors
+    do not rebuild their matrix.
     """
 
     def __init__(self, message: str, j: int | None = None, t: float | None = None):
@@ -186,9 +190,9 @@ def ldu(M: np.ndarray) -> LduFactors:
     """LDU (Gauss) factorization without pivoting.
 
     Exists iff every leading principal minor is nonzero; d reproduces
-    the minor ratios of ``leading_minors``.  The reconstruction
-    l diag(d) u is checked against M to 1e-11 relative as a conditioning
-    guard.
+    the minor ratios of ``leading_minors``.  As a conditioning guard, a
+    reconstruction l diag(d) u off M by more than 1e-11 relative raises
+    ``FactorizationBreakdownError``.
     """
     L, r = _eliminate(M)
     d = _checked_pivots(r)
@@ -199,14 +203,10 @@ def ldu(M: np.ndarray) -> LduFactors:
     scale = max(1.0, float(np.max(np.abs(M0))))
     gap = float(np.max(np.abs(rebuilt - M0)))
     if not gap <= _RECONSTRUCTION_TOL * scale:
-        raise CrossCheckError(
+        raise FactorizationBreakdownError(
             f"factor reconstruction off by {gap:.3e} (> {_RECONSTRUCTION_TOL * scale:.3e})"
         )
     return factors
-
-
-def _generator(zeta: State, params: ModelParams, bundle: LaxBundle | None) -> np.ndarray:
-    return (build_bundle(zeta, params) if bundle is None else bundle).Ycal
 
 
 def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
@@ -288,25 +288,19 @@ def _sample_at(
     return q[0], qdot[0]
 
 
-def positions_at(
-    zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
-) -> np.ndarray:
+def positions_at(zeta: State, params: ModelParams, t: float) -> np.ndarray:
     """Positions at time t from the first n minor ratios of exp(t Ycal)."""
-    return _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))[0]
+    return _sample_at(zeta, build_bundle(zeta, params).Ycal, params.n, float(t))[0]
 
 
-def position_rates_at(
-    zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
-) -> np.ndarray:
+def position_rates_at(zeta: State, params: ModelParams, t: float) -> np.ndarray:
     """Position velocities at time t: the log-rates of the minor ratios."""
-    return _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))[1]
+    return _sample_at(zeta, build_bundle(zeta, params).Ycal, params.n, float(t))[1]
 
 
-def rapidities_at(
-    zeta: State, params: ModelParams, t: float, bundle: LaxBundle | None = None
-) -> np.ndarray:
+def rapidities_at(zeta: State, params: ModelParams, t: float) -> np.ndarray:
     """Rapidities at time t, inverting q̇_a = beta sinh(beta theta_a) F_a(q)."""
-    q, qdot = _sample_at(zeta, _generator(zeta, params, bundle), params.n, float(t))
+    q, qdot = _sample_at(zeta, build_bundle(zeta, params).Ycal, params.n, float(t))
     return _invert_velocity(q[None], qdot[None], params)[0]
 
 

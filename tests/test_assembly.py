@@ -40,10 +40,9 @@ from vdtoda.integrate import (
     backward_via_reversal,
     spectral_drift,
 )
-from vdtoda.lax import _lax_matrices
+from vdtoda.lax import build_bundle
 
 integrate_module = sys.modules["vdtoda.integrate"]
-lax_module = sys.modules["vdtoda.lax"]
 
 
 def per_sample_match(lams: np.ndarray) -> np.ndarray:
@@ -173,7 +172,7 @@ def test_assembly_calls_no_assignment_and_no_state_init(dense_traj, count_calls)
 
 def test_assembled_spectrum_equals_per_sample_assignment(dense_traj):
     xi, eta = _sample_stacks(dense_traj)
-    lams = np.linalg.eigvals(_lax_matrices(xi, eta, dense_traj.params))
+    lams = np.linalg.eigvals(build_bundle((xi, eta), dense_traj.params).Lcal)
     assert same_bits(dense_traj.spectrum, per_sample_match(lams).astype(complex))
 
 
@@ -233,7 +232,7 @@ def test_replacing_states_keeps_working():
 
 def eager_spectrum(traj: Trajectory) -> np.ndarray:
     # the reference: one stacked eigvals over every Lcal, then the matching
-    lams = np.linalg.eigvals(_lax_matrices(*_sample_stacks(traj), traj.params))
+    lams = np.linalg.eigvals(build_bundle(_sample_stacks(traj), traj.params).Lcal)
     return _match_rows(lams).astype(complex)
 
 
@@ -249,7 +248,7 @@ def test_read_spectrum_equals_one_stacked_eigvals_bitwise(route, kappa):
         if route == "backward_via_reversal":
             traj = backward_via_reversal(traj, params)
     if kappa == 0.0:  # every eigenvalue real: eigvals returns a real array
-        assert np.linalg.eigvals(_lax_matrices(*_sample_stacks(traj), params)).dtype == float
+        assert np.linalg.eigvals(build_bundle(_sample_stacks(traj), params).Lcal).dtype == float
     assert same_bits(traj.spectrum, eager_spectrum(traj))
 
 
@@ -260,11 +259,11 @@ def test_blockwise_eigvals_keep_the_bits_of_one_stacked_call(block):
     params = ModelParams(10, 1.9, 0.0)
     states = [random_state(10, np.random.default_rng(seed), box=1.0) for seed in range(40)]
     xi, eta = np.array([s.xi for s in states]), np.array([s.eta for s in states])
-    kinds = {np.linalg.eigvals(_lax_matrices(xi[k : k + 4], eta[k : k + 4], params)).dtype
+    kinds = {np.linalg.eigvals(build_bundle((xi[k : k + 4], eta[k : k + 4]), params).Lcal).dtype
              for k in range(0, 40, 4)}
     assert kinds == {np.dtype(float), np.dtype(complex)}
-    want = _match_rows(np.linalg.eigvals(_lax_matrices(xi, eta, params))).astype(complex)
-    with mock.patch.object(lax_module, "_CHAIN_BLOCK", block):
+    want = _match_rows(np.linalg.eigvals(build_bundle((xi, eta), params).Lcal)).astype(complex)
+    with mock.patch.object(integrate_module, "_CHAIN_BLOCK", block):
         assert same_bits(_matched_spectra(xi, eta, params), want)
 
 

@@ -15,6 +15,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import vdtoda
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
@@ -32,13 +34,18 @@ def test_every_benchmark_span_resolves_in_the_package():
     assert missing == []
 
 
-def test_benchmark_workloads_accept_the_package_outputs(monkeypatch):
+def load_workloads(monkeypatch):
     path = PERFBENCH / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_workloads_accept_the_package_outputs(monkeypatch):
+    workloads = load_workloads(monkeypatch)
     case = workloads.dense_pool(7)[0]
     rk, algebraic = workloads.compare_op(case)
     assert workloads.compare_check(case, (rk, algebraic)) is None
@@ -47,3 +54,12 @@ def test_benchmark_workloads_accept_the_package_outputs(monkeypatch):
     # the benchmark's own tests rebuild trajectories with other states
     shuffled = dataclasses.replace(algebraic, states=algebraic.states[::-1])
     assert workloads.compare_check(case, (rk, shuffled)) is not None
+
+
+def test_benchmark_counts_every_exported_error_as_a_failed_op(monkeypatch):
+    # the benchmark catches ``library_errors()``; any other error stops its run
+    caught = load_workloads(monkeypatch).library_errors()
+    exported = [getattr(vdtoda, name) for name in vdtoda.__all__]
+    errors = [e for e in exported if isinstance(e, type) and issubclass(e, BaseException)]
+    assert errors
+    assert [e.__name__ for e in errors if not issubclass(e, caught)] == []

@@ -10,11 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vdtoda
+import vdtoda.cli as cli
 from vdtoda import integrate, random_state, solve_trajectory
 from vdtoda.cli import RunConfig, main
 from vdtoda.verify import _MATRIX_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the exit code the README documents for each error the package exports
+EXIT_CODES = {
+    "TrajectoryCheckError": 1,
+    "CoordinateOverflowError": 3,
+    "CoordinateUnderflowError": 3,
+    "FactorizationBreakdownError": 3,
+    "StepSizeUnderflowError": 3,
+}
 
 
 def write_config(tmp_path, **kwargs):
@@ -245,6 +255,28 @@ def test_underflowing_coordinates_exit_3(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "t.csv")]) == 3
     assert "x and w entries must be positive" in capsys.readouterr().err
+
+
+def test_every_exported_error_exits_with_its_documented_code(monkeypatch, capsys):
+    exported = {name: getattr(vdtoda, name) for name in vdtoda.__all__}
+    errors = {
+        name: e
+        for name, e in exported.items()
+        if isinstance(e, type) and issubclass(e, BaseException)
+    }
+    assert set(errors) == set(EXIT_CODES)
+    assert not hasattr(vdtoda, "CrossCheckError")
+    documented = README.read_text(encoding="utf-8").split("Exit codes:")[1].split("\n\n")[0]
+    for name, error in errors.items():
+        assert f"`{name}`" in documented, name
+        args = ("boom", 1.0) if error is vdtoda.StepSizeUnderflowError else ("boom",)
+
+        def handler(*_, **__):
+            raise error(*args)
+
+        monkeypatch.setattr(cli, "cmd_verify", handler)
+        assert main(["verify"]) == EXIT_CODES[name], name
+        assert "boom" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- solve

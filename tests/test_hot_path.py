@@ -33,7 +33,7 @@ from vdtoda.hamiltonian import (
     xh_q,
 )
 from vdtoda.integrate import _matched_spectra
-from vdtoda.lax import _lax_matrices, build_bundle
+from vdtoda.lax import build_bundle
 from vdtoda.solve import (
     _eliminate,
     ldu,
@@ -181,13 +181,12 @@ def test_integration_stops_where_a_weight_underflows(monkeypatch, count_calls):
 
 
 def test_stacked_lcal_is_bitwise_bundle_lcal():
-    # 19 states: more than one block of the chain, the last one partial
+    # the stacked bundle is the reference Lcal of the spectrum tests
     for n, kappa in ((3, 0.0), (5, 0.3), (8, 2.5)):
         params = ModelParams(n, 0.7, kappa)
         states = draw_states(n, 19, seed=n)
-        stack = _lax_matrices(
-            np.array([s.xi for s in states]), np.array([s.eta for s in states]), params
-        )
+        xi, eta = np.array([s.xi for s in states]), np.array([s.eta for s in states])
+        stack = build_bundle((xi, eta), params).Lcal
         assert stack.shape == (19, 2 * n, 2 * n)
         for s, Lcal in zip(states, stack):
             assert np.array_equal(Lcal, build_bundle(s, params).Lcal)

@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,3 +371,27 @@ def test_csv_accepts_paths(tmp_path):
     target = tmp_path / "out.csv"
     trajectory_to_csv(traj, str(target))
     assert target.read_text().startswith("t,q1")
+
+
+def test_csv_text_is_never_held_whole():
+    # at n = 12 a row is about 570 characters of text; holding the whole
+    # text peaks near 1.8 KB per sample, writing it row by row near the
+    # 400 B of the number stacks
+    n, samples = 12, 10001
+    rng = np.random.default_rng(0)
+    states = State.from_stacks(rng.normal(size=(samples, n)), rng.normal(size=(samples, n)))
+    spectrum = np.zeros((samples, 2 * n), dtype=complex)
+    params = ModelParams(n, 0.5, 1.0)
+    traj = Trajectory(params, 0.05 * np.arange(samples), states, rng.normal(size=samples), spectrum)
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        trajectory_to_csv(traj, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / samples < 600

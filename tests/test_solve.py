@@ -116,6 +116,17 @@ def test_gauss_diagonal_matches_minor_ratios():
     assert np.max(np.abs(out.d - m)) <= 1e-12 * np.max(np.abs(m))
 
 
+def test_gauss_factors_that_do_not_rebuild_their_matrix_are_a_breakdown():
+    # the 1e20 pivot swamps the lower-right 1: the minor ratios are still
+    # returned, but l diag(d) u is off M by 1
+    M = np.array([[1e-20, 1.0], [1.0, 1.0]])
+    with pytest.raises(FactorizationBreakdownError) as info:
+        ldu(M)
+    assert str(info.value) == "factor reconstruction off by 1.000e+00 (> 1.000e-11)"
+    assert (info.value.j, info.value.t) == (None, None)
+    assert np.array_equal(leading_minors(M)[1], [1e-20, -1e20])
+
+
 def test_gauss_factors_are_readonly():
     out = ldu(TOY)
     with pytest.raises(ValueError):

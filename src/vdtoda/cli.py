@@ -160,7 +160,10 @@ def cmd_verify(
     dump_matrices: str | None = None,
 ) -> int:
     """Run the residual suite; exit 0 iff every report passes."""
-    reports = run_suite(config.params, config.num_states, config.seed, box=box, perturb=perturb)
+    try:
+        reports = run_suite(config.params, config.num_states, config.seed, box=box, perturb=perturb)
+    except IndexError as err:  # a --perturb entry outside its matrix
+        raise ValueError(f"--perturb {err}") from err
     with _open_target(output) as target:
         target.write(reports_to_jsonl(reports))
     if dump_matrices is not None:

@@ -155,7 +155,7 @@ def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
     return s[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedCoords:
     """Canonical and multiplicative variables derived from one state.
 

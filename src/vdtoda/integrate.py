@@ -12,27 +12,27 @@ the integration tolerance budget, rapidities respect the a-priori bound
 |theta_a| < ln(2 H) / beta, and no particle moves faster than beta H
 between consecutive samples.  The eigenvalues of the Lax matrix are
 recorded per sample with a consistent ordering, so isospectrality can
-be measured as a drift number.  That spectrum is computed on the first
-read of ``Trajectory.spectrum``, not during assembly, so a caller that
-never reads it pays nothing; every check, the coordinate guards of
-Lcal included, still runs before a trajectory is returned.  Only Lcal
-is built per sample, by the factor chain of ``lax``, one block of
-samples at a time with one eigvals call per block, so no
-(samples, 2n, 2n) stack is held.  The ordering is the per-sample minimal-cost
-assignment, found in blocks of samples by one nearest-eigenvalue pass
-wherever the nearest entries are the unique optimum, and by
-``linear_sum_assignment`` at any other sample, so it is bitwise the
-assignment of every sample in turn.
+be measured as a drift number.  That spectrum is a cached property of
+the trajectory's states, computed on its first read and not during
+assembly, so a caller that never reads it pays nothing; every check,
+the coordinate guards of Lcal included, still runs before a trajectory
+is returned.  Only Lcal is built per sample, by the factor chain of
+``lax``, one block of samples at a time with one eigvals call per
+block, so no (samples, 2n, 2n) stack is held.  The ordering is the
+per-sample minimal-cost assignment, found in blocks of samples by one
+nearest-eigenvalue pass wherever the nearest entries are the unique
+optimum, and by ``linear_sum_assignment`` at any other sample, so it
+is bitwise the assignment of every sample in turn.
 
 Both routes hand their samples over as stacked (samples, n) arrays of
 positions and rapidities, the one form every per-sample quantity is
 evaluated on: the energies in one call of the kernel behind
 ``hamiltonian``, the bounds on the whole stack, and the Lax coordinates
 in one call of the kernel behind ``derived_coords`` (again when the
-spectrum is read).  Each check still
-applies per sample and reports the earliest sample that fails it.  The
-stacks are checked for finite entries once, and ``Trajectory.states``
-holds read-only row views of one copy of them (``State.from_stacks``).
+spectrum is read).  Each check still applies per sample and reports
+the earliest sample that fails it.  The stacks are checked for finite
+entries once, and ``Trajectory.states`` holds read-only row views of
+one copy of them (``State.from_stacks``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -151,82 +151,48 @@ class TrajectoryCheckError(Exception):
     """A conservation law or a-priori bound failed along a trajectory."""
 
 
-class _UnreadSpectrum(NamedTuple):
-    """The checked sample stacks (S, n) of a trajectory whose spectrum is not read yet."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-
-class _Spectrum:
-    """The ``spectrum`` field of ``Trajectory``: given, or computed on first read.
-
-    A data descriptor, so it takes precedence over the instance dictionary
-    that holds the value.  That value is a read-only complex array, or the
-    ``_UnreadSpectrum`` stacks that ``_assemble`` stores; the first read
-    replaces those by ``_matched_spectra`` of them.  Read on the class it
-    raises ``AttributeError``, so the dataclass field has no default.
-    """
-
-    def __get__(self, traj, owner=None) -> np.ndarray:
-        if traj is None:
-            raise AttributeError("spectrum")
-        value = traj.__dict__["spectrum"]
-        if isinstance(value, _UnreadSpectrum):
-            value = _matched_spectra(value.xi, value.eta, traj.params)
-            value.flags.writeable = False
-            traj.__dict__["spectrum"] = value
-        return value
-
-    def __set__(self, traj, value) -> None:
-        traj.__dict__["spectrum"] = value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled solution of the equations of motion.
 
-    t[0] = 0 and t is strictly increasing; energy[i] is the energy at
-    states[i]; spectrum[i] holds the eigenvalues of the Lax matrix at
-    sample i, ordered consistently with sample i-1 by minimal-distance
-    assignment.  Trajectories from this package hold states whose arrays
-    are read-only row views of one stack per field (``State.from_stacks``);
-    any tuple of ``State`` of the right length is accepted, for example
-    through ``dataclasses.replace(traj, states=...)``, which keeps the
-    spectrum of ``traj``.
-
-    A trajectory from this package computes its spectrum on the first
-    read of ``spectrum`` (from its own sample stacks, with the same bits
-    as an eager evaluation) and keeps it; every check on the samples has
-    run before the trajectory is returned.  An explicit ``spectrum`` is
-    checked at construction.
+    t[0] = 0 and t is strictly increasing; states[i] has ``params.n``
+    particles and energy[i] is its energy.  ``spectrum[i]`` holds the
+    Lax eigenvalues at states[i], ordered consistently with sample i-1
+    by minimal-distance assignment; it is computed from ``states`` on its
+    first read and kept read-only, so ``dataclasses.replace(traj,
+    states=...)`` gets the spectrum of the new states.  Trajectories from
+    this package hold states that are read-only row views of one stack
+    per field (``State.from_stacks``), and every check on the samples has
+    run before they are returned.  Equality and hashing are by identity.
     """
 
     params: ModelParams
     t: np.ndarray
     states: tuple[State, ...]
     energy: np.ndarray
-    spectrum: np.ndarray = _Spectrum()
 
     def __post_init__(self) -> None:
         t = np.array(self.t, dtype=float)
         energy = np.array(self.energy, dtype=float)
-        spectrum = self.__dict__["spectrum"]
-        unread = isinstance(spectrum, _UnreadSpectrum)
-        if not unread:
-            spectrum = np.array(spectrum, dtype=complex)
+        states = tuple(self.states)
         k = t.shape[0]
         if k == 0 or t[0] != 0.0 or (k > 1 and np.any(np.diff(t) <= 0.0)):
             raise ValueError("sample times must start at 0 and increase strictly")
-        rows = (spectrum.xi if unread else spectrum).shape[0]
-        if len(self.states) != k or energy.shape != (k,) or rows != k:
+        if len(states) != k or energy.shape != (k,):
             raise ValueError("inconsistent sample counts across trajectory fields")
-        for arr in (t, energy) if unread else (t, energy, spectrum):
-            arr.flags.writeable = False
+        if any(s.n != self.params.n for s in states):
+            raise ValueError("inconsistent state sizes across trajectory fields")
+        t.flags.writeable = False
+        energy.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", states)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        spectrum = _matched_spectra(*_sample_stacks(self), self.params)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def sample_times(t_end: float, sample_dt: float) -> np.ndarray:
@@ -482,15 +448,13 @@ def _assemble(
     drift_tol: float,
 ) -> Trajectory:
     # xi and eta are the stacked samples (S, n).  Every check runs here,
-    # the coordinate guards of the spectrum included; the spectrum itself
-    # is computed on first read, from the states' checked stacks (the
-    # base of their row views).
+    # the coordinate guards of the spectrum included, so a first read of
+    # the spectrum raises nothing.
     states = State.from_stacks(xi, eta)
     energy = _energy_arrays(xi, eta, params)
     _check_bounds(params, t, xi, eta, energy, drift_tol)
     _coord_arrays(xi, eta, params)
-    spectrum = _UnreadSpectrum(states[0].xi.base, states[0].eta.base)
-    return Trajectory(params=params, t=t, states=states, energy=energy, spectrum=spectrum)
+    return Trajectory(params=params, t=t, states=states, energy=energy)
 
 
 def _sample_stacks(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

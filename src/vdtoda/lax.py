@@ -135,7 +135,7 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaxBundle:
     """Every Lax-side matrix evaluated at one state, or at a stack of S.
 

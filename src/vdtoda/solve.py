@@ -162,7 +162,7 @@ def leading_minors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pi, m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LduFactors:
     """Unique Gauss factors M = l diag(d) u with unit triangular l, u."""
 

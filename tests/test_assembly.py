@@ -5,8 +5,9 @@ they are the unique optimal assignment and falls back to
 ``linear_sum_assignment`` elsewhere; these tests pin it, bit for bit, to
 the per-sample assignment loop it replaces.  ``State.from_stacks`` builds
 the sample states as read-only row views of one checked copy.  The
-spectrum is computed blockwise on first read, with the bits of one
-stacked ``eigvals`` call, while every check still runs in ``_assemble``.
+spectrum is computed from the trajectory's states, blockwise on first
+read, with the bits of one stacked ``eigvals`` call, while every check
+still runs in ``_assemble``.
 """
 
 import dataclasses
@@ -222,9 +223,13 @@ def test_replacing_states_keeps_working():
     reversed_states = tuple(time_reversal(s) for s in traj.states)
     swapped = dataclasses.replace(traj, states=reversed_states)
     assert swapped.states == reversed_states
-    assert same_bits(swapped.spectrum, traj.spectrum)
+    assert same_bits(swapped.spectrum, _matched_spectra(*_sample_stacks(swapped), params))
     with pytest.raises(ValueError, match="inconsistent sample counts"):
         dataclasses.replace(traj, states=traj.states[1:])
+    smaller = State.from_stacks(*(stack[:, :3] for stack in _sample_stacks(traj)))
+    for states in (smaller, (*traj.states[:-1], smaller[-1])):
+        with pytest.raises(ValueError, match="inconsistent state sizes"):
+            dataclasses.replace(traj, states=states)
 
 
 # ---------------------------------------------------------- lazy spectrum
@@ -277,28 +282,37 @@ def test_spectrum_is_computed_once_on_first_read(dense_traj, count_calls):
     assert traj.spectrum is first and spectral_drift(traj) == spectral_drift(dense_traj)
     assert calls.count == 1
     assert first.dtype == complex and first.shape == (101, 16) and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.spectrum = first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del traj.spectrum
+    assert traj.spectrum is first and calls.count == 1
 
 
-def test_replacing_states_keeps_the_unread_spectrum_of_the_original(dense_traj):
+@pytest.mark.parametrize("read_first", [False, True])
+def test_replaced_states_get_their_own_spectrum(dense_traj, count_calls, read_first):
     xi, eta = _sample_stacks(dense_traj)
     traj = _assemble(dense_traj.params, dense_traj.t, xi, eta, np.inf)
+    if read_first:
+        assert same_bits(traj.spectrum, dense_traj.spectrum)
+    calls = count_calls(integrate_module, "_matched_spectra")
     swapped = dataclasses.replace(traj, states=State.from_stacks(xi + 0.5, eta))
-    assert same_bits(swapped.spectrum, dense_traj.spectrum)
-    assert not np.array_equal(_matched_spectra(xi + 0.5, eta, traj.params), swapped.spectrum)
+    assert calls.count == 0  # replacing computes nothing until a read
+    want = _matched_spectra(xi + 0.5, eta, traj.params)
+    assert same_bits(swapped.spectrum, want) and not swapped.spectrum.flags.writeable
+    assert not np.array_equal(want, dense_traj.spectrum)
 
 
-def test_explicit_spectrum_is_checked_at_construction(dense_traj):
+def test_spectrum_is_not_a_constructor_input(dense_traj):
     fields = dict(params=dense_traj.params, t=dense_traj.t, states=dense_traj.states,
                   energy=dense_traj.energy)
-    with pytest.raises(ValueError, match="inconsistent sample counts"):
-        Trajectory(**fields, spectrum=dense_traj.spectrum[1:])
     with pytest.raises(TypeError):
-        Trajectory(**fields)  # the spectrum stays a required field
-    given = Trajectory(**fields, spectrum=dense_traj.spectrum.real)
-    assert given.spectrum.dtype == complex and not given.spectrum.flags.writeable
-    assert same_bits(given.spectrum, dense_traj.spectrum.real.astype(complex))
+        Trajectory(**fields, spectrum=dense_traj.spectrum)
+    with pytest.raises(TypeError):
+        Trajectory(*fields.values(), dense_traj.spectrum)
+    assert same_bits(Trajectory(**fields).spectrum, dense_traj.spectrum)
 
 
 def test_underflowing_sample_raises_from_assembly_not_from_a_read(dense_traj):

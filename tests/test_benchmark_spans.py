@@ -56,6 +56,13 @@ def test_benchmark_workloads_accept_the_package_outputs(monkeypatch):
     assert workloads.compare_check(case, (rk, shuffled)) is not None
 
 
+def test_trajectory_keeps_the_fields_the_benchmark_reads():
+    # perfbench reads ``states[i]`` and replaces ``states``; a trajectory
+    # built from stacks alone must wait for a benchmark change that reads them
+    fields = [f.name for f in dataclasses.fields(vdtoda.Trajectory)]
+    assert fields == ["params", "t", "states", "energy"]
+
+
 def test_benchmark_counts_every_exported_error_as_a_failed_op(monkeypatch):
     # the benchmark catches ``library_errors()``; any other error stops its run
     caught = load_workloads(monkeypatch).library_errors()

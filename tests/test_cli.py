@@ -195,6 +195,15 @@ def test_bad_perturb_spec_exits_2(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("spec, axis", [("L,99,0,1", 0), ("Hcal,0,-7,1", 1)])
+def test_perturb_entry_outside_the_matrix_exits_2(tmp_path, capsys, spec, axis):
+    out = tmp_path / "reports.jsonl"
+    assert main(["verify", "--n", "3", "--perturb", spec, "-o", str(out)]) == 2
+    index = spec.split(",")[axis + 1]
+    want = f"error: --perturb index {index} is out of bounds for axis {axis} with size 6\n"
+    assert capsys.readouterr().err == want
+
+
 # -------------------------------------------------------------- simulate
 
 

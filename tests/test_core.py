@@ -6,6 +6,10 @@ import pytest
 from vdtoda import (
     ModelParams,
     State,
+    build_bundle,
+    derived_coords,
+    integrate,
+    ldu,
     position,
     random_state,
     rapidity,
@@ -34,6 +38,24 @@ def test_params_is_frozen():
     p = ModelParams(3, 1.0, 1.0)
     with pytest.raises(AttributeError):
         p.beta = 2.0
+
+
+# every frozen dataclass that holds arrays, built from one fixed input
+ARRAY_HOLDERS = {
+    "State": lambda: State(np.zeros(3), np.ones(3)),
+    "Trajectory": lambda: integrate(State(np.zeros(3), np.ones(3)), ModelParams(3, 1.0, 1.0), 0.1),
+    "LaxBundle": lambda: build_bundle(State(np.zeros(3), np.ones(3)), ModelParams(3, 1.0, 1.0)),
+    "DerivedCoords": lambda: derived_coords(State(np.zeros(3), np.ones(3)), ModelParams(3, 1.0, 1.0)),
+    "LduFactors": lambda: ldu(np.array([[2.0, 1.0], [1.0, 3.0]])),
+}
+
+
+@pytest.mark.parametrize("kind", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(kind):
+    a, b = ARRAY_HOLDERS[kind](), ARRAY_HOLDERS[kind]()
+    assert type(a).__name__ == kind
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_state_copies_input_and_is_readonly():

@@ -380,9 +380,8 @@ def test_csv_text_is_never_held_whole():
     n, samples = 12, 10001
     rng = np.random.default_rng(0)
     states = State.from_stacks(rng.normal(size=(samples, n)), rng.normal(size=(samples, n)))
-    spectrum = np.zeros((samples, 2 * n), dtype=complex)
     params = ModelParams(n, 0.5, 1.0)
-    traj = Trajectory(params, 0.05 * np.arange(samples), states, rng.normal(size=samples), spectrum)
+    traj = Trajectory(params, 0.05 * np.arange(samples), states, rng.normal(size=samples))
 
     class Discard:
         def write(self, text):

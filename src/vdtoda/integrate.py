@@ -5,7 +5,9 @@ module's own Dormand-Prince 8(5,3) integrator with dense output sampled on
 a uniform grid.  It takes the same steps and gives the same samples, bit
 for bit, as scipy's DOP853, without scipy's per-step Python layers: the
 RHS kernel writes each stage straight into its row of the stage array,
-and the samples of a step come from one interpolant evaluation.
+the stage points are formed in one buffer, and the samples of a step
+come from one interpolant evaluation.  ``integrate`` allocates the
+kernel's scratch arrays once per call, not once per RHS evaluation.
 
 Each trajectory is validated at construction: energy drift stays within
 the integration tolerance budget, rapidities respect the a-priori bound
@@ -48,7 +50,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, State
-from .hamiltonian import _coord_arrays, _energy_arrays, _eom_arrays, hamiltonian
+from .hamiltonian import _coord_arrays, _energy_arrays, _eom_arrays, _eom_work, hamiltonian
 from .lax import _lax_chain
 
 __all__ = [
@@ -254,7 +256,10 @@ def solve_ivp(
 
     ``fun(y, out)`` writes the derivative at y into ``out`` (the system
     is autonomous); each stage is written straight into its row of the
-    stage array.  ``t_eval`` is an increasing array inside [0, t_end].
+    stage array.  The stage points are formed in one preallocated
+    buffer, by the operations of ``y + np.dot(K_s, a) * h`` in the same
+    order, so ``fun`` must not keep ``y`` past its call.  ``t_eval`` is
+    an increasing array inside [0, t_end].
     Returns the samples as rows; a step shrinking under its minimum
     raises ``StepSizeUnderflowError`` with the time of the last sample
     reached (0.0 if none was).
@@ -274,6 +279,7 @@ def solve_ivp(
     KT, KT_B = K[:13].T, K[:12].T
     stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(16)]
     f, f_new = K[0], K[12]
+    ys, dys = np.empty(y.size), np.empty(y.size)
     fun(y, f)
     h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
     abs_y = np.abs(y)
@@ -288,8 +294,13 @@ def solve_ivp(
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
+            h_arr = np.array(h)  # a 0-d array is a faster ufunc operand, same bits
             for K_s, a, k in stages[1:12]:
-                fun(y + np.dot(K_s, a) * h, k)
+                # ys = y + np.dot(K_s, a) * h, as the same operations
+                np.dot(K_s, a, dys)
+                np.multiply(dys, h_arr, dys)
+                np.add(y, dys, ys)
+                fun(ys, k)
             y_new = y + h * np.dot(KT_B, _B)
             fun(y_new, f_new)
             abs_new = np.abs(y_new)
@@ -309,7 +320,10 @@ def solve_ivp(
         j = bisect_right(times, t_new, i)
         if j > i:
             for K_s, a, k in stages[13:]:
-                fun(y + np.dot(K_s, a) * h, k)
+                np.dot(K_s, a, dys)
+                np.multiply(dys, h_arr, dys)
+                np.add(y, dys, ys)
+                fun(ys, k)
             dy = y_new - y
             F[:3] = dy, h * f - dy, 2 * dy - h * (f_new + f)
             F[3:] = h * np.dot(_D, K)
@@ -480,6 +494,11 @@ def integrate(
     Local error per step is controlled to atol + rtol * |y| by the
     embedded 8(5,3) pair; samples fall on multiples of sample_dt.  The
     accepted energy drift budget is 100 * rtol * |H(state)|.
+
+    Every RHS evaluation is one call of ``_eom_arrays`` with one
+    workspace (``_eom_work``) built here, inside one ``np.errstate``
+    around the whole integration, so the calls allocate nothing and
+    give the bits of the one-shot kernel.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be finite and positive")
@@ -491,10 +510,13 @@ def integrate(
     times = sample_times(t_end, sample_dt)
     y0 = np.concatenate([state.xi, state.eta])
 
-    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return _eom_arrays(y[:n], y[n:], params, out=out)
+    work = _eom_work(params)
 
-    samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)
+    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _eom_arrays(y[:n], y[n:], params, out, work)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)
     h0 = hamiltonian(state, params)
     drift_tol = _DRIFT_FACTOR * rtol * abs(h0)
     return _assemble(params, times, samples[:, :n], samples[:, n:], drift_tol)
@@ -578,7 +600,8 @@ def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> No
         + ["H"]
         + ([] if method is None else ["method"])
     )
-    rows = np.column_stack([traj.t, *_sample_stacks(traj), traj.energy])
+    # one row at a time from its sample, so no copy of the samples is made
+    rows = ([t, *s.xi, *s.eta, h] for t, s, h in zip(traj.t, traj.states, traj.energy))
     _write_table(target, rows, header, method)
 
 

@@ -15,7 +15,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+from scipy.integrate import solve_ivp
+
 import vdtoda
+from vdtoda.hamiltonian import _eom_arrays
+from vdtoda.integrate import sample_times
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -70,3 +75,31 @@ def test_benchmark_counts_every_exported_error_as_a_failed_op(monkeypatch):
     errors = [e for e in exported if isinstance(e, type) and issubclass(e, BaseException)]
     assert errors
     assert [e.__name__ for e in errors if not issubclass(e, caught)] == []
+
+
+def test_integrate_calls_the_traced_rhs_once_per_evaluation(monkeypatch, count_calls):
+    # the benchmark's hamiltonian.rhs span counts the calls through the
+    # binding ``integrate._eom_arrays``; one per evaluation, as many as
+    # scipy's DOP853 makes on the same problem
+    state, params = load_workloads(monkeypatch).dense_pool(7)[0].args()
+    traced = count_calls(sys.modules["vdtoda.integrate"], "_eom_arrays")
+    vdtoda.integrate(state, params, 5.0)
+    n = params.n
+    sol = solve_ivp(
+        lambda _t, y: _eom_arrays(y[:n], y[n:], params),
+        (0.0, 5.0),
+        np.concatenate([state.xi, state.eta]),
+        method="DOP853",
+        t_eval=sample_times(5.0, 0.05),
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    assert traced.count == sol.nfev > 0
+
+
+def test_solve_trajectory_builds_one_bundle(monkeypatch, count_calls):
+    # the benchmark's own tests require lax.build_bundle calls on compare_dense
+    state, params = load_workloads(monkeypatch).dense_pool(7)[0].args()
+    built = count_calls(sys.modules["vdtoda.solve"], "build_bundle")
+    vdtoda.solve_trajectory(state, params, 5.0)
+    assert built.count == 1

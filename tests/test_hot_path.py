@@ -26,6 +26,7 @@ from vdtoda import (
 )
 from vdtoda.hamiltonian import (
     _eom_arrays,
+    _eom_work,
     _xh_p_from_coords,
     _z_of,
     derived_coords,
@@ -124,6 +125,43 @@ def test_fused_rhs_matches_guarded_eom(case):
     assert np.max(np.abs(got[n:] - etadot)) <= 1e-13 * scale
 
 
+@st.composite
+def state_sequences(draw):
+    # cool coordinates, and hot ones whose weights overflow or underflow
+    # (|q_a - q_b| past ~745, |q_n| past ~372) or whose sinh overflows
+    n = draw(st.integers(3, 12))
+    kappa = draw(st.sampled_from([0.0, 0.3, 2.5]))
+    beta = draw(st.floats(0.1, 1.0))
+    coord = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False), st.floats(-1500.0, 1500.0, allow_nan=False)
+    )
+    vector = st.lists(coord, min_size=n, max_size=n).map(np.array)
+    states = draw(st.lists(st.tuples(vector, vector), min_size=2, max_size=6))
+    return ModelParams(n, beta, kappa), states
+
+
+def _rhs_outcome(q, th, params, out, work=None):
+    try:
+        _eom_arrays(q, th, params, out, work)
+    except (CoordinateOverflowError, CoordinateUnderflowError) as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_sequences())
+def test_reused_workspace_gives_the_one_shot_bits(case):
+    params, states = case
+    work = _eom_work(params)
+    for q, th in states:
+        # different sentinels: an entry left unwritten by either call differs
+        out, want = np.full(2 * params.n, 1.5), np.full(2 * params.n, -7.25)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = _rhs_outcome(q, th, params, out, work)
+        assert got == _rhs_outcome(q, th, params, want)
+        assert out.tobytes() == want.tobytes()  # written in full, also when raising
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 @pytest.mark.parametrize("where", ["separation", "wall"])
 def test_fused_rhs_raises_on_overflow(kappa, where):
@@ -162,9 +200,9 @@ def test_integration_stops_where_a_weight_underflows(monkeypatch, count_calls):
     with pytest.raises(CoordinateUnderflowError, match=message):
         integrate(state, params, 5.0)
 
-    def unguarded(q, th, params, out):
+    def unguarded(q, th, params, out, work):
         try:
-            return _eom_arrays(q, th, params, out=out)
+            return _eom_arrays(q, th, params, out, work)
         except CoordinateUnderflowError:
             return out  # written in full before the guard
 

@@ -1,5 +1,7 @@
 """Factorization-based solution: minors, Gauss factors, reconstruction."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dtrtrs
@@ -32,6 +34,8 @@ from vdtoda.solve import (
 
 PARAMS = ModelParams(5, 0.5, 1.0)
 STATE = random_state(5, np.random.default_rng(33), box=1.0)
+
+solve_module = sys.modules["vdtoda.solve"]
 
 TOY = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -194,6 +198,39 @@ def test_rapidities_at_zero_match_state():
     assert np.max(np.abs(rapidities_at(STATE, PARAMS, 0.0) - STATE.eta)) < 1e-9
 
 
+def _horizon_draws() -> list[State]:
+    rng = np.random.default_rng(11)
+    return [random_state(n, rng, box=box) for n, box in ((3, 1), (4, 1), (4, 2), (5, 1.5))]
+
+
+@pytest.mark.parametrize("evaluate", [positions_at, position_rates_at, rapidities_at])
+@pytest.mark.parametrize(
+    "draw, params, t, horizon",
+    [
+        # positions off by 12.7 and 48.4 against DOP853 at rtol 1e-13, where
+        # solve_trajectory meets a non-positive minor at an earlier sample
+        (1, ModelParams(4, 0.5, 0.3), 60.0, "51.3"),
+        (3, ModelParams(5, 1.0, 0.0), 20.0, "183"),
+        # off by 9.4e-7, where solve_trajectory refuses through its energy gate
+        (3, ModelParams(5, 1.0, 0.0), 5.0, "45.8"),
+    ],
+)
+def test_point_evaluators_refuse_samples_past_the_horizon(evaluate, draw, params, t, horizon):
+    state = _horizon_draws()[draw]
+    message = rf"energy drift .* at t = {t} \(beta \(H - n\) t = {horizon}\)"
+    with pytest.raises(TrajectoryCheckError, match=message):
+        evaluate(state, params, t)
+
+
+def test_point_evaluators_agree_with_trajectory_samples():
+    # the energy gate passes every sample solve_trajectory accepts (sample 0
+    # is the state itself, not a point evaluation)
+    traj = solve_trajectory(STATE, PARAMS, 5.0, sample_dt=1.25)
+    for t, sample in zip(traj.t[1:], traj.states[1:]):
+        assert np.array_equal(positions_at(STATE, PARAMS, t), sample.xi)
+        assert np.array_equal(rapidities_at(STATE, PARAMS, t), sample.eta)
+
+
 # ------------------------------------------------------- full trajectory
 
 
@@ -258,6 +295,33 @@ def test_hot_state_reports_earliest_failing_sample(n, box, seed, t_end, reason, 
     assert str(err) == f"{reason} (minor index {j}) (t = {err.t})"
     assert err.j == j
     assert err.t == pytest.approx(t, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, 64, 128])
+def test_sample_block_size_changes_no_trajectory_bit(monkeypatch, block):
+    want = solve_trajectory(STATE, PARAMS, 8.0)
+    monkeypatch.setattr(solve_module, "_SAMPLE_BLOCK", block)
+    got = solve_trajectory(STATE, PARAMS, 8.0)
+    assert np.array_equal(got.t, want.t) and np.array_equal(got.energy, want.energy)
+    for a, b in zip(got.states, want.states):
+        assert np.array_equal(a.xi, b.xi) and np.array_equal(a.eta, b.eta)
+
+
+@pytest.mark.parametrize(
+    "n, box, seed, t_end",
+    [(4, 1.0, 3, 5.0), (8, 3.0, 5, 20.0), (3, 4.0, 6, 30.0), (10, 2.5, 7, 12.0)],
+)
+def test_sample_block_size_changes_no_hot_state_error(monkeypatch, n, box, seed, t_end):
+    # the energy gate, breakdowns both early and late in a block, and an
+    # overflowing exponential later in the block of a breakdown
+    st = random_state(n, np.random.default_rng(seed), box=box)
+    outcomes = set()
+    for block in (1, 7, 32, 64, 128):
+        monkeypatch.setattr(solve_module, "_SAMPLE_BLOCK", block)
+        with pytest.raises((TrajectoryCheckError, FactorizationBreakdownError)) as info:
+            solve_trajectory(st, ModelParams(n, 1.0, 1.0), t_end)
+        outcomes.add((type(info.value), str(info.value)))
+    assert len(outcomes) == 1
 
 
 def test_hot_state_within_factorization_range_fails_energy_check():

@@ -22,7 +22,7 @@ h0 = traj.energy[0]
 print()
 print(f"== conservation over t in [0, 10] ==")
 print(f"  energy drift (relative):      {np.max(np.abs(traj.energy - h0)) / abs(h0):.3e}")
-print(f"  matched eigenvalue drift:     {spectral_drift(traj):.3e}")
+print(f"  eigenvalue drift:             {spectral_drift(traj):.3e}")
 
 print()
 print("== the flow is reversible: flip rapidities, integrate, flip back ==")

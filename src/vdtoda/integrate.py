@@ -13,18 +13,18 @@ Each trajectory is validated at construction: energy drift stays within
 the integration tolerance budget, rapidities respect the a-priori bound
 |theta_a| < ln(2 H) / beta, and no particle moves faster than beta H
 between consecutive samples.  The eigenvalues of the Lax matrix are
-recorded per sample with a consistent ordering, so isospectrality can
-be measured as a drift number.  That spectrum is a cached property of
-the trajectory's states, computed on its first read and not during
-assembly, so a caller that never reads it pays nothing; every check,
-the coordinate guards of Lcal included, still runs before a trajectory
-is returned.  Only Lcal is built per sample, by the factor chain of
-``lax``, one block of samples at a time with one eigvals call per
-block, so no (samples, 2n, 2n) stack is held.  The ordering is the
-per-sample minimal-cost assignment, found in blocks of samples by one
-nearest-eigenvalue pass wherever the nearest entries are the unique
-optimum, and by ``linear_sum_assignment`` at any other sample, so it
-is bitwise the assignment of every sample in turn.
+recorded per sample, so isospectrality can be measured as a drift
+number.  That spectrum is a cached property of the trajectory's states,
+computed on its first read and not during assembly, so a caller that
+never reads it pays nothing; every check, the coordinate guards of Lcal
+included, still runs before a trajectory is returned.  Only Lcal is
+built per sample, by the factor chain of ``lax``, one block of samples
+at a time with one eigvals call per block, so no (samples, 2n, 2n)
+stack is held.  The eigenvalues pair as lambda <-> 1/lambda and are
+real and positive; a row keeps the n of largest modulus, which eigvals
+gets to a small relative error, and their reciprocals, sorted.  Sorted
+real rows are matched to each other at minimal cost, so no assignment
+is solved.
 
 Both routes hand their samples over as stacked (samples, n) arrays of
 positions and rapidities, the one form every per-sample quantity is
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, State
 from .hamiltonian import _coord_arrays, _energy_arrays, _eom_arrays, _eom_work, hamiltonian
@@ -69,9 +68,6 @@ __all__ = [
 _DRIFT_FACTOR = 100.0
 _SPEED_SLACK = 1.0 + 1e-6
 _MAX_SAMPLES = 10**6  # most samples one trajectory may hold
-# Samples per stacked spectrum-matching pass: its (block, N, N) cost stack
-# bounds the working set for any sample count.
-_MATCH_BLOCK = 128
 # Samples per Lcal evaluation of the spectrum: the factor chain keeps about
 # ten (block, N, N) stacks alive at once.
 _CHAIN_BLOCK = 32
@@ -159,13 +155,14 @@ class Trajectory:
 
     t[0] = 0 and t is strictly increasing; states[i] has ``params.n``
     particles and energy[i] is its energy.  ``spectrum[i]`` holds the
-    Lax eigenvalues at states[i], ordered consistently with sample i-1
-    by minimal-distance assignment; it is computed from ``states`` on its
-    first read and kept read-only, so ``dataclasses.replace(traj,
-    states=...)`` gets the spectrum of the new states.  Trajectories from
-    this package hold states that are read-only row views of one stack
-    per field (``State.from_stacks``), and every check on the samples has
-    run before they are returned.  Equality and hashing are by identity.
+    2n real Lax eigenvalues at states[i] in increasing order, the n of
+    largest modulus and their reciprocals (``_matched_spectra``); it is
+    computed from ``states`` on its first read and kept read-only, so
+    ``dataclasses.replace(traj, states=...)`` gets the spectrum of the
+    new states.  Trajectories from this package hold states that are
+    read-only row views of one stack per field (``State.from_stacks``),
+    and every check on the samples has run before they are returned.
+    Equality and hashing are by identity.
     """
 
     params: ModelParams
@@ -340,84 +337,31 @@ def solve_ivp(
     return out
 
 
-def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest entry of b[k] to each entry of a[k], over a block of samples k.
-
-    ``a`` and ``b`` are (B, N) stacks (``a`` may broadcast).  Returns the
-    costs |a_i - b_j| (B, N, N), the nearest column of each row (B, N) and
-    a (B,) mask of the samples where the costs are finite, every row's
-    minimum occurs once and the nearest columns form a permutation.  There
-    that permutation is the unique minimal-cost assignment, whatever the
-    tie rule of a solver, and ``linear_sum_assignment`` returns it exactly:
-    each row in turn finds its minimum free, so no dual variable moves.
-    """
-    cost = np.abs(a[:, :, None] - b[:, None, :])
-    size = cost.shape[2]
-    col = cost.argmin(axis=2)
-    last = size - 1 - cost[:, :, ::-1].argmin(axis=2)
-    exact = (
-        np.isfinite(cost).all(axis=(1, 2))
-        & (col == last).all(axis=1)
-        & (np.sort(col, axis=1) == np.arange(size)).all(axis=1)
-    )
-    return cost, col, exact
-
-
-def _compose(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
-    # perm_k = steps[k][perm_{k-1}] with perm_{-1} = first, for every k at
-    # once: a prefix composition in log2(len(steps)) gathers, written over
-    # steps
-    count, size = steps.shape
-    offsets = size * np.arange(count)[:, None]
-    shift = 1
-    while shift < count:
-        steps[shift:] = np.take(steps[shift:], steps[:-shift] + offsets[: count - shift])
-        shift *= 2
-    return steps[:, first]
-
-
-def _match_rows(lams: np.ndarray) -> np.ndarray:
-    """Order each row of ``lams`` (S, N) consistently with the row before it.
-
-    Row 0 is sorted by (real, imag); each later row is permuted by the
-    minimal-cost assignment to the matched row before it under the cost
-    |prev_i - lam_j|.  In blocks of consecutive samples, the nearest-entry
-    permutations from ``_nearest`` are composed in time order; a sample
-    where that test fails (ties, repeated or crossing eigenvalues, nan)
-    calls ``linear_sum_assignment`` on the cost matrix instead.  Either
-    way each row is the one the per-sample assignment gives, bit for bit.
-    """
-    perms = np.empty(lams.shape, dtype=np.intp)
-    perms[0] = np.lexsort((lams[0].imag, lams[0].real))
-    for start in range(1, len(lams), _MATCH_BLOCK):
-        stop = min(start + _MATCH_BLOCK, len(lams))
-        cost, col, exact = _nearest(lams[start - 1 : stop - 1], lams[start:stop])
-        k = start
-        for slow in [*(start + np.flatnonzero(~exact)).tolist(), stop]:
-            perms[k:slow] = _compose(col[k - start : slow - start], perms[k - 1])
-            if slow < stop:  # the cost rows in the order of the matched row before
-                perms[slow] = linear_sum_assignment(cost[slow - start][perms[slow - 1]])[1]
-            k = slow + 1
-    return np.take_along_axis(lams, perms, axis=1)
-
-
 def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Matched spectrum of Lcal at every sample of the stacks (S, n), as complex (S, 2n).
+    """Real spectrum of Lcal at every sample of the stacks (S, n), as sorted rows (S, 2n).
 
     The coordinates come from one stacked evaluation; then Lcal alone is
     built, bitwise the ``build_bundle`` one, and ``eigvals`` runs once per
-    ``_CHAIN_BLOCK`` samples into one preallocated array, so no
-    (S, 2n, 2n) stack is held.  ``eigvals`` acts matrix by matrix, so the
-    eigenvalues are bitwise those of one stacked call; a block whose
-    eigenvalues are all real gets imaginary parts +0.0, as casting that
-    call's result would.
+    ``_CHAIN_BLOCK`` samples, so no (S, 2n, 2n) stack is held.  The
+    eigenvalues pair as lambda <-> 1/lambda (``K Lcal K^-1 = Lcal^-1``)
+    and are real and positive.  By Bauer-Fike an eigenvalue's error is
+    about eps |Lcal| times its condition number, small relative only to
+    the large ones, so a row keeps the real parts of the n eigenvalues of
+    largest modulus and their reciprocals, which keep the relative error.
+    ``eigvals`` acts matrix by matrix, so the rows are bitwise those of
+    one stacked call.
     """
+    n = params.n
     _, _, x, w, delta = _coord_arrays(xi, eta, params)
-    lams = np.empty((xi.shape[0], 2 * params.n), dtype=complex)
+    spectrum = np.empty((xi.shape[0], 2 * n))
     for k in range(0, xi.shape[0], _CHAIN_BLOCK):
         rows = slice(k, k + _CHAIN_BLOCK)
-        lams[rows] = np.linalg.eigvals(_lax_chain(x[rows], w[rows], delta[rows], params)[-1])
-    return _match_rows(lams)
+        lams = np.linalg.eigvals(_lax_chain(x[rows], w[rows], delta[rows], params)[-1])
+        large = np.abs(lams).argsort(axis=1)[:, n:]
+        spectrum[rows, :n] = np.take_along_axis(lams, large, axis=1).real
+        np.divide(1.0, spectrum[rows, :n], out=spectrum[rows, n:])
+    spectrum.sort(axis=1)
+    return spectrum
 
 
 def _check_bounds(
@@ -541,22 +485,12 @@ def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Traj
 
 
 def spectral_drift(traj: Trajectory) -> float:
-    """Largest matched-eigenvalue deviation from the t = 0 spectrum.
+    """Largest eigenvalue deviation from the t = 0 spectrum.
 
-    Each row is matched to row 0 by the minimal-cost assignment, found as
-    in ``_match_rows``: nearest entries where they are the unique optimum,
-    ``linear_sum_assignment`` at any other row.
+    The rows of ``traj.spectrum`` are real and sorted, so the sorted
+    order is the minimal-cost matching of each row to row 0.
     """
-    base, rows = traj.spectrum[0], traj.spectrum[1:]
-    drift = 0.0
-    for start in range(0, len(rows), _MATCH_BLOCK):
-        block = rows[start : start + _MATCH_BLOCK]
-        cost, _, exact = _nearest(base[None], block)
-        drift = max(drift, float(cost[exact].min(axis=2).max(initial=0.0)))
-        for slow in cost[~exact]:
-            r, c = linear_sum_assignment(slow)
-            drift = max(drift, float(slow[r, c].max()))
-    return drift
+    return float(np.max(np.abs(traj.spectrum - traj.spectrum[0])))
 
 
 @contextmanager
@@ -606,7 +540,6 @@ def trajectory_to_csv(traj: Trajectory, target, method: str | None = None) -> No
 
 
 def spectrum_to_csv(traj: Trajectory, target) -> None:
-    """Write `t,re_1,im_1,...,re_N,im_N` rows at 17 significant digits."""
-    N = traj.spectrum.shape[1]
-    header = ["t"] + [f"{part}_{a}" for a in range(1, N + 1) for part in ("re", "im")]
-    _write_table(target, np.column_stack([traj.t, traj.spectrum.view(float)]), header)
+    """Write `t,lambda_1,...,lambda_2n` rows at 17 significant digits."""
+    header = ["t"] + [f"lambda_{a}" for a in range(1, 2 * traj.params.n + 1)]
+    _write_table(target, ([t, *lam] for t, lam in zip(traj.t, traj.spectrum)), header)

@@ -17,6 +17,14 @@ def draw_states(n: int, count: int, seed: int, box: float = 2.0) -> list[State]:
     return [random_state(n, rng, box=box) for _ in range(count)]
 
 
+def large_half_spectrum(lams: np.ndarray) -> np.ndarray:
+    """The n eigenvalues of largest modulus of each row of ``lams`` (S, 2n),
+    real parts, with their reciprocals, sorted per row."""
+    n = lams.shape[1] // 2
+    large = np.take_along_axis(lams, np.abs(lams).argsort(axis=1)[:, n:], axis=1).real
+    return np.sort(np.concatenate([large, 1.0 / large], axis=1), axis=1)
+
+
 def moderate_params(n: int, kappa: float = 1.0) -> ModelParams:
     # beta = 0.5 with |xi|, |eta| <= 1 keeps every flow-based check well
     # inside the double-precision horizon of the factorization solver

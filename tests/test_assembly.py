@@ -1,16 +1,17 @@
-"""Stacked trajectory assembly: spectrum matching, sample states, lazy spectrum.
+"""Stacked trajectory assembly: the real spectrum, sample states, lazy spectrum.
 
-``_match_rows`` orders each sample's eigenvalues by nearest entries where
-they are the unique optimal assignment and falls back to
-``linear_sum_assignment`` elsewhere; these tests pin it, bit for bit, to
-the per-sample assignment loop it replaces.  ``State.from_stacks`` builds
-the sample states as read-only row views of one checked copy.  The
-spectrum is computed from the trajectory's states, blockwise on first
-read, with the bits of one stacked ``eigvals`` call, while every check
-still runs in ``_assemble``.
+The spectrum of a sample is the n Lcal eigenvalues of largest modulus
+and their reciprocals, real and sorted; these tests pin it, bit for bit,
+to that reduction of one stacked ``eigvals`` call, and check that
+sorting is the minimal-cost matching it stands in for.
+``State.from_stacks`` builds the sample states as read-only row views of
+one checked copy.  The spectrum is computed from the trajectory's
+states, blockwise on first read, while every check still runs in
+``_assemble``.
 """
 
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import moderate_params
+from conftest import large_half_spectrum, moderate_params
 from vdtoda import (
     CoordinateUnderflowError,
     ModelParams,
@@ -32,10 +33,10 @@ from vdtoda import (
     solve_trajectory,
     time_reversal,
 )
+from vdtoda.hamiltonian import _energy_arrays
 from vdtoda.integrate import (
     Trajectory,
     _assemble,
-    _match_rows,
     _matched_spectra,
     _sample_stacks,
     backward_via_reversal,
@@ -46,19 +47,8 @@ from vdtoda.lax import build_bundle
 integrate_module = sys.modules["vdtoda.integrate"]
 
 
-def per_sample_match(lams: np.ndarray) -> np.ndarray:
-    # the reference: one assignment per sample against the matched row before
-    prev = lams[0][np.lexsort((lams[0].imag, lams[0].real))]
-    rows = [prev]
-    for lam in lams[1:]:
-        _, col = linear_sum_assignment(np.abs(prev[:, None] - lam[None, :]))
-        prev = lam[col]
-        rows.append(prev)
-    return np.array(rows)
-
-
 def per_row_drift(spectrum: np.ndarray) -> float:
-    # the reference: one assignment per row against row 0
+    # the reference: one minimal-cost assignment per row against row 0
     drift = 0.0
     for row in spectrum[1:]:
         cost = np.abs(spectrum[0][:, None] - row[None, :])
@@ -72,47 +62,33 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @st.composite
-def spectra(draw):
-    """(samples, N) eigenvalue stacks in arbitrary per-row order.
+def sorted_spectra(draw):
+    """(samples, N) real spectra, sorted per row as ``Trajectory.spectrum`` is.
 
-    Half the entries are the conjugates of the other half, so real entries
-    come as exact duplicates.  "grid" spectra sit on a coarse lattice
-    (repeated values, equal-distance ties, crossings); "drift" spectra
-    move by a drawn step per sample, from well separated to crossing.
+    "grid" rows sit on a coarse lattice (repeated values, equal-distance
+    ties, crossings); "drift" rows move by a drawn step per sample, from
+    well separated to crossing.
     """
-    samples = draw(st.integers(1, 40))
-    half = draw(st.integers(1, 4))
+    samples = draw(st.integers(1, 20))
+    size = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.sampled_from(["grid", "drift"])) == "grid":
-        values = rng.integers(-3, 4, (samples, half)) / 2 + 0.5j * rng.integers(0, 3, (samples, half))
+        rows = rng.integers(-3, 4, (samples, size)) / 2
     else:
         step = draw(st.sampled_from([1e-3, 0.05, 0.5]))
-        start = rng.normal(size=half) + 1j * rng.normal(size=half)
-        values = start + np.cumsum(step * rng.normal(size=(samples, half, 2)) @ [1, 1j], axis=0)
-        if draw(st.booleans()):
-            values = values.real + 0j
-    lams = rng.permuted(np.concatenate([values, values.conj()], axis=1), axis=1)
-    if samples > 1 and draw(st.booleans()):
-        k = draw(st.integers(1, samples - 1))
-        lams[k] = rng.permuted(lams[k - 1])  # a repeated spectrum
-    if not lams.imag.any() and draw(st.booleans()):
-        lams = lams.real  # eigvals returns a real array when every eigenvalue is real
-    return lams
-
-
-@settings(max_examples=300, deadline=None)
-@given(spectra(), st.sampled_from([1, 2, 3, 7, 128]))
-def test_matching_equals_per_sample_assignment_bitwise(lams, block):
-    with mock.patch.object(integrate_module, "_MATCH_BLOCK", block):
-        assert same_bits(_match_rows(lams), per_sample_match(lams))
+        rows = rng.normal(size=size) + np.cumsum(step * rng.normal(size=(samples, size)), axis=0)
+    return np.sort(rows, axis=1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(spectra(), st.sampled_from([1, 3, 128]))
-def test_spectral_drift_equals_per_row_assignment(lams, block):
-    traj = SimpleNamespace(spectrum=lams)
-    with mock.patch.object(integrate_module, "_MATCH_BLOCK", block):
-        assert spectral_drift(traj) == per_row_drift(lams)
+@given(sorted_spectra())
+def test_spectral_drift_equals_per_row_assignment(spectrum):
+    # sorted real rows are matched at minimal cost: the largest matched
+    # distance is the least any pairing of the two rows reaches
+    perms = np.array(list(itertools.permutations(range(spectrum.shape[1]))))
+    paired = np.abs(spectrum[0][perms] - spectrum[:, None, :])  # (samples, perms, N)
+    best = float(paired.max(axis=2).min(axis=1).max())
+    assert spectral_drift(SimpleNamespace(spectrum=spectrum)) == best
 
 
 @pytest.mark.parametrize(
@@ -123,7 +99,9 @@ def test_spectral_drift_equals_per_row_assignment(lams, block):
     ],
 )
 def test_spectral_drift_falls_back_at_a_constructed_tie(row):
-    spectrum = np.array([[0.0, 1.0], [0.0, 1.0], row, [0.1, 0.9]]) + 0j
+    # where nearest entries are no matching, the sorted order still is the
+    # minimal-cost assignment
+    spectrum = np.array([[0.0, 1.0], [0.0, 1.0], row, [0.1, 0.9]])
     assert spectral_drift(SimpleNamespace(spectrum=spectrum)) == per_row_drift(spectrum)
     if row[0] == 0.4:
         assert per_row_drift(spectrum) == 1.0  # row minima alone would give 0.6
@@ -131,19 +109,24 @@ def test_spectral_drift_falls_back_at_a_constructed_tie(row):
 
 @pytest.mark.parametrize("block", [1, 4, 128])
 @pytest.mark.parametrize("where", [0, 1, 4, 9])
-@pytest.mark.parametrize("bad, width", [(np.nan, 6), (np.nan, 1), (np.inf, 6)])
-def test_non_finite_spectrum_raises_as_the_per_sample_loop(block, where, bad, width):
+@pytest.mark.parametrize("bad, column", [(np.nan, 6), (np.nan, 1), (np.inf, 6)])
+def test_non_finite_spectrum_raises_as_the_per_sample_loop(block, where, bad, column):
+    # a sample whose Lcal would not be finite raises the error of the
+    # earliest such sample, as a per-sample loop would, in any block size;
+    # a later sample fails with another error
+    params = ModelParams(7, 0.5, 1.0)
     rng = np.random.default_rng(where)
-    lams = np.cumsum(rng.normal(size=(10, width)) * 0.01, axis=0) + np.arange(width) + 0j
-    lams[where, width // 2] = bad
-    with pytest.raises(ValueError) as expected:
-        per_sample_match(lams)
-    with mock.patch.object(integrate_module, "_MATCH_BLOCK", block):
-        with pytest.raises(ValueError) as got:
-            _match_rows(lams)
-        with pytest.raises(ValueError) as drift:
-            spectral_drift(SimpleNamespace(spectrum=lams))
-    assert str(got.value) == str(expected.value) == str(drift.value)
+    xi, eta = rng.uniform(-1.0, 1.0, (2, 10, 7))
+    eta[where, column] = bad
+    eta[where + 1 :, 0] = -np.inf
+    with pytest.raises(ArithmeticError) as expected:
+        for k in range(10):
+            _matched_spectra(xi[k : k + 1], eta[k : k + 1], params)
+    with mock.patch.object(integrate_module, "_CHAIN_BLOCK", block):
+        with pytest.raises(ArithmeticError) as got:
+            _matched_spectra(xi, eta, params)
+    assert (got.type, str(got.value)) == (expected.type, str(expected.value))
+    assert "x_a = e^{beta p_a}" in str(got.value)
 
 
 # ------------------------------------------------------------ sample states
@@ -161,20 +144,13 @@ def dense_traj():
     return integrate(state, params, 5.0, sample_dt=0.05)
 
 
-def test_assembly_calls_no_assignment_and_no_state_init(dense_traj, count_calls):
+def test_assembly_and_first_read_call_no_state_init(dense_traj, count_calls):
     xi, eta = _sample_stacks(dense_traj)
-    assignments = count_calls(integrate_module, "linear_sum_assignment")
     inits = count_calls(State, "__init__")
     traj = _assemble(dense_traj.params, dense_traj.t, xi, eta, np.inf)
-    spectrum = traj.spectrum  # the matching runs on this first read
-    assert (assignments.count, inits.count) == (0, 0)
+    spectrum = traj.spectrum  # computed on this first read
+    assert inits.count == 0
     assert same_bits(spectrum, dense_traj.spectrum)
-
-
-def test_assembled_spectrum_equals_per_sample_assignment(dense_traj):
-    xi, eta = _sample_stacks(dense_traj)
-    lams = np.linalg.eigvals(build_bundle((xi, eta), dense_traj.params).Lcal)
-    assert same_bits(dense_traj.spectrum, per_sample_match(lams).astype(complex))
 
 
 def test_sample_states_are_readonly_views_of_the_stacks(dense_traj):
@@ -236,9 +212,9 @@ def test_replacing_states_keeps_working():
 
 
 def eager_spectrum(traj: Trajectory) -> np.ndarray:
-    # the reference: one stacked eigvals over every Lcal, then the matching
-    lams = np.linalg.eigvals(build_bundle(_sample_stacks(traj), traj.params).Lcal)
-    return _match_rows(lams).astype(complex)
+    # the reference: one stacked eigvals over every Lcal, then the sorted
+    # large half and its reciprocals
+    return large_half_spectrum(np.linalg.eigvals(build_bundle(_sample_stacks(traj), traj.params).Lcal))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
@@ -267,7 +243,7 @@ def test_blockwise_eigvals_keep_the_bits_of_one_stacked_call(block):
     kinds = {np.linalg.eigvals(build_bundle((xi[k : k + 4], eta[k : k + 4]), params).Lcal).dtype
              for k in range(0, 40, 4)}
     assert kinds == {np.dtype(float), np.dtype(complex)}
-    want = _match_rows(np.linalg.eigvals(build_bundle((xi, eta), params).Lcal)).astype(complex)
+    want = large_half_spectrum(np.linalg.eigvals(build_bundle((xi, eta), params).Lcal))
     with mock.patch.object(integrate_module, "_CHAIN_BLOCK", block):
         assert same_bits(_matched_spectra(xi, eta, params), want)
 
@@ -281,7 +257,7 @@ def test_spectrum_is_computed_once_on_first_read(dense_traj, count_calls):
     assert calls.count == 1
     assert traj.spectrum is first and spectral_drift(traj) == spectral_drift(dense_traj)
     assert calls.count == 1
-    assert first.dtype == complex and first.shape == (101, 16) and not first.flags.writeable
+    assert first.dtype == float and first.shape == (101, 16) and not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -343,3 +319,56 @@ def test_spectrum_memory_per_sample_is_bounded():
     short, long = (integrate(state, params, 1.0, sample_dt=dt) for dt in (1e-3, 2.5e-4))
     per_sample = (spectrum_peak(long) - spectrum_peak(short)) / (len(long.t) - len(short.t))
     assert per_sample < 2048
+
+
+# ----------------------------------------------------------- real spectrum
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cool_state_spectrum_is_real_and_flat(seed):
+    # the n eigenvalues of largest modulus are well conditioned here;
+    # eigvals' small half is off by up to 0.18 on these states
+    params = ModelParams(10, 1.9, 0.0)
+    traj = integrate(random_state(10, np.random.default_rng(seed), box=0.1), params, 1.0)
+    assert traj.spectrum.dtype == np.float64
+    assert spectral_drift(traj) <= 1e-7
+
+
+def assert_trace_and_pairing(spectrum: np.ndarray, energy: np.ndarray) -> None:
+    # trace Lcal = 2 H, and the sorted rows pair lambda with 1 / lambda;
+    # the tolerance is fixed ahead of any measurement
+    assert np.all(np.diff(spectrum, axis=1) >= 0.0)
+    assert np.max(np.abs(spectrum.sum(axis=1) - 2.0 * energy) / (2.0 * energy)) <= 1e-10
+    assert np.max(np.abs(spectrum * spectrum[:, ::-1] - 1.0)) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.sampled_from([0.1, 0.5, 1.0, 1.9]),
+    st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+    st.floats(0.1, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectrum_rows_sum_to_twice_the_energy(n, beta, kappa, box, seed):
+    # four drawn states as the samples of one (unchecked) trajectory
+    params = ModelParams(n, beta, kappa)
+    xi, eta = np.random.default_rng(seed).uniform(-box, box, (2, 4, n))
+    traj = Trajectory(params, np.arange(4.0), State.from_stacks(xi, eta),
+                      _energy_arrays(xi, eta, params))
+    assert traj.spectrum.shape == (4, 2 * n)
+    assert_trace_and_pairing(traj.spectrum, traj.energy)
+
+
+def test_near_unit_pair_keeps_trace_and_pairing():
+    # an asymptotic rapidity near 0 puts a pair lambda, 1 / lambda near 1;
+    # draw 115 of default_rng(11) has the smallest |ln lambda| of 200 draws,
+    # and a shift of its rapidities by -0.004 brings it to 1.7e-4
+    params = ModelParams(12, 0.1, 0.0)
+    rng = np.random.default_rng(11)
+    state = [random_state(12, rng, box=1.0) for _ in range(116)][-1]
+    state = State(state.xi, state.eta - 0.004)
+    traj = integrate(state, params, 2.0, sample_dt=0.1)
+    assert np.min(np.abs(np.log(traj.spectrum[0]))) <= 1e-3
+    assert_trace_and_pairing(traj.spectrum, traj.energy)
+    assert spectral_drift(traj) <= 1e-7

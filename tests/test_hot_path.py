@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import linear_sum_assignment
 
-from conftest import draw_states, moderate_params
+from conftest import draw_states, large_half_spectrum, moderate_params
 from vdtoda import (
     CoordinateOverflowError,
     CoordinateUnderflowError,
@@ -231,18 +230,12 @@ def test_stacked_lcal_is_bitwise_bundle_lcal():
 
 
 def test_stacked_spectra_equal_per_state_eigvals():
-    # reference: one bundle and one eigvals per sample, matched in turn
+    # reference: one bundle and one eigvals per sample, then the sorted
+    # large half and its reciprocals
     params = moderate_params(6)
     traj = integrate(draw_states(6, 1, seed=21)[0], params, 2.0, sample_dt=0.1)
-    rows = []
-    for s in traj.states:
-        lam = np.linalg.eigvals(build_bundle(s, params).Lcal)
-        if rows:
-            _, col = linear_sum_assignment(np.abs(rows[-1][:, None] - lam[None, :]))
-            lam = lam[col]
-        else:
-            lam = lam[np.lexsort((lam.imag, lam.real))]
-        rows.append(lam)
+    rows = [large_half_spectrum(np.linalg.eigvals(build_bundle(s, params).Lcal)[None])[0]
+            for s in traj.states]
     xi, eta = np.array([s.xi for s in traj.states]), np.array([s.eta for s in traj.states])
     assert np.array_equal(_matched_spectra(xi, eta, params), np.array(rows))
 

@@ -203,16 +203,25 @@ def test_vendored_tables_equal_scipy_dop853():
         assert np.array_equal(ours, theirs)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def loaded_after_import(module: str) -> bool:
+    # whether a fresh interpreter holds ``module`` after ``import vdtoda``
     root = str(Path(vdtoda.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import vdtoda; "
-        "print('scipy.integrate' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    assert not loaded_after_import("scipy.integrate")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert not loaded_after_import("scipy.optimize")
 
 
 # ------------------------------------------------------------- container
@@ -383,10 +392,12 @@ def test_spectrum_csv_shape():
     buf = io.StringIO()
     spectrum_to_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
-    header = lines[0].split(",")
-    assert header[0] == "t"
-    assert len(header) == 1 + 2 * 8  # re/im pairs for a 2n = 8 spectrum
+    assert lines[0] == "t," + ",".join(f"lambda_{a}" for a in range(1, 9))
     assert len(lines) == 1 + 3
+    for i, line in enumerate(lines[1:]):
+        vals = [float(v) for v in line.split(",")]
+        assert len(vals) == 1 + 2 * 4  # t and a 2n = 8 spectrum
+        assert vals[0] == traj.t[i] and np.array_equal(vals[1:], traj.spectrum[i])
 
 
 def test_csv_accepts_paths(tmp_path):
@@ -418,3 +429,31 @@ def test_csv_text_is_never_held_whole():
     finally:
         tracemalloc.stop()
     assert peak / samples < 40
+
+
+def test_spectrum_csv_is_written_row_by_row():
+    # copying the spectrum into one number table costs about 390 B per
+    # sample at n = 12; written row by row, the peak does not grow with
+    # the sample count
+    n = 12
+    params = ModelParams(n, 0.5, 1.0)
+    rng = np.random.default_rng(0)
+
+    def peak(samples: int) -> int:
+        xi, eta = rng.uniform(-1.0, 1.0, (2, samples, n))
+        traj = Trajectory(params, 0.05 * np.arange(samples), State.from_stacks(xi, eta),
+                          np.ones(samples))
+        traj.spectrum  # computed before tracing starts
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            spectrum_to_csv(traj, Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(10001) - peak(1001)) / 9000 < 8

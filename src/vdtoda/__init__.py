@@ -4,12 +4,14 @@ Phase-space model, energy function and equations of motion, the Lax
 triad/pair matrix constructions, residual verification of the matrix
 identities, adaptive Runge-Kutta reference dynamics, and the purely
 algebraic factorization solver, with a CLI front end (``vdtoda``).
+
+Every module's public names are re-exported here, so ``vdtoda.hamiltonian``
+and ``vdtoda.integrate`` are the functions of those names, not the modules;
+``importlib.import_module("vdtoda.hamiltonian")`` returns the module.
 """
 
 from . import core, hamiltonian, integrate, lax, solve, verify
 
-# The public names of each module, re-exported.  Binding them after the
-# module list above makes ``hamiltonian`` and ``integrate`` the functions.
 _MODULES = (core, hamiltonian, integrate, lax, solve, verify)
 from .core import *  # noqa: E402, F403
 from .hamiltonian import *  # noqa: E402, F403

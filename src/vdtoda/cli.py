@@ -33,7 +33,7 @@ from .integrate import (
     spectrum_to_csv,
     trajectory_to_csv,
 )
-from .lax import build_bundle
+from .lax import build_bundle, build_omega
 from .solve import solve_trajectory
 from .verify import _MATRIX_FIELDS, reports_to_jsonl, run_suite
 
@@ -179,12 +179,16 @@ def cmd_verify(
 
 
 def _dump_bundle(config: RunConfig, directory: str) -> None:
-    # One CSV per matrix at the configured state, 17 significant digits.
+    # One CSV per matrix at the configured state, 17 significant digits;
+    # the bundle holds D and Dcal as diagonals and not Omega or Q.
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
+    xi = config.state.xi
     bundle = build_bundle(config.state, config.params)
+    dense = dict(D=np.diag(bundle.d), Dcal=np.diag(bundle.dcal), Omega=build_omega(config.n),
+                 Q=np.diag(np.concatenate([xi, -xi[::-1]])))
     for name in _DUMPED_MATRICES:
-        _write_table(out / f"{name}.csv", getattr(bundle, name))
+        _write_table(out / f"{name}.csv", dense[name] if name in dense else getattr(bundle, name))
 
 
 def _run_method(config: RunConfig, method: str) -> Trajectory:

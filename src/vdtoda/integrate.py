@@ -473,8 +473,10 @@ def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Traj
     forward sample i, which lies on the integral curve through
     time_reversal of the initial state at time -t[i].  The samples are
     presented on the forward grid; applying the construction twice
-    returns the forward trajectory bitwise.
+    returns the forward trajectory bitwise.  ``params`` must be its own.
     """
+    if params != traj_forward.params:
+        raise ValueError(f"params {params} differ from the trajectory's {traj_forward.params}")
     xi, eta = _sample_stacks(traj_forward)
     # The energy is even in the rapidities, so the forward drift budget
     # is already spent; only a rounding allowance is added here.

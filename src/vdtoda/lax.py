@@ -8,27 +8,30 @@ multiplication, conjugation by R flips the band sign, and conjugation by
 the skew block matrix Omega = [[0, R], [-R, 0]] does the same on the big
 space.
 
-``build_bundle`` assembles, at one state, every matrix of the Lax triad
-X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal].  Given a
-stack of S states it builds the same matrices as (S, 2n, 2n) arrays in
-one pass (``run_suite`` calls it once per block of states); one state is
-the S = 1 case of that pass:
+``build_bundle`` assembles, at one state, what the residuals of the Lax
+triad X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal] read.
+Given a stack of S states it builds the same arrays with a leading axis
+of length S in one pass (``run_suite`` calls it once per block of
+states); one state is the S = 1 case of that pass:
 
-    D        block diagonal scaling, diag(Dn, R Dn^{-1} R)
+    d        diagonal of the scaling D = diag(Dn, R Dn^{-1} R)
     W        strictly lower, one populated subdiagonal
     L        = D (I + W), invertible lower bidiagonal
+    dcal     diagonal of Dcal = D^{-1} X_H[D]
     A, B     pentadiagonal triad companions (kappa > 0)
     Acal     = D A D^{-1}, the Lax pair companion
     g, g_inv boundary gauge, tridiagonal for kappa > 0
     Hcal     = L (Omega L Omega^{-1})^{-1}, unreduced upper Hessenberg
     Lcal     = Hcal g, lower bandwidth 2
     Ycal     = (beta/2)(Lcal - Lcal^{-1}), generator of the matrix flow
-    Q        diag(q_1..q_n, -q_n..-q_1)
+
+Only the matrix dump of ``vdtoda verify`` forms the dense D and Dcal,
+the constant Omega and Q = diag(q_1..q_n, -q_n..-q_1).
 
 Acal comes from its explicit block entries and X_H[W] from the Laurent
 rates of X_H[w]; their second routes (D A D^{-1}, the X_H[w] composition
 rule) are residuals of the verification suite.  Construction raises only
-when a coordinate guard fails or a matrix is not finite.  Each check
+when a coordinate guard fails or an array is not finite.  Each check
 runs once per stack and every step acts matrix by matrix, so a state
 gets the same bits alone or inside a stack.  Trajectories build Lcal
 alone through ``_lax_chain``, one block of samples at a time.
@@ -137,33 +140,30 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LaxBundle:
-    """Every Lax-side matrix evaluated at one state, or at a stack of S.
+    """The Lax-side arrays the residuals read, at one state or a stack of S.
 
     All entries are read-only views of the arrays the bundle was built
-    from (no copies are made); ``coords`` carries the derived scalar
+    from (no copies are made); ``d`` and ``dcal`` are (2n,) vectors, the
+    rest (2n, 2n) matrices.  ``coords`` carries the derived scalar
     variables the matrices were built from, ``xhw`` the flow derivative
     of W (same subdiagonal pattern), and ``Lcal_inv`` the inverse Lax
     matrix obtained through the exact Omega conjugation of Hcal.  For a
     stack every field, ``coords`` included, has a leading axis of length S.
     """
 
-    D: np.ndarray
+    d: np.ndarray
     W: np.ndarray
     L: np.ndarray
-    Dcal: np.ndarray
+    dcal: np.ndarray
     A: np.ndarray
     B: np.ndarray
     Acal: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
-    Omega: np.ndarray
     Hcal: np.ndarray
     Lcal: np.ndarray
     Lcal_inv: np.ndarray
     Ycal: np.ndarray
-    Q: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
     coords: DerivedCoords
     xhw: np.ndarray
 
@@ -195,24 +195,11 @@ def _w_subdiagonal(sw: np.ndarray) -> np.ndarray:
     return np.concatenate([sw[..., :-1], sw[..., -1:], -sw[..., -2::-1]], axis=-1)
 
 
-def _diagonal(v: np.ndarray) -> np.ndarray:
-    """The stack of diagonal matrices with the rows of v, (S, m) -> (S, m, m)."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    i = np.arange(v.shape[-1])
-    out[..., i, i] = v
-    return out
-
-
-def _block_diagonal(v: np.ndarray) -> np.ndarray:
-    """diag(v, -reversed(v)) for each row of v."""
-    return _diagonal(np.concatenate([v, -v[:, ::-1]], axis=1))
-
-
 def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Flow derivatives of the factors of L, for a stack of states.
 
-    Dcal is D^{-1} X_H[D]: block diagonal with the n entries beta d / 4 in
-    the "+" block and their negated reversal in the "-" block.  XhW is
+    dcal is the diagonal of Dcal = D^{-1} X_H[D]: the n entries beta d / 4
+    of the "+" block, then their negated reversal.  XhW is
     X_H[W]: same subdiagonal pattern as W, populated with
     X_H[w_a^{1/2}] = X_H[w_a] / (2 w_a^{1/2}) from the rows ``xhw`` of X_H[w].
     """
@@ -232,11 +219,12 @@ def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray,
     N = 2 * params.n
     XhW = np.zeros((x.shape[0], N, N))
     XhW[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(0.5 * xhw / np.sqrt(w))
-    return _block_diagonal(0.25 * beta * d), XhW
+    plus = 0.25 * beta * d
+    return np.concatenate([plus, -plus[:, ::-1]], axis=1), XhW
 
 
 def _triad_blocks(x, w, delta, gamma, params: ModelParams):
-    """phi, psi, A, B and the corner bump of A for a stack of states."""
+    """phi, A, B and the corner bump of A for a stack of states."""
     beta, kappa, n = params.beta, params.kappa, params.n
     S, N = x.shape[0], 2 * n
     sw = np.sqrt(w)
@@ -267,7 +255,8 @@ def _triad_blocks(x, w, delta, gamma, params: ModelParams):
     App[:, -1, -1] = phi[:, -1] + bump
     App[:, i, i + 1] = half * sw[:, :-1] / x[:, :-1]
     App[:, i + 1, i] = -half * sw[:, :-1] * x[:, :-1]
-    Amm = _diagonal(phi)
+    Amm = np.zeros((S, n, n))
+    Amm[:, np.arange(n), np.arange(n)] = phi
     Amm[:, -1, -1] -= bump
     Amm[:, j, j + 1] = half * sw[:, :-2] / x[:, 1:-1]
     Amm[:, j + 1, j] = -half * sw[:, :-2] * x[:, 1:-1]
@@ -291,7 +280,7 @@ def _triad_blocks(x, w, delta, gamma, params: ModelParams):
     B[:, n:, :n] = -_rev(Bpm)
     B[:, n:, n:] = _rev(Bpp)
 
-    return phi, psi, A, B, bump
+    return phi, A, B, bump
 
 
 def _acal_explicit(x, w, delta, phi, bump, params: ModelParams) -> np.ndarray:
@@ -314,7 +303,8 @@ def _acal_explicit(x, w, delta, phi, bump, params: ModelParams) -> np.ndarray:
     pp[:, -2, -1] = half * sw[:, -2] * dp[0.25] / (sx[:, -2] * sx[:, -1])
     pp[:, -1, -2] = -half * sw[:, -2] * sx[:, -2] * sx[:, -1] * dp[-0.25]
 
-    mm = _diagonal(phi)
+    mm = np.zeros((S, n, n))
+    mm[:, np.arange(n), np.arange(n)] = phi
     mm[:, -1, -1] -= bump
     mm[:, j, j + 1] = sup
     mm[:, j + 1, j] = sub
@@ -373,7 +363,7 @@ def _lax_chain(
 def build_bundle(
     state: State | tuple[np.ndarray, np.ndarray], params: ModelParams
 ) -> LaxBundle:
-    """Assemble every Lax-side matrix at one state.
+    """Assemble the Lax-side arrays at one state.
 
     ``state`` may also be a pair (xi, eta) of (S, n) arrays; the bundle
     then holds the stack of S states, each bitwise equal to its own
@@ -384,16 +374,15 @@ def build_bundle(
     check that fails, at its earliest failing state (``run_suite``
     re-runs a failing block state by state).
     """
-    q, _, one = _stack_of(state)
+    one = _stack_of(state)[2]
     coords = derived_coords(state, params)
     _, _, x, w, delta, gamma, upsilon = coords.rows()
     beta, n = params.beta, params.n
-    N = 2 * n
 
     # an inf or nan made here raises CoordinateOverflowError in LaxBundle
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d, W, L, g, Hcal, Lcal = _lax_chain(x, w, delta, params)
-        phi, psi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
+        phi, A, B, bump = _triad_blocks(x, w, delta, gamma, params)
         Acal = _acal_explicit(x, w, delta, phi, bump, params)
 
         g_inv = g.copy()
@@ -401,26 +390,22 @@ def build_bundle(
         Lcal_inv = g_inv @ omega_conjugate(Hcal)
 
         xhw = _xh_w_arrays(x, w, delta, upsilon, params)[0]
-        Dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
+        dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
 
         arrays = dict(
-            D=_diagonal(d),
+            d=d,
             W=W,
             L=L,
-            Dcal=Dcal,
+            dcal=dcal,
             A=A,
             B=B,
             Acal=Acal,
             g=g,
             g_inv=g_inv,
-            Omega=np.broadcast_to(build_omega(n), (q.shape[0], N, N)),
             Hcal=Hcal,
             Lcal=Lcal,
             Lcal_inv=Lcal_inv,
             Ycal=0.5 * beta * (Lcal - Lcal_inv),
-            Q=_block_diagonal(q),
-            phi=phi,
-            psi=psi,
             xhw=XhW,
         )
     return LaxBundle(**{name: a[0] if one else a for name, a in arrays.items()}, coords=coords)
@@ -436,14 +421,12 @@ def hessenberg_parts(
     """
     if bundle is None:
         bundle = build_bundle(state, params)
-    d = np.diag(bundle.D)
+    d = bundle.d
     sub = np.diag(bundle.W, -1)
     t = np.ones(d.shape[0])
     t[1:] += sub * sub
 
     H_m1 = d[:, None] * bundle.W * d[None, :]
     H_0 = np.diag(d * t * d)
-    H_1 = np.zeros_like(H_m1)
-    i = np.arange(d.shape[0] - 1)
-    H_1[i, i + 1] = d[:-1] * t[:-1] * sub * d[1:]
+    H_1 = np.diag(d[:-1] * t[:-1] * sub * d[1:], 1)
     return H_m1, H_0, H_1

@@ -32,10 +32,11 @@ one sample and also its energy gate, so past the precision horizon
 they raise as a trajectory does instead of returning wrong values.
 
 Conditioning caveat: entries of exp(t Ycal) grow exponentially in t, so
-double precision limits the usable horizon; at the desk scales used
-here (|t| up to about 10 at moderate energies) the method stays well
-inside its budget, and any breakdown surfaces as a structured error
-rather than silent noise: ``CoordinateOverflowError`` for the
+double precision limits the usable horizon: the position error stays
+under 30 eps e^{beta (H - n) t}, 3e-6 at beta (H - n) t = 20, where
+errors of 2e-7 pass the energy gate (README "Precision range").  Past
+about 24 the gate refuses, and any breakdown surfaces as a structured
+error rather than silent noise: ``CoordinateOverflowError`` for the
 exponential, ``FactorizationBreakdownError`` for the elimination (and
 for Gauss factors of ``ldu`` that do not rebuild their matrix).
 """

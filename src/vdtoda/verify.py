@@ -27,9 +27,10 @@ build by one route (Acal, X_H[q], X_H[w], gamma and upsilon); a
 disagreement there is a failed report, not an error.
 
 An optional ``perturb=(name, i, j, amount)`` corrupts entry (i, j) of
-the named bundle matrix, in every state, before the residuals are
-formed.  Perturbation exists purely as an anti-vacuity control: a
-residual that stays small under a 1e-3 corruption is testing nothing.
+the named matrix (i = j for the diagonal D and Dcal), in every state,
+before the residuals are formed.  Perturbation exists purely as an
+anti-vacuity control: a residual that stays small under a 1e-3
+corruption is testing nothing.
 """
 
 from __future__ import annotations
@@ -78,12 +79,17 @@ TOL_XH_Q_FORMS = 1e-11
 TOL_XH_W_COMPOSITION = 1e-12
 TOL_GAMMA_UPSILON = 1e-12
 
-# States per stacked evaluation in ``run_suite``: its working set, about
-# forty (2n, 2n) matrices per state, stays bounded for any num_states.
+# States per stacked evaluation in ``run_suite``: its working set, at peak
+# about seventeen (2n, 2n) matrices per state, stays bounded for any num_states.
 _SUITE_BLOCK = 64
 
-# the bundle matrices, in field order: every array field but the vectors
-_MATRIX_FIELDS = tuple(name for name in _ARRAY_FIELDS if name not in ("phi", "psi"))
+# The matrices ``perturb`` names and ``vdtoda verify --dump-matrices``
+# writes (all but xhw).  D and Dcal are the bundle's diagonals d and dcal;
+# no residual reads Omega, Ycal or Q, so their perturbation has no effect.
+_MATRIX_FIELDS = ("D", "W", "L", "Dcal", "A", "B", "Acal", "g", "g_inv", "Omega", "Hcal",
+                  "Lcal", "Lcal_inv", "Ycal", "Q", "xhw")
+_DIAGONALS = {"D": "d", "Dcal": "dcal"}
+_READ_FIELDS = tuple(name for name in _ARRAY_FIELDS if name != "Ycal")
 
 
 class ResidualReport(NamedTuple):
@@ -111,37 +117,37 @@ class ResidualReport(NamedTuple):
 
 
 _BLOCKS = ("pp", "pm", "mp", "mm")
-# the perturbable matrices some residual reads
-_READ_FIELDS = tuple(name for name in _MATRIX_FIELDS if name not in ("Omega", "Ycal", "Q"))
 
 
 def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str, np.ndarray]:
     """Everything the kernels read, stacked over S states, by name.
 
-    The matrices of ``bundle`` (one state or a stack) the residuals use,
-    with entry (i, j) of ``perturb``'s matrix corrupted in every state;
-    d, the diagonal of the unperturbed D (S, 2n); q, th and their
+    The arrays of ``bundle`` (one state or a stack) the residuals use,
+    with ``perturb``'s entry corrupted in every state; q, th and their
     position velocities qdot (S, n); and x, w (S, n), delta, gamma and
-    upsilon (S,) from its coordinates.  Perturbing a matrix no residual
-    reads (Omega, Ycal, Q) is checked and then has no effect.
+    upsilon (S,) from its coordinates.
     """
-    stack = {name: getattr(bundle, name) for name in _MATRIX_FIELDS}
+    m = {name: getattr(bundle, name) for name in _READ_FIELDS}
     if bundle.L.ndim == 2:
-        stack = {name: M[None] for name, M in stack.items()}
-    m = {name: stack[name] for name in _READ_FIELDS}
+        m = {name: M[None] for name, M in m.items()}
     if perturb is not None:
         name, i, j, amount = perturb
         if name not in _MATRIX_FIELDS:
             raise ValueError(f"unknown matrix {name!r}; choose from {_MATRIX_FIELDS}")
-        M = stack[name].copy()
-        # entry (i, j) across the stack; indexes (and fails) as one matrix would
-        M.transpose(1, 2, 0)[int(i), int(j)] += float(amount)
-        if name in m:
-            m[name] = M
+        # (i, j) indexes (and fails) as in one matrix
+        N = m["L"].shape[-1]
+        i, j = divmod(int(np.arange(N * N).reshape(N, N)[int(i), int(j)]), N)
+        if name in _DIAGONALS:
+            if i != j:
+                raise ValueError(f"{name} is diagonal; entry ({i}, {j}) is off its diagonal")
+            d = m[_DIAGONALS[name]] = m[_DIAGONALS[name]].copy()
+            d[:, i] += float(amount)
+        elif name in m:
+            M = m[name] = m[name].copy()
+            M[:, i, j] += float(amount)
     _, _, x, w, delta, gamma, upsilon = bundle.coords.rows()
-    d = np.diagonal(stack["D"], axis1=1, axis2=2)
     qdot = _xh_q_theta(q, th, params)
-    m.update(d=d, q=q, th=th, qdot=qdot, x=x, w=w, delta=delta, gamma=gamma, upsilon=upsilon)
+    m.update(q=q, th=th, qdot=qdot, x=x, w=w, delta=delta, gamma=gamma, upsilon=upsilon)
     return m
 
 
@@ -153,7 +159,7 @@ def _amax(M: np.ndarray) -> np.ndarray:
 def _xh_of_L(m: dict[str, np.ndarray]) -> np.ndarray:
     # Leibniz rule on L = D (I + W):  X_H[L] = D (Dcal (I + W) + X_H[W]).
     eye = np.eye(m["L"].shape[-1])
-    return m["D"] @ (m["Dcal"] @ (eye + m["W"]) + m["xhw"])
+    return m["d"][:, :, None] * (m["dcal"][:, :, None] * (eye + m["W"]) + m["xhw"])
 
 
 def _block_maxima(M: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import vdtoda
 import vdtoda.cli as cli
 from vdtoda import integrate, random_state, solve_trajectory
 from vdtoda.cli import RunConfig, main
+from vdtoda.lax import build_bundle, build_omega
 from vdtoda.verify import _MATRIX_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,6 +147,30 @@ def test_verify_dumps_matrices(tmp_path):
     assert set(files) == {f"{name}.csv" for name in _MATRIX_FIELDS if name != "xhw"}
 
 
+def test_dumped_matrices_are_the_bundle_at_the_configured_state(tmp_path):
+    xi, eta = (0.3, -0.1, 0.7, 0.2), (0.1, -0.4, 0.2, 0.5)
+    cfg = RunConfig(n=4, beta=0.5, kappa=1.0, xi=xi, eta=eta)
+    mats = tmp_path / "mats"
+    rc = main(["verify", "--n", "4", "--beta", "0.5", "--kappa", "1", "--xi", "0.3,-0.1,0.7,0.2",
+               "--eta", "0.1,-0.4,0.2,0.5", "--num-states", "1", "--dump-matrices", str(mats),
+               "-o", str(tmp_path / "r.jsonl")])
+    assert rc == 0
+    dumped = {p.stem: np.loadtxt(p, delimiter=",") for p in mats.iterdir()}
+    bundle = build_bundle(cfg.state, cfg.params)
+    for name in ("W", "L", "A", "B", "Acal", "g", "g_inv", "Hcal", "Lcal", "Lcal_inv", "Ycal"):
+        assert np.array_equal(dumped[name], getattr(bundle, name)), name
+    # L = D (I + W) carries the diagonal of D on its own diagonal
+    assert np.array_equal(dumped["D"], np.diag(np.diag(bundle.L)))
+    assert np.array_equal(dumped["Omega"], build_omega(4))
+    assert np.array_equal(dumped["Q"], np.diag(np.concatenate([xi, np.negative(xi[::-1])])))
+    # Dcal = D^{-1} X_H[D] is the diagonal of X_H[L] = Acal L - L B over that of D
+    dcal = np.diag(dumped["Dcal"])
+    assert np.array_equal(dumped["Dcal"], np.diag(dcal))
+    xh_l = dumped["Acal"] @ dumped["L"] - dumped["L"] @ dumped["B"]
+    assert np.allclose(dcal, np.diag(xh_l) / np.diag(dumped["D"]), rtol=1e-12, atol=1e-14)
+    assert np.array_equal(dcal[4:], -dcal[3::-1])
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4, oops')
@@ -195,13 +220,21 @@ def test_bad_perturb_spec_exits_2(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("spec, axis", [("L,99,0,1", 0), ("Hcal,0,-7,1", 1)])
+@pytest.mark.parametrize(
+    "spec, axis", [("L,99,0,1", 0), ("Hcal,0,-7,1", 1), ("Q,99,0,1", 0), ("Dcal,0,-7,1", 1)]
+)
 def test_perturb_entry_outside_the_matrix_exits_2(tmp_path, capsys, spec, axis):
     out = tmp_path / "reports.jsonl"
     assert main(["verify", "--n", "3", "--perturb", spec, "-o", str(out)]) == 2
     index = spec.split(",")[axis + 1]
     want = f"error: --perturb index {index} is out of bounds for axis {axis} with size 6\n"
     assert capsys.readouterr().err == want
+
+
+def test_perturbing_off_the_diagonal_of_d_exits_2(capsys):
+    assert main(["verify", "--n", "3", "--perturb", "D,0,1,1e-3", "-o", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: D is diagonal; entry (0, 1) is off its diagonal\n"
 
 
 # -------------------------------------------------------------- simulate

@@ -1,8 +1,11 @@
 """Phase-space points: construction, accessors, involutions."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+import vdtoda
 from vdtoda import (
     ModelParams,
     State,
@@ -17,6 +20,14 @@ from vdtoda import (
     shift,
     time_reversal,
 )
+
+
+@pytest.mark.parametrize("name", ["hamiltonian", "integrate"])
+def test_package_binds_the_function_that_shares_its_modules_name(name):
+    module = importlib.import_module(f"vdtoda.{name}")
+    assert module.__name__ == f"vdtoda.{name}"
+    assert getattr(vdtoda, name) is getattr(module, name)
+    assert callable(getattr(vdtoda, name))
 
 
 def test_params_accepts_valid_ranges():

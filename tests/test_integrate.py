@@ -350,6 +350,14 @@ def test_backward_samples_match_negated_field():
         assert np.max(np.abs(bwd.states[i].eta - sol.y[n:, i])) < 1e-6
 
 
+@pytest.mark.parametrize("kappa", [PARAMS.kappa + 1e-13, PARAMS.kappa + 0.5])
+def test_reversal_refuses_other_params(kappa):
+    fwd = integrate(_state(8), PARAMS, 1.0, sample_dt=0.5)
+    other = ModelParams(PARAMS.n, PARAMS.beta, kappa)
+    with pytest.raises(ValueError, match="differ from the trajectory's"):
+        backward_via_reversal(fwd, other)
+
+
 def test_double_reversal_is_bitwise_identity():
     fwd = integrate(_state(8), PARAMS, 2.0, sample_dt=0.5)
     twice = backward_via_reversal(backward_via_reversal(fwd, PARAMS), PARAMS)

@@ -104,8 +104,9 @@ def test_diagonal_factor_at_origin(zero3):
     for kappa in (0.0, 1.0):
         b = build_bundle(zero3, ModelParams(3, 1.0, kappa))
         expect = [QUART2, 1.0, 1.0, 1.0, 1.0, 1.0 / QUART2]
-        assert np.allclose(np.diag(b.D), expect, rtol=0, atol=1e-15)
-        assert np.array_equal(b.D, np.diag(np.diag(b.D)))
+        assert b.d.shape == (6,)
+        assert np.allclose(b.d, expect, rtol=0, atol=1e-15)
+        assert np.array_equal(np.diag(b.L), b.d)
 
 
 def test_hessenberg_diagonal_at_origin(zero3):
@@ -114,12 +115,6 @@ def test_hessenberg_diagonal_at_origin(zero3):
         b = build_bundle(zero3, params)
         got = np.diag(graded_part(b.Hcal, 0))
         assert np.allclose(got, [SQRT2, 2, 2, 2, 2, SQRT2], rtol=0, atol=1e-14)
-
-
-def test_position_diagonal():
-    st = State(np.array([0.3, -0.1, 0.7]), np.zeros(3))
-    b = build_bundle(st, ModelParams(3, 1.0, 1.0))
-    assert np.array_equal(np.diag(b.Q), [0.3, -0.1, 0.7, -0.7, 0.1, -0.3])
 
 
 # -------------------------------------------------------- band structure

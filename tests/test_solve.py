@@ -231,6 +231,26 @@ def test_point_evaluators_agree_with_trajectory_samples():
         assert np.array_equal(rapidities_at(STATE, PARAMS, t), sample.eta)
 
 
+# n = 5, beta = 0.5, kappa = 0.3, t = 30: beta (H - n) t = 19.8, the point
+# of a seeded 120-point sweep with the largest error the energy gate passes
+EDGE = State(
+    np.array([0.37714971824646837, 0.22763456294954076, -0.029965454425319504,
+              -0.02565191123574695, -0.31570915141605016]),
+    np.array([0.4847235458253851, -0.25644303326926865, -0.26483172317211967,
+              0.30527334229469705, 0.0865449967909877]),
+)
+
+
+def test_positions_near_the_edge_of_the_range_stay_within_the_documented_bound():
+    params, t = ModelParams(5, 0.5, 0.3), 30.0
+    growth = params.beta * (hamiltonian(EDGE, params) - params.n) * t
+    assert 19.7 < growth < 19.8
+    reference = integrate(EDGE, params, t, sample_dt=t, rtol=1e-13, atol=1e-15).states[-1].xi
+    err = np.max(np.abs(positions_at(EDGE, params, t) - reference))
+    # README "Precision range": under 30 eps e^(beta (H - n) t), 2.6e-6 here
+    assert err <= 30 * 2.2e-16 * np.exp(growth)
+
+
 # ------------------------------------------------------- full trajectory
 
 

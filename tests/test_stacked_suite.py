@@ -30,11 +30,14 @@ from vdtoda.verify import (
 )
 
 STATES = 2
+# the matrices stored as their diagonals: only (i, i) can be perturbed
+DIAGONAL = ("D", "Dcal")
 
 
-def one_by_one(state, params, perturb=None):
+def one_by_one(state, params, perturb=None, bundle=None):
     """The twelve reports of one state from the public single-state functions."""
-    bundle = build_bundle(state, params)
+    if bundle is None:
+        bundle = build_bundle(state, params)
     reports = [
         lax_triad_residual(state, params, bundle, perturb),
         lax_equation_residual(state, params, bundle, perturb),
@@ -56,9 +59,8 @@ def test_stacked_reports_equal_single_state_calls(kappa, beta):
         states = [random_state(n, rng, box=2.0) for _ in range(STATES)]
         # clean, then two perturbed fields per size; every field is hit
         # by several (beta, kappa) pairs
-        specs = [None] + [
-            (_MATRIX_FIELDS[(2 * n + k) % len(_MATRIX_FIELDS)], 1, 0, 1e-3) for k in range(2)
-        ]
+        names = [_MATRIX_FIELDS[(2 * n + k) % len(_MATRIX_FIELDS)] for k in range(2)]
+        specs = [None] + [(name, 1, 1 if name in DIAGONAL else 0, 1e-3) for name in names]
         for perturb in specs:
             stacked = run_suite(params, STATES, seed, perturb=perturb)
             expect = [
@@ -75,7 +77,7 @@ def test_every_field_perturbs_every_state_alike():
     rng = np.random.default_rng(77)
     states = [random_state(4, rng, box=2.0) for _ in range(3)]
     for name in _MATRIX_FIELDS:
-        perturb = (name, 0, 2, 1e-3)
+        perturb = (name, 2 if name in DIAGONAL else 0, 2, 1e-3)
         stacked = run_suite(params, 3, 77, perturb=perturb)
         singles = [r for st in states for r in one_by_one(st, params, perturb)]
         assert repr([(r.max_abs, r.rel_scale, r.blocks) for r in stacked]) == repr(
@@ -131,6 +133,34 @@ def test_perturbation_index_fails_as_for_one_matrix():
         run_suite(params, 3, 5, perturb=("L", 0, 9, 1.0))
     with pytest.raises(ValueError, match="unknown matrix 'nope'"):
         run_suite(params, 3, 5, perturb=("nope", 0, 0, 1.0))
+    for name in ("Omega", "Ycal", "Q", "D", "Dcal"):
+        with pytest.raises(IndexError, match="index 8 is out of bounds for axis 0 with size 8"):
+            run_suite(params, 3, 5, perturb=(name, 8, 8, 1.0))
+        with pytest.raises(IndexError, match="index -9 is out of bounds for axis 1 with size 8"):
+            run_suite(params, 3, 5, perturb=(name, 0, -9, 1.0))
+
+
+@pytest.mark.parametrize("name, field", [("D", "d"), ("Dcal", "dcal")])
+def test_a_diagonal_factor_is_perturbed_on_its_stored_diagonal(name, field):
+    params = ModelParams(4, 0.6, 1.2)
+    state = random_state(4, np.random.default_rng(77), box=2.0)
+    bundle = build_bundle(state, params)
+    corrupted = getattr(bundle, field).copy()
+    corrupted[2] += 1e-3
+    expect = one_by_one(state, params, bundle=replace(bundle, **{field: corrupted}))
+    for i, j in ((2, 2), (-6, 2)):
+        reports = one_by_one(state, params, perturb=(name, i, j, 1e-3))
+        assert repr(reports) == repr(expect)
+    assert not reports[0].passed and reports[0].name == "lax_triad"
+    with pytest.raises(ValueError, match=rf"{name} is diagonal; entry \(0, 1\) is off"):
+        run_suite(params, 3, 5, perturb=(name, 0, 1, 1e-3))
+
+
+def test_perturbing_a_matrix_no_residual_reads_changes_nothing():
+    params = ModelParams(4, 0.6, 1.2)
+    clean = repr(run_suite(params, 3, 5))
+    for name in ("Omega", "Ycal", "Q"):
+        assert repr(run_suite(params, 3, 5, perturb=(name, 1, 0, 1e-3))) == clean
 
 
 # --------------------------------------------------------- error contract
@@ -142,7 +172,7 @@ OVERFLOW = State(np.array([-800.0, 0.0, 0.0]), np.zeros(3))
 # coordinates are fine, the bundle is not (inf entries); this state
 # failed the two Acal routes when they were checked in build_bundle
 CROSS = State(np.array([0.0, 0.0, -120.0]), np.array([0.0, 0.0, 360.0]))
-# coordinates pass, the bundle holds an inf (Dcal)
+# coordinates pass, the bundle holds an inf (dcal)
 NONFINITE = State(np.array([0.0, 0.0, -220.0]), np.zeros(3))
 
 
@@ -194,7 +224,7 @@ def test_stack_raises_the_earliest_failing_states_error(monkeypatch, states, blo
 def test_crafted_states_fail_where_intended():
     assert _loop_error([OVERFLOW])[0] is CoordinateOverflowError
     assert _loop_error([CROSS])[0] is CoordinateOverflowError
-    assert _loop_error([NONFINITE]) == (CoordinateOverflowError, "non-finite entries in Dcal")
+    assert _loop_error([NONFINITE]) == (CoordinateOverflowError, "non-finite entries in dcal")
     one_by_one(GOOD, PARAMS3)
 
 
@@ -215,13 +245,13 @@ def test_a_nan_gap_fails_each_cross_check(monkeypatch):
     assert len(reports) == 4
     for name, report in reports.items():
         assert np.isnan(report.max_abs) and not report.passed, name
-    with pytest.raises(CoordinateOverflowError, match="non-finite entries in Dcal"):
+    with pytest.raises(CoordinateOverflowError, match="non-finite entries in dcal"):
         build_bundle(NONFINITE, PARAMS3)
 
 
 def test_bundle_rejects_a_non_finite_field():
     bundle = build_bundle(GOOD, PARAMS3)
-    Dcal = bundle.Dcal.copy()
-    Dcal[1, 1] = np.inf
-    with pytest.raises(CoordinateOverflowError, match="non-finite entries in Dcal"):
-        replace(bundle, Dcal=Dcal)
+    dcal = bundle.dcal.copy()
+    dcal[1] = np.inf
+    with pytest.raises(CoordinateOverflowError, match="non-finite entries in dcal"):
+        replace(bundle, dcal=dcal)

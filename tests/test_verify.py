@@ -169,6 +169,18 @@ def test_each_residual_detects_a_perturbed_entry(name):
     assert all(r.passed for r in clean)
 
 
+@pytest.mark.parametrize("n, kappa, box", [(3, 0.0, 2.0), (8, 1.0, 10.0), (12, 2.5, 50.0)])
+def test_diagonal_factors_act_as_their_dense_matrices(n, kappa, box):
+    # X_H[L] = D (Dcal (I + W) + X_H[W]) through the stored diagonals gives
+    # the bits of the dense matrix products: their other terms are exact zeros
+    q, th = verify._draw_states(n, 16, n, box)
+    params = ModelParams(n, 0.5, kappa)
+    bundle = build_bundle((q, th), params)
+    D, Dcal = (np.stack([np.diag(v) for v in diagonals]) for diagonals in (bundle.d, bundle.dcal))
+    dense = D @ (Dcal @ (np.eye(2 * n) + bundle.W) + bundle.xhw)
+    assert np.array_equal(verify._xh_of_L(verify._inputs(bundle, q, th, params, None)), dense)
+
+
 def test_triad_residual_direct_call():
     st = random_state(5, np.random.default_rng(15), box=1.5)
     bundle = build_bundle(st, PARAMS)

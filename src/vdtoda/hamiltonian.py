@@ -30,6 +30,7 @@ with the boundary shorthand delta = 1 + kappa^2 w_n.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,26 +474,90 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
     return _xh_w_arrays(x, w, delta, upsilon, params)[0][0]
 
 
-def _eom_work(params: ModelParams) -> tuple[np.ndarray, ...]:
-    """Scratch arrays of ``_eom_arrays`` for ``params``, with their fixed views.
+def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:
+    """The kernel ``rhs(q, th, out)`` of ``_eom_arrays`` for ``params``.
 
-    One workspace serves any number of calls with these parameters: each
-    call writes every entry before it reads it, so nothing carries over.
-    Each array is allocated on its own, as the temporaries it replaces
-    were.  The constants the kernel multiplies by are 0-d arrays, which a
-    ufunc takes faster than Python floats, with the same bits.
+    It writes every intermediate into scratch arrays it closes over, each
+    allocated on its own as the temporaries they replace were, and every
+    entry before reading it, so no call sees another's values, not even
+    one that raised.  Its constants are 0-d arrays, which a ufunc takes
+    faster than Python floats, with the same bits.
     """
-    n = params.n
+    n, beta, kappa = params.n, params.beta, params.kappa
     w, lf, x, bt, one_w, f, F = (np.empty(n) for _ in range(7))
-    flux, jac = np.empty(n - 1), np.empty(n - 1)
-    beta_arr, beta2_arr, half, one, two = map(
-        np.array, (params.beta, params.beta * params.beta, 0.5, 1.0, 2.0)
-    )
-    return (
-        w, w[:-1], lf, lf[:-1], lf[1:], x, x[:-1], x[1:], bt, one_w, one_w[:-1],
-        f, f[:-1], f[1:], F, F[1:], flux, flux[:-2], flux[1:-1], jac, np.zeros(2 * n),
-        beta_arr, beta2_arr, half, one, two,
-    )
+    flux, jac, zeros = np.empty(n - 1), np.empty(n - 1), np.zeros(2 * n)
+    w_head, lf_head, lf_tail, x_head, x_tail = w[:-1], lf[:-1], lf[1:], x[:-1], x[1:]
+    one_w_head, f_head, f_tail, F_tail = one_w[:-1], f[:-1], f[1:], F[1:]
+    flux_head, flux_mid = flux[:-2], flux[1:-1]
+    beta_arr, beta2_arr, half, one, two = map(np.array, (beta, beta * beta, 0.5, 1.0, 2.0))
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    exp, log1p, sqrt, sinh = np.exp, np.log1p, np.sqrt, np.sinh
+
+    def rhs(q: np.ndarray, th: np.ndarray, out: np.ndarray) -> np.ndarray:
+        qdot, etadot = out[:n], out[n:]
+        # w_a = beta^2 e^{-d_a} (a < n) and w_n = beta^2 e^{-2 q_n}
+        subtract(q[1:], q[:-1], w_head)
+        w[-1] = -2.0 * q[-1]
+        exp(w, w)
+        multiply(w, beta2_arr, w)
+        ws = w.tolist()
+        w_n1, w_n = ws[-2:]
+        wk = kappa * kappa * w_n
+        # beta s_a = ln f_a - ln f_{a-1}, with both boundary factors at n;
+        # x_a = e^{beta theta_a + beta s_a}
+        log1p(w, lf)
+        multiply(lf, half, lf)
+        x[0] = lf[0]
+        subtract(lf_tail, lf_head, x_tail)
+        x[-1] += 0.5 * log1p(wk)
+        multiply(th, beta_arr, bt)
+        add(x, bt, x)
+        exp(x, x)
+        # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
+        add(w, one, one_w)
+        sqrt(one_w, f)
+        F[0] = f[0]
+        multiply(f_tail, f_head, F_tail)
+        F[-1] *= math.sqrt(1.0 + wk)
+        sinh(bt, qdot)
+        multiply(qdot, beta_arr, qdot)
+        multiply(qdot, F, qdot)
+        # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
+        # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
+        divide(one, x_head, flux)
+        add(flux, x_tail, flux)
+        multiply(flux, half, flux)
+        multiply(flux, w_head, flux)
+        subtract(qdot[:-1], qdot[1:], jac)
+        multiply(one_w, two, one_w)
+        multiply(jac, divide(w_head, one_w_head, one_w_head), jac)
+        divide(jac, beta_arr, jac)
+        add(flux, jac, flux)
+        etadot[0] = flux[0]
+        subtract(flux_mid, flux_head, etadot[1:-2])
+        flux_n2, flux_n1 = flux[-2:].tolist()
+        g_n = -w_n / (2.0 * (1.0 + w_n))
+        gk = -wk / (2.0 * (1.0 + wk))
+        corner = 0.5 * kappa * w_n1 * w_n
+        etadot[-2] = flux_n1 - flux_n2 + corner
+        # divided as NumPy scalars: w_n / 0 is inf, not ZeroDivisionError
+        etadot[-1] = (
+            -flux_n1
+            + float(w_n / x[-1]) * (1.0 + kappa * kappa * (1.0 + 2.0 * w_n))
+            + 2.0 * kappa * w_n
+            + corner
+            - 2.0 * (g_n + gk) * float(qdot[-1]) / beta
+        )
+        # 0 v is nan where v is inf or nan and 0 elsewhere, so this sum is 0
+        # exactly when the output is finite; a weight that underflowed to 0
+        # leaves the output finite
+        if out.dot(zeros) != 0.0:
+            raise CoordinateOverflowError("overflow while evaluating the equations of motion")
+        if 0.0 in ws:
+            raise CoordinateUnderflowError("x and w entries must be positive")
+        return out
+
+    return rhs
 
 
 def _eom_arrays(
@@ -500,7 +565,7 @@ def _eom_arrays(
     th: np.ndarray,
     params: ModelParams,
     out: np.ndarray | None = None,
-    work: tuple[np.ndarray, ...] | None = None,
+    work: Callable[..., np.ndarray] | None = None,
 ) -> np.ndarray:
     """Flat-vector right-hand side (xidot, etadot) for ODE integration.
 
@@ -512,13 +577,12 @@ def _eom_arrays(
     fluxes plus the boundary terms at site n, taken in scalars.  The
     result is written into ``out`` (a fresh array if None) and returned.
 
-    ``work`` is a workspace from ``_eom_work(params)``: every
-    intermediate is written into it, so a caller that passes one
-    workspace to many calls allocates it once.  Such a caller holds
-    ``np.errstate`` with over, invalid and divide ignored around its
-    calls.  With ``work`` None the call builds a fresh workspace and
-    enters that errstate itself.  The result is the same either way, bit
-    for bit.
+    ``work`` is a kernel from ``_eom_work(params)``, called as
+    ``work(q, th, out)``, so a caller that passes one kernel to many calls
+    allocates its scratch once; it holds ``np.errstate`` with over,
+    invalid and divide ignored around them.  With ``work`` None the call
+    builds a kernel and enters that errstate itself.  The bits are the
+    same either way.
 
     Overflow anywhere surfaces as inf or nan in the output, which is
     checked once and raises ``CoordinateOverflowError``; a weight w_a
@@ -526,81 +590,12 @@ def _eom_arrays(
     coordinate guards do, so integration stops at the first such stage.
     ``out`` is written in full before either guard raises.
     """
-    n = q.shape[0]
+    if out is None:
+        out = np.empty(2 * q.shape[0])
     if work is None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _eom_arrays(q, th, params, out, _eom_work(params))
-    (
-        w, w_head, lf, lf_head, lf_tail, x, x_head, x_tail, bt, one_w, one_w_head,
-        f, f_head, f_tail, F, F_tail, flux, flux_head, flux_mid, jac, zeros,
-        beta_arr, beta2_arr, half, one, two,
-    ) = work
-    beta, kappa = params.beta, params.kappa
-    if out is None:
-        out = np.empty(2 * n)
-    qdot, etadot = out[:n], out[n:]
-    # w_a = beta^2 e^{-d_a} (a < n) and w_n = beta^2 e^{-2 q_n}
-    np.subtract(q[1:], q[:-1], w_head)
-    w[-1] = -2.0 * q[-1]
-    np.exp(w, w)
-    w *= beta2_arr
-    ws = w.tolist()
-    w_n1, w_n = ws[-2:]
-    wk = kappa * kappa * w_n
-    # beta s_a = ln f_a - ln f_{a-1}, with both boundary factors at n;
-    # x_a = e^{beta theta_a + beta s_a}
-    np.log1p(w, lf)
-    lf *= half
-    x[0] = lf[0]
-    np.subtract(lf_tail, lf_head, x_tail)
-    x[-1] += 0.5 * np.log1p(wk)
-    np.multiply(th, beta_arr, bt)
-    x += bt
-    np.exp(x, x)
-    # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
-    np.add(w, one, one_w)
-    np.sqrt(one_w, f)
-    F[0] = f[0]
-    np.multiply(f_tail, f_head, F_tail)
-    F[-1] *= math.sqrt(1.0 + wk)
-    np.sinh(bt, qdot)
-    qdot *= beta_arr
-    qdot *= F
-    # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
-    # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
-    np.divide(one, x_head, flux)
-    flux += x_tail
-    flux *= half
-    flux *= w_head
-    np.subtract(qdot[:-1], qdot[1:], jac)
-    one_w *= two
-    jac *= np.divide(w_head, one_w_head, one_w_head)
-    jac /= beta_arr
-    flux += jac
-    etadot[0] = flux[0]
-    np.subtract(flux_mid, flux_head, etadot[1:-2])
-    flux_n2, flux_n1 = flux[-2:].tolist()
-    g_n = -w_n / (2.0 * (1.0 + w_n))
-    gk = -wk / (2.0 * (1.0 + wk))
-    corner = 0.5 * kappa * w_n1 * w_n
-    etadot[-2] = flux_n1 - flux_n2 + corner
-    # divided as NumPy scalars: w_n / 0 is inf, not ZeroDivisionError
-    etadot[-1] = (
-        -flux_n1
-        + float(w_n / x[-1]) * (1.0 + kappa * kappa * (1.0 + 2.0 * w_n))
-        + 2.0 * kappa * w_n
-        + corner
-        - 2.0 * (g_n + gk) * float(qdot[-1]) / beta
-    )
-    # 0 v is nan where v is inf or nan and 0 elsewhere, so this sum is 0
-    # exactly when the output is finite; a weight that underflowed to 0
-    # leaves the output finite
-    finite = out.dot(zeros) == 0.0
-    if not finite or 0.0 in ws:
-        if not finite:
-            raise CoordinateOverflowError("overflow while evaluating the equations of motion")
-        raise CoordinateUnderflowError("x and w entries must be positive")
-    return out
+            return _eom_work(params)(q, th, out)
+    return work(q, th, out)
 
 
 def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ a uniform grid.  It takes the same steps and gives the same samples, bit
 for bit, as scipy's DOP853, without scipy's per-step Python layers: the
 RHS kernel writes each stage straight into its row of the stage array,
 the stage points are formed in one buffer, and the samples of a step
-come from one interpolant evaluation.  ``integrate`` allocates the
-kernel's scratch arrays once per call, not once per RHS evaluation.
+come from one interpolant evaluation.  One RHS kernel per ``integrate``
+call holds the scratch arrays, so RHS evaluations allocate nothing.
 
 Each trajectory is validated at construction: energy drift stays within
 the integration tolerance budget, rapidities respect the a-priori bound
@@ -439,10 +439,10 @@ def integrate(
     embedded 8(5,3) pair; samples fall on multiples of sample_dt.  The
     accepted energy drift budget is 100 * rtol * |H(state)|.
 
-    Every RHS evaluation is one call of ``_eom_arrays`` with one
-    workspace (``_eom_work``) built here, inside one ``np.errstate``
-    around the whole integration, so the calls allocate nothing and
-    give the bits of the one-shot kernel.
+    Every RHS evaluation is one call of ``_eom_arrays`` with one kernel
+    (``_eom_work``) built here, inside one ``np.errstate`` around the
+    whole integration, so the calls allocate nothing and give the bits
+    of the one-shot call.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be finite and positive")
@@ -454,10 +454,10 @@ def integrate(
     times = sample_times(t_end, sample_dt)
     y0 = np.concatenate([state.xi, state.eta])
 
-    work = _eom_work(params)
+    kernel = _eom_work(params)
 
     def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return _eom_arrays(y[:n], y[n:], params, out, work)
+        return _eom_arrays(y[:n], y[n:], params, out, kernel)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)

@@ -32,9 +32,11 @@ one sample and also its energy gate, so past the precision horizon
 they raise as a trajectory does instead of returning wrong values.
 
 Conditioning caveat: entries of exp(t Ycal) grow exponentially in t, so
-double precision limits the usable horizon: the position error stays
-under 30 eps e^{beta (H - n) t}, 3e-6 at beta (H - n) t = 20, where
-errors of 2e-7 pass the energy gate (README "Precision range").  Past
+double precision limits the usable horizon: a returned position is off
+by less than 100 eps e^{beta (H - n) t}, a measured bound (README
+"Precision range": 0.9 times 30 eps e^{beta (H - n) t} at most over a
+seeded sweep, 2.25 times on a state outside it).  That is 1.1e-5 at
+beta (H - n) t = 20, where errors of 2e-7 pass the energy gate.  Past
 about 24 the gate refuses, and any breakdown surfaces as a structured
 error rather than silent noise: ``CoordinateOverflowError`` for the
 exponential, ``FactorizationBreakdownError`` for the elimination (and

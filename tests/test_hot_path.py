@@ -161,6 +161,46 @@ def test_reused_workspace_gives_the_one_shot_bits(case):
         assert out.tobytes() == want.tobytes()  # written in full, also when raising
 
 
+def _hot_positions(n, error):
+    # gaps of 800: every w_a underflows to 0 and nothing overflows; one
+    # gap of -800: w_1 overflows
+    if error is CoordinateUnderflowError:
+        return 800.0 * np.arange(n - 1, -1, -1)
+    return np.concatenate([[-800.0], np.zeros(n - 1)])
+
+
+def test_interleaved_kernels_give_the_one_shot_bits():
+    rng = np.random.default_rng(19)
+    kernels = [(p, _eom_work(p)) for p in (ModelParams(3, 0.5, 0.0), ModelParams(8, 0.9, 2.5))]
+    seen = set()
+    for k in range(30):
+        for params, kernel in kernels:
+            q, th = rng.uniform(-2.0, 2.0, (2, params.n))
+            if k % 3:  # every third pair of calls is hot, alternating the error
+                q = _hot_positions(params.n, (CoordinateOverflowError, CoordinateUnderflowError)[k % 2])
+            out, want = np.full(2 * params.n, 1.5), np.full(2 * params.n, -7.25)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got = _rhs_outcome(q, th, params, out, kernel)
+            assert got == _rhs_outcome(q, th, params, want)
+            assert out.tobytes() == want.tobytes()
+            seen.add(got and got[0])
+    assert seen == {None, CoordinateOverflowError, CoordinateUnderflowError}
+
+
+@pytest.mark.parametrize("error", [CoordinateOverflowError, CoordinateUnderflowError])
+def test_kernel_that_raised_gives_the_one_shot_bits(error):
+    params = ModelParams(5, 0.7, 1.5)
+    kernel = _eom_work(params)
+    rng = np.random.default_rng(5)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(error):
+            kernel(_hot_positions(5, error), np.zeros(5), np.empty(10))
+        for _ in range(5):
+            q, th = rng.uniform(-2.0, 2.0, (2, 5))
+            got = kernel(q, th, np.empty(10))
+            assert got.tobytes() == _eom_arrays(q, th, params).tobytes()
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 @pytest.mark.parametrize("where", ["separation", "wall"])
 def test_fused_rhs_raises_on_overflow(kappa, where):

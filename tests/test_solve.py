@@ -251,6 +251,26 @@ def test_positions_near_the_edge_of_the_range_stay_within_the_documented_bound()
     assert err <= 30 * 2.2e-16 * np.exp(growth)
 
 
+# n = 3, beta = 0.5, kappa = 0: off by 1.13e-10 and 3.27e-10 at the two
+# times below, 2.0 and 2.25 times 30 eps e^(beta (H - n) t), though the
+# seeded sweep stayed under 0.9 times that
+COOL = State(
+    np.array([-0.03279118617465904, -0.23579456005953148, 0.3889420380314923]),
+    np.array([-0.21368168745738525, 0.2737669316985375, -0.012755138947714628]),
+)
+
+
+@pytest.mark.parametrize("t, nominal", [(25.0, 9.05), (27.627479032378567, 10.0)])
+def test_returned_positions_stay_within_the_documented_bound(t, nominal):
+    params = ModelParams(3, 0.5, 0.0)
+    growth = params.beta * (hamiltonian(COOL, params) - params.n) * t
+    assert growth == pytest.approx(nominal, abs=5e-3)
+    reference = integrate(COOL, params, t, sample_dt=t, rtol=1e-13, atol=1e-15).states[-1].xi
+    err = np.max(np.abs(positions_at(COOL, params, t) - reference))
+    # README "Precision range": under 100 eps e^(beta (H - n) t)
+    assert err <= 100 * 2.2e-16 * np.exp(growth)
+
+
 # ------------------------------------------------------- full trajectory
 
 

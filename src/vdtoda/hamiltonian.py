@@ -326,7 +326,8 @@ def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.nda
 
     H = sum_a cosh(beta theta_a) F_a(q) + kappa w_n + (1/2) kappa w_{n-1} w_n,
     the tail taken straight from positions.  ``hamiltonian`` is the S = 1
-    case.  Each exponential and the result are checked once per stack;
+    case, and a state gets its bits in any stack, whatever its memory
+    layout.  Each exponential and the result are checked once per stack;
     a failure raises ``CoordinateOverflowError`` for the earliest failing
     state, as evaluating the states one by one would.
     """
@@ -340,7 +341,10 @@ def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.nda
         np.exp(e, out=e)
         wn = beta * beta * e[:, 0]
         wn1 = beta * beta * e[:, 1]
-        H = np.vecdot(np.cosh(beta * th), F) + (kappa * wn + 0.5 * kappa * wn1 * wn)
+        # the order of a row's sum follows the operands' strides; C rows give
+        # every state the bits of the one-state call
+        c = np.ascontiguousarray(np.cosh(beta * th))
+        H = np.vecdot(c, np.ascontiguousarray(F)) + (kappa * wn + 0.5 * kappa * wn1 * wn)
     finite = np.isfinite(e)
     H_ok = np.isfinite(H)
     if not (z_ok.all() and finite.all() and H_ok.all()):
@@ -478,20 +482,32 @@ def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:
     """The kernel ``rhs(q, th, out)`` of ``_eom_arrays`` for ``params``.
 
     It writes every intermediate into scratch arrays it closes over, each
-    allocated on its own as the temporaries they replace were, and every
-    entry before reading it, so no call sees another's values, not even
-    one that raised.  Its constants are 0-d arrays, which a ufunc takes
-    faster than Python floats, with the same bits.
+    allocated on its own, and every entry before reading it, so no call
+    sees another's values, not even one that raised.  Its constants are
+    0-d arrays, which a ufunc takes faster than Python floats, with the
+    same bits.
+
+    x and beta F come from one exponential of the stacked logs
+
+        beta theta_a + (l_a - l_{a-1}) / 2,    (l_a + l_{a-1}) / 2 + ln beta,
+
+    with l = log1p(w), l_0 = 0 and the kappa-wall term log1p(kappa^2 w_n) / 2
+    added to both at a = n; xidot is then sinh(beta theta) beta F, exactly 0
+    at rest.
     """
     n, beta, kappa = params.n, params.beta, params.kappa
-    w, lf, x, bt, one_w, f, F = (np.empty(n) for _ in range(7))
-    flux, jac, zeros = np.empty(n - 1), np.empty(n - 1), np.zeros(2 * n)
-    w_head, lf_head, lf_tail, x_head, x_tail = w[:-1], lf[:-1], lf[1:], x[:-1], x[1:]
-    one_w_head, f_head, f_tail, F_tail = one_w[:-1], f[:-1], f[1:], F[1:]
+    w, bt = np.empty(n), np.empty(n)
+    # l_0 = 0 stays in slot 0; the logs become (x, beta F) in place
+    ell, logs = np.zeros(n + 1), np.empty(2 * n)
+    flux, jac, coef, zeros = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1), np.zeros(2 * n)
+    w_head, ell_a, ell_prev = w[:-1], ell[1:], ell[:-1]
+    x, bF = logs[:n], logs[n:]
+    x_head, x_tail = x[:-1], x[1:]
     flux_head, flux_mid = flux[:-2], flux[1:-1]
-    beta_arr, beta2_arr, half, one, two = map(np.array, (beta, beta * beta, 0.5, 1.0, 2.0))
+    beta_arr, beta2_arr, log_beta = map(np.array, (beta, beta * beta, math.log(beta)))
+    half, one, two_beta = map(np.array, (0.5, 1.0, 2.0 * beta))
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    exp, log1p, sqrt, sinh = np.exp, np.log1p, np.sqrt, np.sinh
+    exp, log1p, sinh = np.exp, np.log1p, np.sinh
 
     def rhs(q: np.ndarray, th: np.ndarray, out: np.ndarray) -> np.ndarray:
         qdot, etadot = out[:n], out[n:]
@@ -503,35 +519,33 @@ def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:
         ws = w.tolist()
         w_n1, w_n = ws[-2:]
         wk = kappa * kappa * w_n
-        # beta s_a = ln f_a - ln f_{a-1}, with both boundary factors at n;
-        # x_a = e^{beta theta_a + beta s_a}
-        log1p(w, lf)
-        multiply(lf, half, lf)
-        x[0] = lf[0]
-        subtract(lf_tail, lf_head, x_tail)
-        x[-1] += 0.5 * log1p(wk)
+        # l_a / 2 = ln f_a; beta s_a = ln f_a - ln f_{a-1} and
+        # ln(beta F_a) = ln f_a + ln f_{a-1} + ln beta, both boundary factors at n
+        log1p(w, ell_a)
+        multiply(ell, half, ell)
         multiply(th, beta_arr, bt)
+        subtract(ell_a, ell_prev, x)
         add(x, bt, x)
-        exp(x, x)
-        # xidot_a = beta sinh(beta theta_a) F_a, F_a = f_{a-1} f_a (f_n with f_kappa)
-        add(w, one, one_w)
-        sqrt(one_w, f)
-        F[0] = f[0]
-        multiply(f_tail, f_head, F_tail)
-        F[-1] *= math.sqrt(1.0 + wk)
+        add(ell_a, ell_prev, bF)
+        add(bF, log_beta, bF)
+        wall = 0.5 * math.log1p(wk)
+        x[-1] += wall
+        bF[-1] += wall
+        exp(logs, logs)
+        # xidot_a = beta sinh(beta theta_a) F_a
         sinh(bt, qdot)
-        multiply(qdot, beta_arr, qdot)
-        multiply(qdot, F, qdot)
+        multiply(qdot, bF, qdot)
         # edge flux: X_H[p] part (1/x_c + x_{c+1}) w_c / 2 minus the Jacobian
         # part g_c (qdot_c - qdot_{c+1}) / beta, g = d/dr ln f = -w / (2 (1 + w))
         divide(one, x_head, flux)
         add(flux, x_tail, flux)
         multiply(flux, half, flux)
         multiply(flux, w_head, flux)
+        add(w_head, one, coef)
+        multiply(coef, two_beta, coef)
+        divide(w_head, coef, coef)
         subtract(qdot[:-1], qdot[1:], jac)
-        multiply(one_w, two, one_w)
-        multiply(jac, divide(w_head, one_w_head, one_w_head), jac)
-        divide(jac, beta_arr, jac)
+        multiply(jac, coef, jac)
         add(flux, jac, flux)
         etadot[0] = flux[0]
         subtract(flux_mid, flux_head, etadot[1:-2])

@@ -201,6 +201,18 @@ def test_kernel_that_raised_gives_the_one_shot_bits(error):
             assert got.tobytes() == _eom_arrays(q, th, params).tobytes()
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 2.5])
+def test_fused_rhs_keeps_rest_exact(kappa):
+    # xidot = sinh(beta theta) beta F is exactly 0 at theta = 0, for any positions
+    rng = np.random.default_rng(5)
+    for n in range(3, 13):
+        for beta in (0.1, 0.5, 1.9):
+            params = ModelParams(n, beta, kappa)
+            for _ in range(5):
+                xi = rng.uniform(-2.0, 2.0, n)
+                assert np.array_equal(_eom_arrays(xi, np.zeros(n), params)[:n], np.zeros(n))
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 @pytest.mark.parametrize("where", ["separation", "wall"])
 def test_fused_rhs_raises_on_overflow(kappa, where):

@@ -131,8 +131,9 @@ def test_integrator_takes_scipy_dop853_steps_bitwise(seed, t_end, rtol, atol):
 
 @pytest.mark.parametrize("seed", [7, 601, 4242])
 def test_integrate_samples_are_scipy_dop853_bitwise(seed):
-    # integrate's own RHS (one workspace, one errstate, stage points in one
-    # buffer) against scipy with the one-shot RHS, on a dense-pool state
+    # integrate's own RHS (one kernel from _eom_work, one errstate, stage
+    # points in one buffer) against scipy with the one-shot RHS, on a
+    # dense-pool state
     params = ModelParams(8, 0.5, 1.0)
     rng = np.random.default_rng(seed)
     state = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))

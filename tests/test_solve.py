@@ -247,7 +247,8 @@ def test_positions_near_the_edge_of_the_range_stay_within_the_documented_bound()
     assert 19.7 < growth < 19.8
     reference = integrate(EDGE, params, t, sample_dt=t, rtol=1e-13, atol=1e-15).states[-1].xi
     err = np.max(np.abs(positions_at(EDGE, params, t) - reference))
-    # README "Precision range": under 30 eps e^(beta (H - n) t), 2.6e-6 here
+    # README "Precision range" bounds returned points by 100 eps e^(beta (H - n) t);
+    # this one stays under 30 eps e^(beta (H - n) t), 2.6e-6 here
     assert err <= 30 * 2.2e-16 * np.exp(growth)
 
 
@@ -400,6 +401,20 @@ def test_stacked_rates_match_per_sample_triangular_solves():
             ref = np.diag(Z)
             assert np.max(np.abs(rates[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(_minor_log_rates(l[k : k + 1], Y, 8)[0], rates[k])
+
+
+def test_trajectory_stacks_are_c_ordered_with_one_state_energies():
+    # the stacks behind the sample states are C-ordered, so each energy has
+    # the bits of the one-state call on its sample
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(811)
+    for _ in range(4):
+        state = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))
+        traj = solve_trajectory(state, params, 5.0)
+        assert traj.states[0].xi.base.flags.c_contiguous
+        assert traj.states[0].eta.base.flags.c_contiguous
+        for s, h in zip(traj.states, traj.energy):
+            assert h == hamiltonian(s, params)
 
 
 def test_stacked_exponential_is_bitwise_per_matrix():

@@ -93,6 +93,21 @@ def _per_state_reference(state, params):
 
 
 @settings(max_examples=60, deadline=None)
+@given(stacked_states(), st.sampled_from(["C", "F", "strided"]))
+def test_stack_layout_changes_no_energy_bit(case, layout):
+    # the row sum of the energy once followed the strides: F-ordered rows
+    # got other bits than the one-state call
+    params, q, th = case
+    if layout == "F":
+        q, th = np.asfortranarray(q), np.asfortranarray(th)
+    elif layout == "strided":
+        q, th = (np.repeat(a, 2, axis=1)[:, ::2] for a in (q, th))
+    H = _energy_arrays(q, th, params)
+    for i in range(q.shape[0]):
+        assert H[i] == hamiltonian(State(q[i], th[i]), params)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 24).flatmap(
         lambda N: arrays(

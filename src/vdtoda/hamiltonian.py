@@ -148,8 +148,14 @@ def _s_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarra
     return s, ok
 
 
+def _check_size(n: int, params: ModelParams) -> None:
+    if n != params.n:
+        raise ValueError("state size does not match params.n")
+
+
 def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Generating shift s(q) relating rapidities to canonical momenta."""
+    _check_size(len(q), params)
     s, ok = _s_arrays(q[None], params)
     if not ok[0]:
         raise CoordinateOverflowError(_PAIR_OVERFLOW)
@@ -279,6 +285,7 @@ def derived_coords(
     raises ``CoordinateOverflowError`` for the earliest such state.
     """
     q, th, one = _stack_of(state)
+    _check_size(q.shape[1], params)
     s, p, x, w, delta = _coord_arrays(q, th, params)
     with np.errstate(over="ignore", invalid="ignore"):
         half_minus = x[:, -1] * (1.0 + w[:, -2]) / delta
@@ -362,6 +369,7 @@ def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.nda
 
 def hamiltonian(state: State, params: ModelParams) -> float:
     """Energy in natural coordinates (q, theta); strictly above n."""
+    _check_size(state.n, params)
     return float(_energy_arrays(state.xi[None], state.eta[None], params)[0])
 
 
@@ -377,6 +385,7 @@ def hamiltonian_xw(coords: DerivedCoords, params: ModelParams) -> float:
 
 def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
     """Non-relativistic limit energy: (H - n)/beta^2 as beta -> 0."""
+    _check_size(state.n, params)
     kappa = params.kappa
     q, th = state.xi, state.eta
     kinetic = 0.5 * float(th @ th)
@@ -583,26 +592,16 @@ def _eom_arrays(
 ) -> np.ndarray:
     """Flat-vector right-hand side (xidot, etadot) for ODE integration.
 
-    The vector field in one pass over flat arrays: no ``State``, no
-    ``DerivedCoords``, no cross-check; ``eom`` is its one-state form.
-    The tridiagonal product J @ qdot (J = ds/dq) is applied edge by
-    edge: chain edge c carries one flux, its X_H[p] term minus its
-    (ds/dq) qdot term, and etadot is the difference of consecutive
-    fluxes plus the boundary terms at site n, taken in scalars.  The
-    result is written into ``out`` (a fresh array if None) and returned.
-
-    ``work`` is a kernel from ``_eom_work(params)``, called as
-    ``work(q, th, out)``, so a caller that passes one kernel to many calls
-    allocates its scratch once; it holds ``np.errstate`` with over,
-    invalid and divide ignored around them.  With ``work`` None the call
-    builds a kernel and enters that errstate itself.  The bits are the
-    same either way.
-
-    Overflow anywhere surfaces as inf or nan in the output, which is
-    checked once and raises ``CoordinateOverflowError``; a weight w_a
-    that underflowed to 0 raises ``CoordinateUnderflowError``, as the
-    coordinate guards do, so integration stops at the first such stage.
-    ``out`` is written in full before either guard raises.
+    ``eom`` is its one-state form.  The result is written into ``out`` (a
+    fresh array if None) and returned.  ``work`` is a kernel from
+    ``_eom_work(params)``, called as ``work(q, th, out)`` inside an
+    ``np.errstate`` that ignores over, invalid and divide, so a caller
+    that reuses one kernel allocates its scratch once; with ``work`` None
+    the call builds one and enters that errstate itself, with the same
+    bits.  An output that is not finite raises ``CoordinateOverflowError``,
+    and a weight w_a that underflowed to 0 ``CoordinateUnderflowError``,
+    after ``out`` is written in full.  README "Trajectories" describes
+    the kernel.
     """
     if out is None:
         out = np.empty(2 * q.shape[0])
@@ -619,5 +618,6 @@ def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     through the canonical pair: etadot_a = X_H[p_a] - sum_b
     (ds_a/dq_b) X_H[q_b].  The one-state case of ``_eom_arrays``.
     """
+    _check_size(state.n, params)
     out = _eom_arrays(state.xi, state.eta, params)
     return out[: params.n], out[params.n :]

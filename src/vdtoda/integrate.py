@@ -1,40 +1,16 @@
 """Reference dynamics by adaptive Runge-Kutta integration.
 
 The chain is integrated in natural coordinates by ``solve_ivp``, the
-module's own Dormand-Prince 8(5,3) integrator with dense output sampled on
-a uniform grid.  It takes the same steps and gives the same samples, bit
-for bit, as scipy's DOP853, without scipy's per-step Python layers: the
-RHS kernel writes each stage straight into its row of the stage array,
-the stage points are formed in one buffer, and the samples of a step
-come from one interpolant evaluation.  One RHS kernel per ``integrate``
-call holds the scratch arrays, so RHS evaluations allocate nothing.
-
-Each trajectory is validated at construction: energy drift stays within
-the integration tolerance budget, rapidities respect the a-priori bound
-|theta_a| < ln(2 H) / beta, and no particle moves faster than beta H
-between consecutive samples.  The eigenvalues of the Lax matrix are
-recorded per sample, so isospectrality can be measured as a drift
-number.  That spectrum is a cached property of the trajectory's states,
-computed on its first read and not during assembly, so a caller that
-never reads it pays nothing; every check, the coordinate guards of Lcal
-included, still runs before a trajectory is returned.  Only Lcal is
-built per sample, by the factor chain of ``lax``, one block of samples
-at a time with one eigvals call per block, so no (samples, 2n, 2n)
-stack is held.  The eigenvalues pair as lambda <-> 1/lambda and are
-real and positive; a row keeps the n of largest modulus, which eigvals
-gets to a small relative error, and their reciprocals, sorted.  Sorted
-real rows are matched to each other at minimal cost, so no assignment
-is solved.
-
-Both routes hand their samples over as stacked (samples, n) arrays of
-positions and rapidities, the one form every per-sample quantity is
-evaluated on: the energies in one call of the kernel behind
-``hamiltonian``, the bounds on the whole stack, and the Lax coordinates
-in one call of the kernel behind ``derived_coords`` (again when the
-spectrum is read).  Each check still applies per sample and reports
-the earliest sample that fails it.  The stacks are checked for finite
-entries once, and ``Trajectory.states`` holds read-only row views of
-one copy of them (``State.from_stacks``).
+module's own Dormand-Prince 8(5,3) integrator, which takes the same steps
+and gives the same samples, bit for bit, as scipy's DOP853.  Both routes,
+this one and ``solve.solve_trajectory``, hand their samples to one
+assembly step as stacked (samples, n) arrays, and every check applies per
+sample and reports the earliest sample that fails it: energy drift within
+the tolerance budget, |theta_a| < ln(2 H) / beta, and no particle faster
+than beta H between consecutive samples.  The spectrum of Lcal is a
+cached property of a trajectory's states, computed on its first read.
+README "Trajectories" describes the RHS kernel, the blocks and how the
+spectrum rows are matched.
 """
 
 from __future__ import annotations

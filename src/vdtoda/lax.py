@@ -49,8 +49,8 @@ from scipy.linalg.lapack import dtrtrs
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
     DerivedCoords,
+    _check_size,
     _raise_first_failure,
-    _stack_of,
     _xh_w_arrays,
     derived_coords,
 )
@@ -374,7 +374,7 @@ def build_bundle(
     check that fails, at its earliest failing state (``run_suite``
     re-runs a failing block state by state).
     """
-    one = _stack_of(state)[2]
+    one = isinstance(state, State)
     coords = derived_coords(state, params)
     _, _, x, w, delta, gamma, upsilon = coords.rows()
     beta, n = params.beta, params.n
@@ -419,6 +419,7 @@ def hessenberg_parts(
     With T = I + W W^T (diagonal, entries 1 and 1 + w), the bands are
     D W D, D T D and D T W^T D: ``graded_part`` -1, 0 and 1 of Hcal.
     """
+    _check_size(state.n, params)
     if bundle is None:
         bundle = build_bundle(state, params)
     d = bundle.d

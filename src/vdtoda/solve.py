@@ -1,46 +1,29 @@
 """Algebraic solution of the flow by factorizing a matrix exponential.
 
-The trajectory through a state is read off the one-parameter family
-E(t) = exp(t Ycal): writing E(t) = l(t) e^{Q(t) - Q(0)} u(t) as the
-unique LDU (Gauss) factorization, the diagonal factor carries the
-positions,
+The trajectory through a state is read off E(t) = exp(t Ycal): in the
+unique LDU (Gauss) factorization E(t) = l(t) e^{Q(t) - Q(0)} u(t), the
+diagonal factor carries the positions,
 
     q_c(t) = q_c(0) + ln m_c(E(t)),    c = 1..n,
 
-where m_c is the ratio of consecutive leading principal minors.  The
-minors of E(t) stay strictly positive along the flow, so positions need
-no ODE solving at all.  Position rates come from the same elimination:
-differentiating E = l D u and using E' = Ycal E gives
+where m_c, the ratio of consecutive leading principal minors, stays
+strictly positive along the flow.  Differentiating E = l D u with
+E' = Ycal E gives
 
     D'/D = diag(l^{-1} Ycal l),
 
-because l^{-1} l' is strictly lower and u' u^{-1} strictly upper.  So
-the rates are the first n diagonal entries of one unit-lower triangular
-solve.  Rapidities invert the defining relation between position
-velocity and rapidity through arcsinh.
+because l^{-1} l' is strictly lower and u' u^{-1} strictly upper, so the
+rates are the first n diagonal entries of one unit-lower triangular
+solve.  Rapidities invert the velocity relation through arcsinh.
 
-A trajectory is evaluated on time-ordered blocks of samples: one
-stacked exponential and one Gauss elimination per block (each sample
-gets the same bits as alone), and the rapidities, energies, bounds and
-spectra are computed on the stacked (samples, n) arrays.  Every check still
-applies per sample, and a failing trajectory raises the error of its
-earliest failing sample, with the checks of one sample met in this
-order: exponential overflow, pivot under the floor, non-positive minor
-ratio, non-finite rate.  The point evaluators (``positions_at``,
-``position_rates_at``, ``rapidities_at``) run the same checks on their
-one sample and also its energy gate, so past the precision horizon
-they raise as a trajectory does instead of returning wrong values.
-
-Conditioning caveat: entries of exp(t Ycal) grow exponentially in t, so
-double precision limits the usable horizon: a returned position is off
-by less than 100 eps e^{beta (H - n) t}, a measured bound (README
-"Precision range": 0.9 times 30 eps e^{beta (H - n) t} at most over a
-seeded sweep, 2.25 times on a state outside it).  That is 1.1e-5 at
-beta (H - n) t = 20, where errors of 2e-7 pass the energy gate.  Past
-about 24 the gate refuses, and any breakdown surfaces as a structured
-error rather than silent noise: ``CoordinateOverflowError`` for the
+Samples are evaluated in stacks, and each gets the same bits as alone.
+Double precision limits the usable horizon, and past it a breakdown
+raises instead of returning noise: ``CoordinateOverflowError`` for the
 exponential, ``FactorizationBreakdownError`` for the elimination (and
-for Gauss factors of ``ldu`` that do not rebuild their matrix).
+for ``ldu`` factors that do not rebuild their matrix) and
+``TrajectoryCheckError`` for the energy gate.  README "Algebraic solver"
+gives the blocks and the order of the checks, "Precision range" the
+measured error bound and horizon.
 """
 
 from __future__ import annotations
@@ -126,16 +109,11 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
 def _gauss(M: np.ndarray) -> np.ndarray:
     """Gaussian elimination without pivoting, packed: M = l r, r = diag(d) u.
 
-    M is one N x N matrix or a stack (..., N, N).  Returns a C-ordered
-    array of M's shape holding r on and above the diagonal and the
-    multipliers of the unit lower factor l below it; the j-th pivot IS the
-    minor ratio m_j.  The steps run on the stack transposed to (N, N, m),
-    so each is one contiguous elementwise pass over all m matrices, and
-    every entry gets the division, product and subtraction it would get
-    alone: a matrix gives the same bits alone or inside a stack.  Pivots
-    are not checked here (see ``_small_pivot``): a pivot under the floor
-    leaves the steps after it meaningless, but the pivots before it, and
-    so the first small one, are exact.
+    M is one N x N matrix or a stack (..., N, N).  Returns r on and above
+    the diagonal and the multipliers of the unit lower l below it,
+    C-ordered in M's shape; the j-th pivot IS the minor ratio m_j, and a
+    matrix gets the same bits alone or inside a stack.  Pivots are not
+    checked: those up to the first one under the floor are exact.
     """
     M = np.asarray(M, dtype=float)
     N = M.shape[-1]
@@ -148,18 +126,6 @@ def _gauss(M: np.ndarray) -> np.ndarray:
             col /= A[j, j]
             A[j + 1 :, j + 1 :] -= col[:, None] * A[j, None, j + 1 :]
     return np.ascontiguousarray(np.moveaxis(A, -1, 0)).reshape(M.shape)
-
-
-def _eliminate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of ``_gauss`` unpacked: unit lower l and upper r, M = l r."""
-    A = _gauss(M)
-    return np.tril(A, -1) + np.eye(A.shape[-1]), np.triu(A)
-
-
-def _small_pivot(d: np.ndarray) -> np.ndarray:
-    """1-based index of the first pivot under the floor along the last axis, 0 if none."""
-    small = np.abs(d) < _PIVOT_FLOOR
-    return np.where(small.any(axis=-1), np.argmax(small, axis=-1) + 1, 0)
 
 
 def _checked_pivots(r: np.ndarray) -> np.ndarray:
@@ -218,10 +184,10 @@ def ldu(M: np.ndarray) -> LduFactors:
     reconstruction l diag(d) u off M by more than 1e-11 relative raises
     ``FactorizationBreakdownError``.
     """
-    L, r = _eliminate(M)
-    d = _checked_pivots(r)
-    U = r / d[:, None]
-    factors = LduFactors(l=L, d=d, u=U)
+    A = _gauss(M)
+    d = _checked_pivots(A)
+    L = np.tril(A, -1) + np.eye(len(d))
+    U = np.triu(A) / d[:, None]
     rebuilt = (L * d[None, :]) @ U
     M0 = np.asarray(M, dtype=float)
     scale = max(1.0, float(np.max(np.abs(M0))))
@@ -230,7 +196,7 @@ def ldu(M: np.ndarray) -> LduFactors:
         raise FactorizationBreakdownError(
             f"factor reconstruction off by {gap:.3e} (> {_RECONSTRUCTION_TOL * scale:.3e})"
         )
-    return factors
+    return LduFactors(l=L, d=d, u=U)
 
 
 def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
@@ -279,11 +245,11 @@ def _samples(
                 break
     A = _gauss(E[:m])
     d = np.diagonal(A, axis1=1, axis2=2)
-    small = _small_pivot(d)
+    small = np.abs(d) < _PIVOT_FLOOR
     if small.any():
-        m = int(np.argmax(small > 0))
+        m = int(np.argmax(small.any(axis=1)))
         error = FactorizationBreakdownError(
-            _PIVOT_UNDERFLOW, j=int(small[m]), t=float(times[m])
+            _PIVOT_UNDERFLOW, j=int(np.argmax(small[m])) + 1, t=float(times[m])
         )
     head = d[:m, :n]
     low = head <= 0.0
@@ -304,33 +270,22 @@ def _samples(
     return xi + np.log(head[:m]), rates[:m], error
 
 
-def _sample_at(
-    zeta: State, Y: np.ndarray, n: int, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and position rates at time t: the block routine on one sample."""
-    q, qdot, error = _samples(zeta.xi, Y, n, np.array([t]))
-    if error is not None:
-        raise error
-    return q[0], qdot[0]
-
-
 def _point_at(
     zeta: State, params: ModelParams, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions, position rates and rapidities at time t, checked as a trajectory sample.
 
-    The sample passes the energy gate of ``solve_trajectory``: its
-    energy H(q, theta) stays within 1e-9 max(1, |H|) of H(zeta).  Past the
-    precision horizon of the exponential that gate fails before the
-    positions are far off, and the error names ``beta (H - n) t``, the
-    indicator of that horizon.  A failure raises
-    ``TrajectoryCheckError``.
+    A breakdown raises as in ``solve_trajectory``, and so does the energy
+    gate, whose ``TrajectoryCheckError`` names ``beta (H - n) t``, the
+    indicator of the precision horizon.
     """
     t = float(t)
-    q, qdot = _sample_at(zeta, build_bundle(zeta, params).Ycal, params.n, t)
-    theta = _invert_velocity(q[None], qdot[None], params)[0]
+    q, qdot, error = _samples(zeta.xi, build_bundle(zeta, params).Ycal, params.n, np.array([t]))
+    if error is not None:
+        raise error
+    theta = _invert_velocity(q, qdot, params)
     h0 = hamiltonian(zeta, params)
-    drift = abs(float(_energy_arrays(q[None], theta[None], params)[0]) - h0)
+    drift = abs(float(_energy_arrays(q, theta, params)[0]) - h0)
     tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
     if not drift <= tol:
         horizon = params.beta * (h0 - params.n) * abs(t)
@@ -338,7 +293,7 @@ def _point_at(
             f"energy drift {drift:.3e} exceeds tolerance {tol:.3e} at t = {t}"
             f" (beta (H - n) t = {horizon:.3g})"
         )
-    return q, qdot, theta
+    return q[0], qdot[0], theta[0]
 
 
 def positions_at(zeta: State, params: ModelParams, t: float) -> np.ndarray:

@@ -6,31 +6,17 @@ built from.  A residual passes when
 
     max_abs <= tol * max(1, rel_scale),
 
-which keeps the comparison meaningful both near zero (the floor of 1)
-and at states where matrix entries grow exponentially with the momenta
-(the scale).
+which stays meaningful both near zero (the floor of 1) and where matrix
+entries grow exponentially with the momenta (the scale).
 
-Every identity is one kernel over a stack of states: (S, 2n, 2n)
-matrices, batched matmuls, and per-state maxima over the last two axes.
-``run_suite`` takes its states in blocks of at most ``_SUITE_BLOCK``,
-which bounds its working set; per block it builds the stacked Lax
-bundle in one ``build_bundle`` call and runs each residual kernel once.
-The public functions (``lax_triad_residual`` and the rest) are the S = 1
-case of the same kernels; each accepts an optional prebuilt
-``LaxBundle``.  Every state gives the same bits alone or inside a stack,
-and a failing block is re-run state by state, so the suite raises what
-evaluating its states one by one would: the error of the earliest
-failing state, at its first failing check.
-
-The last kernel holds the second routes of quantities the constructors
-build by one route (Acal, X_H[q], X_H[w], gamma and upsilon); a
-disagreement there is a failed report, not an error.
-
-An optional ``perturb=(name, i, j, amount)`` corrupts entry (i, j) of
-the named matrix (i = j for the diagonal D and Dcal), in every state,
-before the residuals are formed.  Perturbation exists purely as an
-anti-vacuity control: a residual that stays small under a 1e-3
-corruption is testing nothing.
+Every identity is one kernel over a stack of states, and the public
+functions are its S = 1 case: a state gives the same bits alone or
+inside a stack, and ``run_suite`` raises what evaluating its states one
+by one would.  A second route that disagrees is a failed report, not an
+error.  ``perturb`` corrupts one matrix entry first, as an anti-vacuity
+control: a residual that stays small under a 1e-3 corruption tests
+nothing.  README "Verification suite" gives the blocks, the residuals
+and the names that ``perturb`` takes.
 """
 
 from __future__ import annotations
@@ -43,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import _energy_arrays, _xh_q_theta, _xh_w_arrays
+from .hamiltonian import _check_size, _energy_arrays, _xh_q_theta, _xh_w_arrays
 from .lax import (
     _ARRAY_FIELDS,
     LaxBundle,
@@ -306,6 +292,7 @@ def _reports(column, tags: tuple = (None,) * 4, start: int | None = None) -> lis
 
 def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
     """The reports of ``kernel`` at one state: its S = 1 case."""
+    _check_size(state.n, params)
     if bundle is None:
         bundle = build_bundle(state, params)
     m = _inputs(bundle, state.xi[None], state.eta[None], params, perturb)

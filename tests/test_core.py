@@ -151,3 +151,36 @@ def test_random_state_is_reproducible_and_box_bounded():
         st = random_state(4, np.random.default_rng(_), box=0.75)
         assert np.max(np.abs(st.xi)) <= 0.75
         assert np.max(np.abs(st.eta)) <= 0.75
+
+
+
+
+# these also take a prebuilt bundle
+BUNDLED = (
+    "hessenberg_parts lax_triad_residual lax_equation_residual omega_relations_residual"
+    " band_relations_residual scalar_identities cross_check_residuals"
+).split()
+SIZE_CHECKED = (
+    "hamiltonian nonrel_hamiltonian to_canonical derived_coords xh_q xh_p xh_x xh_w eom"
+    " build_bundle"
+).split() + BUNDLED
+# these also take a time
+TIMED = ["integrate", "solve_trajectory", "positions_at", "position_rates_at", "rapidities_at"]
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("name", SIZE_CHECKED + TIMED)
+def test_state_of_another_size_than_params_is_refused(name, size):
+    state = random_state(size, np.random.default_rng(5), box=0.5)
+    args = (1.0,) if name in TIMED else ()
+    with pytest.raises(ValueError, match="^state size does not match params.n$"):
+        getattr(vdtoda, name)(state, ModelParams(3, 1.0, 1.0), *args)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_state_of_another_size_than_its_prebuilt_bundle_is_refused(name):
+    params = ModelParams(3, 1.0, 1.0)
+    bundle = build_bundle(random_state(3, np.random.default_rng(5), box=0.5), params)
+    state = random_state(4, np.random.default_rng(5), box=0.5)
+    with pytest.raises(ValueError, match="^state size does not match params.n$"):
+        getattr(vdtoda, name)(state, params, bundle)

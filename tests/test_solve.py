@@ -20,9 +20,8 @@ from vdtoda.integrate import TrajectoryCheckError, spectral_drift
 from vdtoda.lax import build_bundle
 from vdtoda.solve import (
     FactorizationBreakdownError,
-    _eliminate,
+    _gauss,
     _minor_log_rates,
-    _sample_at,
     _samples,
     ldu,
     leading_minors,
@@ -304,10 +303,11 @@ def test_pivot_breakdown_names_minor_and_time_once():
     # exp(Y) has the first pivot e^{-800}, which underflows to zero
     Y = np.zeros((6, 6))
     Y[0, 0] = -800.0
-    with pytest.raises(FactorizationBreakdownError) as info:
-        _sample_at(State(np.zeros(3), np.zeros(3)), Y, 3, 1.0)
-    assert str(info.value) == "pivot underflow in minor chain (minor index 1) (t = 1.0)"
-    assert (info.value.j, info.value.t) == (1, 1.0)
+    q, _, error = _samples(np.zeros(3), Y, 3, np.array([1.0]))
+    assert q.shape == (0, 3)
+    assert isinstance(error, FactorizationBreakdownError)
+    assert str(error) == "pivot underflow in minor chain (minor index 1) (t = 1.0)"
+    assert (error.j, error.t) == (1, 1.0)
 
 
 NON_POSITIVE = "non-positive minor ratio along the flow"
@@ -384,23 +384,25 @@ def test_block_stops_at_first_non_finite_rate():
 # ---------------------------------------------------------- stacked blocks
 
 
-def test_stacked_rates_match_per_sample_triangular_solves():
-    # dense-pool states: n = 8, beta 0.5, kappa 1, |xi_a|, |eta_a| <= 1
-    params = ModelParams(8, 0.5, 1.0)
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_stacked_rates_match_per_sample_triangular_solves(n):
+    # dense-pool-like states: beta 0.5, kappa 1, |xi_a|, |eta_a| <= 1
+    params = ModelParams(n, 0.5, 1.0)
     rng = np.random.default_rng(7)
     times = 0.05 * np.arange(1, 101)
     for _ in range(4):
-        st = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))
+        st = State(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
         Y = build_bundle(st, params).Ycal
-        l, _ = _eliminate(matrix_exp(times[:, None, None] * Y))
-        rates = _minor_log_rates(l, Y, 8)
-        assert rates.shape == (100, 8)
+        A = _gauss(matrix_exp(times[:, None, None] * Y))
+        l = np.tril(A, -1) + np.eye(2 * n)
+        rates = _minor_log_rates(l, Y, n)
+        assert rates.shape == (100, n)
         for k, l_k in enumerate(l):
-            Z, info = dtrtrs(l_k[:8, :8], Y[:8] @ l_k[:, :8], lower=1, unitdiag=1)
+            Z, info = dtrtrs(l_k[:n, :n], Y[:n] @ l_k[:, :n], lower=1, unitdiag=1)
             assert info == 0
             ref = np.diag(Z)
             assert np.max(np.abs(rates[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.array_equal(_minor_log_rates(l[k : k + 1], Y, 8)[0], rates[k])
+            assert np.array_equal(_minor_log_rates(l[k : k + 1], Y, n)[0], rates[k])
 
 
 def test_trajectory_stacks_are_c_ordered_with_one_state_energies():
@@ -438,7 +440,9 @@ def test_block_with_overflowing_sample_keeps_earlier_samples():
     assert str(error) == "matrix exponential overflowed"
     assert error.__context__ is None
     for k, t in enumerate(times[:3]):
-        q_k, qdot_k = _sample_at(State(np.zeros(1), np.zeros(1)), Y, 1, t)
-        assert np.array_equal(q[k], q_k) and np.array_equal(qdot[k], qdot_k)
-    with pytest.raises(CoordinateOverflowError, match="matrix exponential overflowed"):
-        _sample_at(State(np.zeros(1), np.zeros(1)), Y, 1, 2.5)
+        q_k, qdot_k, error_k = _samples(np.zeros(1), Y, 1, np.array([t]))
+        assert error_k is None
+        assert np.array_equal(q[k], q_k[0]) and np.array_equal(qdot[k], qdot_k[0])
+    _, _, error = _samples(np.zeros(1), Y, 1, np.array([2.5]))
+    assert type(error) is CoordinateOverflowError
+    assert str(error) == "matrix exponential overflowed"

@@ -22,7 +22,7 @@ from vdtoda.hamiltonian import (
     hamiltonian,
 )
 from vdtoda.integrate import TrajectoryCheckError, _check_bounds
-from vdtoda.solve import _eliminate
+from vdtoda.solve import _gauss
 
 
 @st.composite
@@ -118,18 +118,15 @@ def test_stack_layout_changes_no_energy_bit(case, layout):
     )
 )
 def test_stacked_elimination_equals_stack_of_one(stack):
-    l, r = _eliminate(stack)
+    A = _gauss(stack)
     for k in range(stack.shape[0]):
-        lk, rk = _eliminate(stack[k : k + 1])
-        assert np.array_equal(l[k], lk[0], equal_nan=True)
-        assert np.array_equal(r[k], rk[0], equal_nan=True)
-        l2, r2 = _eliminate(stack[k])
-        assert np.array_equal(l2, lk[0], equal_nan=True)
-        assert np.array_equal(r2, rk[0], equal_nan=True)
+        Ak = _gauss(stack[k : k + 1])
+        assert np.array_equal(A[k], Ak[0], equal_nan=True)
+        A2 = _gauss(stack[k])
+        assert np.array_equal(A2, Ak[0], equal_nan=True)
         with np.errstate(all="ignore"):
-            l1, r1 = _eliminate_one_matrix(stack[k])
-        assert np.array_equal(l2, l1, equal_nan=True)
-        assert np.array_equal(r2, r1, equal_nan=True)
+            A1 = _eliminate_one_matrix(stack[k])
+        assert np.array_equal(A2, A1, equal_nan=True)
 
 
 def _eliminate_one_matrix(M):
@@ -140,7 +137,7 @@ def _eliminate_one_matrix(M):
         col = A[j + 1 :, j]
         col /= A[j, j]
         A[j + 1 :, j + 1 :] -= col[:, None] * A[j, j + 1 :]
-    return np.tril(A, -1) + np.eye(N), np.triu(A)
+    return A
 
 
 def _overflow_stack(order):

@@ -1,20 +1,9 @@
 """Energy function and equations of motion for the deformed chain.
 
-Everything here is a pure function of an immutable ``State`` and
-``ModelParams``.  The coordinates, the interaction factors, the energy
-and the velocity fields X_H[q] and X_H[w] have one evaluation route
-each, a kernel on (S, n) stacks of positions and rapidities
-(``_coord_arrays``, ``_factor_arrays``, ``_energy_arrays``,
-``_xh_q_theta``, ``_xh_w_arrays``) that trajectories and the
-verification suite call once for all their states; ``derived_coords``,
-``hamiltonian``, ``xh_q`` and ``xh_w`` are their S = 1 case.  Second
-routes to X_H[q], X_H[w], gamma and upsilon are residuals of the
-verification suite (``verify.cross_check_residuals``).  The module
-provides the pair interaction function ``f_mu``, the change to canonical
-coordinates (q, p) and to the multiplicative variables (x, w), the
-energy in both coordinate systems, its non-relativistic limit, the
-Hamiltonian vector field in each set of variables, and the assembled
-first-order equations of motion.
+Each quantity has one kernel on (S, n) stacks of positions and
+rapidities, and the public functions of one ``State`` are its S = 1
+case; README "The model", "Verification suite" and "Trajectories" say
+which routes exist and where their second routes are checked.
 
 Conventions.  A state stores natural coordinates: ``xi`` are the
 positions q and ``eta`` the rapidities theta.  Nearest-neighbour
@@ -166,9 +155,6 @@ def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
 class DerivedCoords:
     """Canonical and multiplicative variables derived from one state.
 
-    For a stack of S states every field carries a leading axis of
-    length S: the vectors are (S, n) and the scalars (S,).
-
     s        : shift vector s(q)
     p        : canonical momenta p = theta + s
     x        : x_a = e^{beta p_a}, all positive
@@ -187,46 +173,19 @@ class DerivedCoords:
     upsilon: float
 
     def __post_init__(self) -> None:
-        for name in ("s", "p", "x", "w"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim not in (1, 2):
+        vectors = {name: np.array(getattr(self, name), dtype=float) for name in "spxw"}
+        for name, arr in vectors.items():
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a finite vector")
+        for name, arr in vectors.items():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be a finite vector")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        s, p, x, w, delta = self.rows()[:5]
-        positive = (x > 0.0).all(axis=1) & (w > 0.0).all(axis=1)
-        _raise_first_failure(
-            [
-                (np.isfinite(arr).all(axis=1), ValueError, f"{name} must be a finite vector")
-                for name, arr in (("s", s), ("p", p), ("x", x), ("w", w))
-            ]
-            + [
-                (positive, ValueError, "x and w entries must be positive"),
-                (delta >= 1.0, ValueError, "delta must be >= 1, got %s", delta),
-            ]
-        )
-
-    def rows(self) -> tuple[np.ndarray, ...]:
-        """(s, p, x, w, delta, gamma, upsilon) as a stack, S = 1 for one state."""
-        n = self.x.shape[-1]
-        vectors = (self.s, self.p, self.x, self.w)
-        scalars = (self.delta, self.gamma, self.upsilon)
-        return tuple(np.reshape(v, (-1, n)) for v in vectors) + tuple(
-            np.reshape(c, -1) for c in scalars
-        )
-
-
-def _stack_of(state) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Positions and rapidities as (S, n) stacks, and whether ``state`` is one ``State``.
-
-    ``state`` is a ``State``, or a pair (xi, eta) of (S, n) arrays.
-    """
-    if isinstance(state, State):
-        return state.xi[None], state.eta[None], True
-    q, th = (np.asarray(a, dtype=float) for a in state)
-    if q.ndim != 2 or q.shape != th.shape:
-        raise ValueError("a stack of states is a pair (xi, eta) of (S, n) arrays")
-    return q, th, False
+        if not ((self.x > 0.0).all() and (self.w > 0.0).all()):
+            raise ValueError("x and w entries must be positive")
+        if not self.delta >= 1.0:
+            raise ValueError(f"delta must be >= 1, got {self.delta}")
 
 
 def _coord_arrays(
@@ -235,11 +194,15 @@ def _coord_arrays(
     """(s, p, x, w, delta) for a stack of states: q and th are (S, n).
 
     The one evaluation route of these coordinates; ``derived_coords`` is
-    its S = 1 case.  Every exponential is checked for overflow once per
-    stack, and positivity of x and w once per stack.  A failure raises
-    the error of the earliest failing state, as evaluating the states
-    one by one would: ``CoordinateOverflowError`` for an overflow,
+    its S = 1 case.  x and w (after the beta^2 factor) are checked for
+    overflow once per stack, and for positivity.  A failure raises the
+    error of the earliest failing state, as evaluating the states one by
+    one would: ``CoordinateOverflowError`` for an overflow,
     ``CoordinateUnderflowError`` for an x or w that underflowed to 0.
+
+    Past these guards the invariants of ``DerivedCoords`` hold: x and w
+    are finite and positive; x = e^{beta p} finite and positive makes p,
+    hence s = p - theta, finite; and delta = 1 + kappa^2 w_n >= 1.
     """
     beta, kappa = params.beta, params.kappa
     n = q.shape[1]
@@ -253,8 +216,8 @@ def _coord_arrays(
         np.subtract(q[:, 1:], q[:, :-1], out=xw[:, n:-1])
         np.multiply(-2.0, q[:, -1], out=xw[:, -1])
         np.exp(xw, out=xw)
-        finite = np.isfinite(xw)
         xw[:, n:] *= beta * beta
+        finite = np.isfinite(xw)
     positive = xw > 0.0
     if not (z_ok.all() and finite.all() and positive.all()):
         over = CoordinateOverflowError
@@ -275,26 +238,30 @@ def _coord_arrays(
     return s, p, x, w, 1.0 + kappa * kappa * w[:, -1]
 
 
-def derived_coords(
-    state: State | tuple[np.ndarray, np.ndarray], params: ModelParams
-) -> DerivedCoords:
-    """Compute (s, p, x, w, delta, gamma, upsilon) at one state.
+def _gamma_upsilon(x, w, delta) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and upsilon (S,) of a stack, from x, w (S, n) and delta (S,).
 
-    ``state`` may also be a pair (xi, eta) of (S, n) arrays; the result
-    then holds the stack of S states.  A gamma or upsilon that overflows
-    raises ``CoordinateOverflowError`` for the earliest such state.
+    An overflow raises ``CoordinateOverflowError`` for the earliest such
+    state.
     """
-    q, th, one = _stack_of(state)
-    _check_size(q.shape[1], params)
-    s, p, x, w, delta = _coord_arrays(q, th, params)
     with np.errstate(over="ignore", invalid="ignore"):
         half_minus = x[:, -1] * (1.0 + w[:, -2]) / delta
         half_plus = (1.0 + w[:, -1]) / x[:, -1]
         gamma, upsilon = half_minus + half_plus, -half_minus + half_plus
     ok = np.isfinite(gamma) & np.isfinite(upsilon)
     _raise_first_failure([(ok, CoordinateOverflowError, _OVERFLOW + "gamma and upsilon")])
-    rows = (s, p, x, w, delta, gamma, upsilon)
-    return DerivedCoords(*(r[0] if one else r for r in rows))
+    return gamma, upsilon
+
+
+def derived_coords(state: State, params: ModelParams) -> DerivedCoords:
+    """Compute (s, p, x, w, delta, gamma, upsilon) at one state.
+
+    A gamma or upsilon that overflows raises ``CoordinateOverflowError``.
+    """
+    _check_size(state.n, params)
+    s, p, x, w, delta = _coord_arrays(state.xi[None], state.eta[None], params)
+    gamma, upsilon = _gamma_upsilon(x, w, delta)
+    return DerivedCoords(s[0], p[0], x[0], w[0], delta[0], gamma[0], upsilon[0])
 
 
 def to_canonical(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -483,8 +450,8 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
         X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a])   for a < n,
         X_H[w_n] = -2 w_n X_H[q_n].
     """
-    _, _, x, w, delta, _, upsilon = derived_coords(state, params).rows()
-    return _xh_w_arrays(x, w, delta, upsilon, params)[0][0]
+    c = derived_coords(state, params)
+    return _xh_w_arrays(c.x[None], c.w[None], c.delta, c.upsilon, params)[0][0]
 
 
 def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:

@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import _coord_arrays, _energy_arrays, _eom_arrays, _eom_work, hamiltonian
+from .hamiltonian import _check_size, _coord_arrays, _energy_arrays, _eom_arrays, _eom_work
+from .hamiltonian import hamiltonian
 from .lax import _lax_chain
 
 __all__ = [
@@ -425,8 +426,7 @@ def integrate(
     if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
         raise ValueError("rtol and atol must be finite and positive")
     n = params.n
-    if state.n != n:
-        raise ValueError("state size does not match params.n")
+    _check_size(state.n, params)
     times = sample_times(t_end, sample_dt)
     y0 = np.concatenate([state.xi, state.eta])
 

@@ -6,37 +6,9 @@ ones) embeds n x n data into the "-" block as R M R, which reverses both
 index orders.  The grading by diagonals (band index k) is respected by
 multiplication, conjugation by R flips the band sign, and conjugation by
 the skew block matrix Omega = [[0, R], [-R, 0]] does the same on the big
-space.
-
-``build_bundle`` assembles, at one state, what the residuals of the Lax
-triad X_H[L] = A L - L B and the Lax pair X_H[Lcal] = [Acal, Lcal] read.
-Given a stack of S states it builds the same arrays with a leading axis
-of length S in one pass (``run_suite`` calls it once per block of
-states); one state is the S = 1 case of that pass:
-
-    d        diagonal of the scaling D = diag(Dn, R Dn^{-1} R)
-    W        strictly lower, one populated subdiagonal
-    L        = D (I + W), invertible lower bidiagonal
-    dcal     diagonal of Dcal = D^{-1} X_H[D]
-    A, B     pentadiagonal triad companions (kappa > 0)
-    Acal     = D A D^{-1}, the Lax pair companion
-    g, g_inv boundary gauge, tridiagonal for kappa > 0
-    Hcal     = L (Omega L Omega^{-1})^{-1}, unreduced upper Hessenberg
-    Lcal     = Hcal g, lower bandwidth 2
-    Ycal     = (beta/2)(Lcal - Lcal^{-1}), generator of the matrix flow
-
-Only the matrix dump of ``vdtoda verify`` forms the dense D and Dcal,
-the constant Omega and Q = diag(q_1..q_n, -q_n..-q_1).
-
-Acal comes from its explicit block entries and X_H[W] from the Laurent
-rates of X_H[w]; their second routes (D A D^{-1}, the X_H[w] composition
-rule) are residuals of the verification suite.  Construction raises only
-when a coordinate guard fails or an array is not finite.  Each check
-runs once per stack and every step acts matrix by matrix, so a state
-gets the same bits alone or inside a stack.  Trajectories build Lcal
-alone through ``_lax_chain``, one block of samples at a time.
-``hessenberg_parts`` gives the closed-form bands of Hcal; the tests
-compare them with the solved Hcal.
+space.  README "Matrix representation" lists what ``build_bundle``
+assembles; every construction step acts matrix by matrix, so a state
+gets the same bits alone or inside a stack.
 """
 
 from __future__ import annotations
@@ -48,11 +20,11 @@ from scipy.linalg.lapack import dtrtrs
 
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
-    DerivedCoords,
     _check_size,
+    _coord_arrays,
+    _gamma_upsilon,
     _raise_first_failure,
     _xh_w_arrays,
-    derived_coords,
 )
 
 __all__ = [
@@ -104,7 +76,8 @@ def reversal(n: int) -> np.ndarray:
 
 def _rev(M: np.ndarray) -> np.ndarray:
     # R M R reverses both index orders; pure entry moves, bitwise exact.
-    return np.ascontiguousarray(M[..., ::-1, ::-1])
+    # A view: every caller assigns it into a block of an allocated array.
+    return M[..., ::-1, ::-1]
 
 
 def build_omega(n: int) -> np.ndarray:
@@ -140,15 +113,21 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LaxBundle:
-    """The Lax-side arrays the residuals read, at one state or a stack of S.
+    """The arrays the residuals read, at one state or a stack of S.
 
-    All entries are read-only views of the arrays the bundle was built
-    from (no copies are made); ``d`` and ``dcal`` are (2n,) vectors, the
-    rest (2n, 2n) matrices.  ``coords`` carries the derived scalar
-    variables the matrices were built from, ``xhw`` the flow derivative
-    of W (same subdiagonal pattern), and ``Lcal_inv`` the inverse Lax
-    matrix obtained through the exact Omega conjugation of Hcal.  For a
-    stack every field, ``coords`` included, has a leading axis of length S.
+    Every field is a read-only view of the array it was built from (no
+    copies are made).  ``d`` and ``dcal`` are (2n,) vectors and the
+    matrices (2n, 2n); ``xhw`` is X_H[W], with the subdiagonal pattern of
+    W, and ``Lcal_inv`` the inverse Lax matrix through the exact Omega
+    conjugation of Hcal.  The coordinates the matrices were built from
+    follow: ``x`` and ``w`` (n,), ``delta``, ``gamma`` and ``upsilon``
+    0-d, as in ``DerivedCoords``.  For a stack every field has a leading
+    axis of length S.
+
+    Construction checks that every field is finite (else
+    ``CoordinateOverflowError``), then the invariants x, w > 0 and
+    delta >= 1 of ``DerivedCoords`` (else ``ValueError``), raising for
+    the earliest failing state its first failing check.
     """
 
     d: np.ndarray
@@ -164,24 +143,43 @@ class LaxBundle:
     Lcal: np.ndarray
     Lcal_inv: np.ndarray
     Ycal: np.ndarray
-    coords: DerivedCoords
     xhw: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    delta: np.ndarray
+    gamma: np.ndarray
+    upsilon: np.ndarray
 
     def __post_init__(self) -> None:
         arrays = {name: np.asarray(getattr(self, name)).view() for name in _ARRAY_FIELDS}
-        if not all(np.isfinite(a).all() for a in arrays.values()):
-            rows = self.coords.rows()[0].shape[0]
-            finite = (np.isfinite(a).reshape(rows, -1).all(axis=1) for a in arrays.values())
-            _raise_first_failure(
-                (ok, CoordinateOverflowError, f"non-finite entries in {name}")
-                for name, ok in zip(arrays, finite)
-            )
+        x, w, delta = arrays["x"], arrays["w"], arrays["delta"]
+        finite = all(np.isfinite(a).all() for a in arrays.values())
+        if not (finite and (x > 0.0).all() and (w > 0.0).all() and (delta >= 1.0).all()):
+
+            def rows(ok):
+                return ok.reshape(delta.size, -1).all(axis=1)
+
+            checks = [
+                (rows(np.isfinite(a)), CoordinateOverflowError, f"non-finite entries in {name}")
+                for name, a in arrays.items()
+            ]
+            checks += [
+                (rows(x > 0.0) & rows(w > 0.0), ValueError, "x and w entries must be positive"),
+                (rows(delta >= 1.0), ValueError, "delta must be >= 1, got %s", delta.ravel()),
+            ]
+            _raise_first_failure(checks)
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
-_ARRAY_FIELDS = tuple(f.name for f in fields(LaxBundle) if f.name != "coords")
+_ARRAY_FIELDS = tuple(f.name for f in fields(LaxBundle))
+
+
+def _check_one_state(bundle: LaxBundle) -> None:
+    # the functions of one state read its bundle as the S = 1 case
+    if bundle.delta.ndim:
+        raise ValueError(f"bundle holds a stack of {bundle.delta.size} states, not one state")
 
 
 def _delta_power(delta: float | np.ndarray, c: float) -> float | np.ndarray:
@@ -368,15 +366,21 @@ def build_bundle(
     ``state`` may also be a pair (xi, eta) of (S, n) arrays; the bundle
     then holds the stack of S states, each bitwise equal to its own
     one-state bundle.  The checks run once per stack, in the order one
-    state meets them: the coordinate guards and ``DerivedCoords``
-    invariants, then finiteness of every field, which raises
-    ``CoordinateOverflowError``.  A stack raises the error of the first
-    check that fails, at its earliest failing state (``run_suite``
-    re-runs a failing block state by state).
+    state meets them: the coordinate guards, the overflow of gamma and
+    upsilon, then the checks of ``LaxBundle``.  A stack raises the error
+    of the first check that fails, at its earliest failing state
+    (``run_suite`` re-runs a failing block state by state).
     """
     one = isinstance(state, State)
-    coords = derived_coords(state, params)
-    _, _, x, w, delta, gamma, upsilon = coords.rows()
+    if one:
+        q, th = state.xi[None], state.eta[None]
+    else:
+        q, th = (np.asarray(a, dtype=float) for a in state)
+        if q.ndim != 2 or q.shape != th.shape:
+            raise ValueError("a stack of states is a pair (xi, eta) of (S, n) arrays")
+    _check_size(q.shape[1], params)
+    _, _, x, w, delta = _coord_arrays(q, th, params)
+    gamma, upsilon = _gamma_upsilon(x, w, delta)
     beta, n = params.beta, params.n
 
     # an inf or nan made here raises CoordinateOverflowError in LaxBundle
@@ -392,23 +396,11 @@ def build_bundle(
         xhw = _xh_w_arrays(x, w, delta, upsilon, params)[0]
         dcal, XhW = _dcal_xhw(x, w, delta, gamma, xhw, params)
 
-        arrays = dict(
-            d=d,
-            W=W,
-            L=L,
-            dcal=dcal,
-            A=A,
-            B=B,
-            Acal=Acal,
-            g=g,
-            g_inv=g_inv,
-            Hcal=Hcal,
-            Lcal=Lcal,
-            Lcal_inv=Lcal_inv,
-            Ycal=0.5 * beta * (Lcal - Lcal_inv),
-            xhw=XhW,
-        )
-    return LaxBundle(**{name: a[0] if one else a for name, a in arrays.items()}, coords=coords)
+        Ycal = 0.5 * beta * (Lcal - Lcal_inv)
+    # positional, in the order of the fields
+    arrays = (d, W, L, dcal, A, B, Acal, g, g_inv, Hcal, Lcal, Lcal_inv, Ycal, XhW)
+    arrays += (x, w, delta, gamma, upsilon)
+    return LaxBundle(*(a[0] if one else a for a in arrays))
 
 
 def hessenberg_parts(
@@ -422,6 +414,7 @@ def hessenberg_parts(
     _check_size(state.n, params)
     if bundle is None:
         bundle = build_bundle(state, params)
+    _check_one_state(bundle)
     d = bundle.d
     sub = np.diag(bundle.W, -1)
     t = np.ones(d.shape[0])

@@ -33,6 +33,7 @@ from .hamiltonian import _check_size, _energy_arrays, _xh_q_theta, _xh_w_arrays
 from .lax import (
     _ARRAY_FIELDS,
     LaxBundle,
+    _check_one_state,
     _delta_power,
     build_bundle,
     omega_conjugate,
@@ -108,10 +109,9 @@ _BLOCKS = ("pp", "pm", "mp", "mm")
 def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str, np.ndarray]:
     """Everything the kernels read, stacked over S states, by name.
 
-    The arrays of ``bundle`` (one state or a stack) the residuals use,
-    with ``perturb``'s entry corrupted in every state; q, th and their
-    position velocities qdot (S, n); and x, w (S, n), delta, gamma and
-    upsilon (S,) from its coordinates.
+    The fields of ``bundle`` (one state or a stack) the residuals use,
+    with ``perturb``'s entry corrupted in every state; and q, th and
+    their position velocities qdot (S, n).
     """
     m = {name: getattr(bundle, name) for name in _READ_FIELDS}
     if bundle.L.ndim == 2:
@@ -131,9 +131,7 @@ def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str,
         elif name in m:
             M = m[name] = m[name].copy()
             M[:, i, j] += float(amount)
-    _, _, x, w, delta, gamma, upsilon = bundle.coords.rows()
-    qdot = _xh_q_theta(q, th, params)
-    m.update(q=q, th=th, qdot=qdot, x=x, w=w, delta=delta, gamma=gamma, upsilon=upsilon)
+    m.update(q=q, th=th, qdot=_xh_q_theta(q, th, params))
     return m
 
 
@@ -295,6 +293,7 @@ def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
     _check_size(state.n, params)
     if bundle is None:
         bundle = build_bundle(state, params)
+    _check_one_state(bundle)
     m = _inputs(bundle, state.xi[None], state.eta[None], params, perturb)
     return [report for column in kernel(m, params) for report in _reports(column)]
 

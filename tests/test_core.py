@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vdtoda
+import vdtoda.verify as verify
 from vdtoda import (
     ModelParams,
     State,
@@ -183,4 +184,16 @@ def test_state_of_another_size_than_its_prebuilt_bundle_is_refused(name):
     bundle = build_bundle(random_state(3, np.random.default_rng(5), box=0.5), params)
     state = random_state(4, np.random.default_rng(5), box=0.5)
     with pytest.raises(ValueError, match="^state size does not match params.n$"):
+        getattr(vdtoda, name)(state, params, bundle)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundle_of_a_stack_is_refused_by_the_one_state_functions(name, monkeypatch):
+    params = ModelParams(4, 0.7, 1.0)
+    bundle = build_bundle(verify._draw_states(4, 3, 5, 1.5), params)
+    state = random_state(4, np.random.default_rng(5), box=1.5)
+    # the refusal comes before any kernel runs
+    for kernel in ("_inputs", "_triad", "_lax_equation", "_omega", "_band", "_scalar", "_cross"):
+        monkeypatch.setattr(verify, kernel, None)
+    with pytest.raises(ValueError, match="^bundle holds a stack of 3 states, not one state$"):
         getattr(vdtoda, name)(state, params, bundle)

@@ -31,6 +31,7 @@ from vdtoda.hamiltonian import (
     xh_w,
     xh_x,
 )
+from vdtoda.lax import build_bundle
 from vdtoda.verify import cross_check_residuals, run_suite
 
 SQRT2 = math.sqrt(2.0)
@@ -308,6 +309,22 @@ def test_extreme_positions_raise_instead_of_overflowing():
         hamiltonian(st, params)
 
 
+def test_a_weight_that_overflows_by_its_beta_factor_fails_the_coordinate_guard():
+    # e^{-(q_1 - q_2)} and beta^2 e^{-(q_1 - q_2)} taken through its log are
+    # finite, but the product beta^2 * e^{-(q_1 - q_2)} rounds to inf
+    params = ModelParams(4, 3.5, 1.0)
+    hot = State(np.array([-708.2771869563933, -1.0, -0.5, 0.0]), np.zeros(4))
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.exp(hot.xi[1] - hot.xi[0]))
+        assert np.isfinite(np.exp(np.log(params.beta**2) - (hot.xi[0] - hot.xi[1])))
+        assert not np.isfinite(params.beta**2 * np.exp(hot.xi[1] - hot.xi[0]))
+    for fn in (derived_coords, build_bundle, xh_w):
+        with pytest.raises(CoordinateOverflowError, match=r"^overflow while evaluating e\^\{-\(q_a"):
+            fn(hot, params)
+    with pytest.raises(CoordinateOverflowError, match="equations of motion"):
+        eom(hot, params)
+
+
 def test_overflowing_gamma_raises_typed_error():
     # w_2 = e^{700} and x_3 about e^{48} are finite, x_3 (1 + w_2) is not
     params = ModelParams(3, 1.0, 1.0)
@@ -318,4 +335,4 @@ def test_overflowing_gamma_raises_typed_error():
         derived_coords(hot, params)
     stack = (np.stack([np.zeros(3), hot.xi]), np.stack([np.zeros(3), hot.eta]))
     with pytest.raises(CoordinateOverflowError, match="gamma and upsilon"):
-        derived_coords(stack, params)
+        build_bundle(stack, params)

@@ -1,6 +1,9 @@
 """Matrix scaffolding: gradings, the order-two symmetry, band structure."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from conftest import draw_states
 from vdtoda import ModelParams, State, random_state
 from vdtoda.hamiltonian import derived_coords, xh_q
 from vdtoda.lax import (
+    LaxBundle,
     build_bundle,
     build_omega,
     diag_part,
@@ -20,6 +24,7 @@ from vdtoda.lax import (
     strict_upper,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 QUART2 = 2.0 ** 0.25
 SQRT2 = math.sqrt(2.0)
 
@@ -233,3 +238,10 @@ def test_squared_factor_diagonal():
     )
     assert np.array_equal(T, np.diag(np.diag(T)))
     assert np.max(np.abs(np.diag(T) - expect)) < 1e-15
+
+
+def test_readme_table_lists_every_bundle_field():
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## Matrix representation\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)`\s*\|", section, re.MULTILINE)
+    assert listed == [f.name for f in fields(LaxBundle)]

@@ -16,7 +16,7 @@ import pytest
 
 import vdtoda.verify as verify
 from vdtoda import CoordinateOverflowError, ModelParams, State, random_state
-from vdtoda.hamiltonian import DerivedCoords
+from vdtoda.hamiltonian import DerivedCoords, derived_coords
 from vdtoda.lax import _ARRAY_FIELDS, LaxBundle, build_bundle
 from vdtoda.verify import (
     _MATRIX_FIELDS,
@@ -100,16 +100,46 @@ def test_stacked_bundle_rows_equal_one_state_bundles():
     stack = build_bundle(
         (np.array([st.xi for st in states]), np.array([st.eta for st in states])), params
     )
-    stack_coords = stack.coords.rows()
     for k, st in enumerate(states):
         one = build_bundle(st, params)
         for name in _ARRAY_FIELDS:
             assert getattr(one, name).shape == getattr(stack, name).shape[1:]
             assert getattr(one, name).tobytes() == getattr(stack, name)[k].tobytes(), name
-        for row, stacked in zip(one.coords.rows(), stack_coords):
-            assert row[0].tobytes() == stacked[k].tobytes()
     with pytest.raises(ValueError, match=r"pair \(xi, eta\) of \(S, n\) arrays"):
         build_bundle((np.zeros((2, 6)), np.zeros((3, 6))), params)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.1])
+def test_bundle_coordinates_are_those_of_derived_coords(kappa):
+    params = ModelParams(6, 0.8, kappa)
+    for st in [random_state(6, np.random.default_rng(seed), box=2.0) for seed in range(4)]:
+        bundle, coords = build_bundle(st, params), derived_coords(st, params)
+        for name in ("x", "w", "delta", "gamma", "upsilon"):
+            field = getattr(bundle, name)
+            assert field.shape == np.shape(getattr(coords, name)), name
+            assert field.tobytes() == np.asarray(getattr(coords, name)).tobytes(), name
+            assert not field.flags.writeable
+
+
+def test_bundle_keeps_the_invariants_of_derived_coords():
+    bundle = build_bundle(GOOD, PARAMS3)
+    w = bundle.w.copy()
+    w[1] = 0.0
+    with pytest.raises(ValueError, match="^x and w entries must be positive$"):
+        replace(bundle, w=w)
+    with pytest.raises(ValueError, match="^x and w entries must be positive$"):
+        replace(bundle, x=-bundle.x)
+    with pytest.raises(ValueError, match="^delta must be >= 1, got 0.5$"):
+        replace(bundle, delta=0.5)
+    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in gamma$"):
+        replace(bundle, gamma=np.nan)
+    # a stack raises for its earliest failing state
+    q, th = (np.stack([GOOD.xi] * 3), np.stack([GOOD.eta] * 3))
+    stack = build_bundle((q, th), PARAMS3)
+    delta = stack.delta.copy()
+    delta[1:] = (0.25, 0.5)
+    with pytest.raises(ValueError, match="^delta must be >= 1, got 0.25$"):
+        replace(stack, delta=delta)
 
 
 def test_one_state_bundle_runs_each_check_once(monkeypatch):
@@ -121,8 +151,11 @@ def test_one_state_bundle_runs_each_check_once(monkeypatch):
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    # the bundle carries the coordinates itself: no DerivedCoords is built
     build_bundle(GOOD, PARAMS3)
-    assert calls == {"coords": 1, "bundle": 1}
+    assert calls == {"coords": 0, "bundle": 1}
+    build_bundle((np.stack([GOOD.xi] * 2), np.stack([GOOD.eta] * 2)), PARAMS3)
+    assert calls == {"coords": 0, "bundle": 2}
 
 
 def test_perturbation_index_fails_as_for_one_matrix():
@@ -238,9 +271,18 @@ def test_a_nan_gap_fails_each_cross_check(monkeypatch):
 
     monkeypatch.setattr(verify, "_xh_q_theta", with_nan)
     reports = {r.name: r for r in cross_check_residuals(GOOD, PARAMS3)}
-    bundle = build_bundle(GOOD, PARAMS3)
-    nan_gamma = replace(bundle, coords=replace(bundle.coords, gamma=np.nan))
-    reports["gamma_upsilon"] = cross_check_residuals(GOOD, PARAMS3, nan_gamma)[3]
+    monkeypatch.undo()
+    # the bundle refuses a nan gamma, so it goes in where the kernel reads it
+    inputs = verify._inputs
+
+    def with_nan_gamma(*args):
+        m = inputs(*args)
+        m["gamma"] = np.full_like(m["gamma"], np.nan)
+        return m
+
+    monkeypatch.setattr(verify, "_inputs", with_nan_gamma)
+    reports["gamma_upsilon"] = cross_check_residuals(GOOD, PARAMS3)[3]
+    monkeypatch.undo()
     reports["acal_routes"] = cross_check_residuals(GOOD, PARAMS3, perturb=("A", 0, 0, np.nan))[0]
     assert len(reports) == 4
     for name, report in reports.items():

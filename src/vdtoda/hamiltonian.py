@@ -404,10 +404,19 @@ def _xh_p_from_coords(coords: DerivedCoords, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _finite_rates(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` if every entry is finite, else ``CoordinateOverflowError`` naming ``what``."""
+    if not np.isfinite(values).all():
+        raise CoordinateOverflowError(_OVERFLOW + what)
+    return values
+
+
 def xh_x(state: State, params: ModelParams) -> np.ndarray:
-    """X_H[x_a] = beta x_a X_H[p_a]."""
+    """X_H[x_a] = beta x_a X_H[p_a]; an entry that overflows raises ``CoordinateOverflowError``."""
     coords = derived_coords(state, params)
-    return params.beta * coords.x * _xh_p_from_coords(coords, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = params.beta * coords.x * _xh_p_from_coords(coords, params)
+    return _finite_rates(rates, "X_H[x]")
 
 
 def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
@@ -449,9 +458,13 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
 
         X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a])   for a < n,
         X_H[w_n] = -2 w_n X_H[q_n].
+
+    An entry that overflows raises ``CoordinateOverflowError``.
     """
     c = derived_coords(state, params)
-    return _xh_w_arrays(c.x[None], c.w[None], c.delta, c.upsilon, params)[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = _xh_w_arrays(c.x[None], c.w[None], c.delta, c.upsilon, params)[0][0]
+    return _finite_rates(rates, "X_H[w]")
 
 
 def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:

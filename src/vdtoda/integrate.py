@@ -44,6 +44,9 @@ __all__ = [
 # speed bound to absorb sampling rounding.
 _DRIFT_FACTOR = 100.0
 _SPEED_SLACK = 1.0 + 1e-6
+# Samples that ``solve_ivp`` collects before it evaluates their interpolants
+# in one stack.
+_DENSE_BLOCK = 128
 _MAX_SAMPLES = 10**6  # most samples one trajectory may hold
 # Samples per Lcal evaluation of the spectrum: the factor chain keeps about
 # ten (block, N, N) stacks alive at once.
@@ -195,6 +198,33 @@ def _rms(x: np.ndarray) -> np.float64:
     return np.sqrt(x.dot(x)) / x.size**0.5
 
 
+def _norm_squared(e: np.ndarray) -> float:
+    # np.linalg.norm(e) ** 2, as the same operations, in Python floats (the
+    # same bits); numpy's power where Python's would raise on overflow
+    d = e.dot(e)
+    return math.sqrt(d) ** 2 if d < 1e300 else float(np.sqrt(d) ** 2)
+
+
+def _dense_output(pending: list, t_eval: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate the interpolants of ``pending`` steps at their samples, as one stack.
+
+    ``pending`` holds (F, y, t, h, count) per step, in time order, and its
+    samples are ``t_eval``; the rows go into ``out``.  Each sample gets the
+    elementwise operations of a one-step evaluation in the same order, so
+    the same bits.
+    """
+    F, y, t, h, counts = zip(*pending)
+    step = np.repeat(np.arange(len(counts)), counts)
+    F = np.stack(F)
+    x = ((t_eval - np.array(t)[step]) / np.array(h)[step])[:, None]
+    factors = x, 1 - x
+    out[:] = 0.0
+    for p in range(7):
+        out += F[step, 6 - p]
+        out *= factors[p % 2]
+    out += np.stack(y)[step]
+
+
 def _initial_step(fun, y0, f0, t_end, rtol, atol) -> np.float64:
     # Hairer, Norsett & Wanner, Sec. II.4, for an error estimator of order 7.
     scale = atol + np.abs(y0) * rtol
@@ -225,8 +255,11 @@ def solve_ivp(
     10 ulp of t, and samples from the same seventh-order interpolant.  A
     step costs 12 evaluations, the last of which starts the next step;
     the interpolant's three extra stages are evaluated only for a step
-    holding a sample.  An rtol below 100 eps is raised to it with
-    scipy's warning.
+    holding a sample.  Such a step keeps its seven interpolant rows, and
+    the samples are evaluated in one stack (``_dense_output``) whenever
+    ``_DENSE_BLOCK`` of them are pending, and at the end.  The error norm
+    is taken in Python floats, which are IEEE doubles as numpy's scalars
+    are.  An rtol below 100 eps is raised to it with scipy's warning.
 
     ``fun(y, out)`` writes the derivative at y into ``out`` (the system
     is autonomous); each stage is written straight into its row of the
@@ -249,15 +282,16 @@ def solve_ivp(
     times = [float(t) for t in t_eval]
     out = np.empty((len(times), y.size))
     K = np.empty((16, y.size))
-    F = np.empty((7, y.size))
     KT, KT_B = K[:13].T, K[:12].T
     stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(16)]
     f, f_new = K[0], K[12]
     ys, dys = np.empty(y.size), np.empty(y.size)
     fun(y, f)
-    h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
+    h_abs = float(_initial_step(fun, y, f, t_end, rtol, atol))
     abs_y = np.abs(y)
     t, i = 0.0, 0
+    # steps holding samples not yet evaluated, and the samples evaluated
+    pending, done = [], 0
     while t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -280,10 +314,10 @@ def solve_ivp(
             abs_new = np.abs(y_new)
             scale = atol + np.maximum(abs_y, abs_new) * rtol
             e5, e3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
-            # np.linalg.norm(e) ** 2, as the same operations
-            n5, n3 = np.sqrt(e5.dot(e5)) ** 2, np.sqrt(e3.dot(e3)) ** 2
-            denom = np.sqrt((n5 + 0.01 * n3) * y.size)
-            error_norm = 0.0 if n5 == n3 == 0 else abs(h) * n5 / denom
+            n5, n3 = _norm_squared(e5), _norm_squared(e3)
+            denom = math.sqrt((n5 + 0.01 * n3) * y.size)
+            # numpy's 0 / 0 where Python's would raise
+            error_norm = 0.0 if n5 == n3 == 0 else abs(h) * n5 / denom if denom else math.nan
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -299,18 +333,18 @@ def solve_ivp(
                 np.add(y, dys, ys)
                 fun(ys, k)
             dy = y_new - y
+            F = np.empty((7, y.size))
             F[:3] = dy, h * f - dy, 2 * dy - h * (f_new + f)
             F[3:] = h * np.dot(_D, K)
-            x = ((t_eval[i:j] - t) / h)[:, None]
-            dense = np.zeros((j - i, y.size))
-            for p, row in enumerate(F[::-1]):
-                dense += row
-                dense *= x if p % 2 == 0 else 1 - x
-            dense += y
-            out[i:j] = dense
+            pending.append((F, y, t, h, j - i))
             i = j
+            if i - done >= _DENSE_BLOCK:
+                _dense_output(pending, t_eval[done:i], out[done:i])
+                pending, done = [], i
         t, y, abs_y = t_new, y_new, abs_new
         f[:] = f_new
+    if pending:
+        _dense_output(pending, t_eval[done:i], out[done:i])
     return out
 
 

@@ -28,10 +28,16 @@ measured error bound and horizon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+
+try:  # scipy's own kernels of ``expm``; private, so checked by ``_kernels_reproduce_expm``
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+except ImportError:
+    pade_UV_calc = pick_pade_structure = None
 
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
@@ -88,19 +94,76 @@ class FactorizationBreakdownError(ArithmeticError):
         self.t = t
 
 
+def _pade_stack(M: np.ndarray) -> np.ndarray | None:
+    """exp of each matrix of a stack (k, N, N) by scipy's scaling-and-squaring kernels.
+
+    Each matrix gets the Pade approximant of ``scipy.linalg.expm``'s generic
+    branch (Al-Mohy & Higham 2009), from the same two kernel calls into one
+    scratch, so the same bits; then the squarings run stacked, for each s
+    one ``E @ E`` over the matrices that still need it.  Returns None when
+    a kernel reports a failure, which scipy's ``expm`` then raises.
+    """
+    E = np.empty_like(M)
+    s = np.empty(len(M), dtype=np.intp)
+    Am = np.empty((5,) + M.shape[1:])
+    for j, A in enumerate(M):
+        Am[0] = A
+        m, s[j] = pick_pade_structure(Am)
+        if m < 0 or pade_UV_calc(Am, m) != 0:
+            return None
+        E[j] = Am[0]
+    for i in range(int(s.max(initial=0))):
+        rows = s > i
+        S = E[rows]
+        E[rows] = S @ S
+    return E
+
+
+@functools.cache
+def _kernels_reproduce_expm() -> bool:
+    """Whether ``_pade_stack`` gives scipy's ``expm`` bits on a full matrix that needs squaring.
+
+    The kernels' calling convention is not public, so it is checked on the
+    first call; where it does not hold, ``matrix_exp`` calls ``expm``.
+    """
+    if pick_pade_structure is None:
+        return False
+    M = np.array([[[1.0, 2.0, 0.5], [-3.0, 4.0, 1.0], [0.25, -1.0, 2.0]]])
+    try:
+        return bool(np.array_equal(_pade_stack(M), expm(M)))
+    except (TypeError, ValueError):
+        return False
+
+
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential (scaling and squaring, Pade approximant).
+    """Dense matrix exponential: ``scipy.linalg.expm``, bit for bit, over a stack.
 
     M is one N x N matrix or a stack (..., N, N); every matrix of a stack
-    gets the same bits as alone.  A non-finite entry raises ``ValueError``
-    and an overflowing result ``CoordinateOverflowError``, for the stack
-    as a whole.
+    gets the same bits as alone.  A stack whose every matrix has nonzero
+    (1, 0) and (0, 1) entries, such as every ``t Ycal`` stack, goes
+    through ``_pade_stack``, which drops scipy's per-matrix work around
+    its kernels and squares the stack at once.  Any other stack, which may
+    hold the triangular and diagonal matrices that scipy treats apart,
+    goes to ``expm`` whole.  A non-finite entry raises
+    ``ValueError`` and an overflowing result ``CoordinateOverflowError``,
+    for the stack as a whole.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
+    E = None
     with np.errstate(over="ignore", invalid="ignore"):
-        E = expm(M)
+        # nonzero (1, 0) and (0, 1) entries rule out the triangular and
+        # diagonal matrices that scipy treats apart
+        if (
+            M.ndim >= 2
+            and M.shape[-1] == M.shape[-2] > 1
+            and np.all(M[..., 1, 0] != 0.0)
+            and np.all(M[..., 0, 1] != 0.0)
+            and _kernels_reproduce_expm()
+        ):
+            E = _pade_stack(M.reshape((-1,) + M.shape[-2:]))
+        E = expm(M) if E is None else E.reshape(M.shape)
     if not np.all(np.isfinite(E)):
         raise CoordinateOverflowError("matrix exponential overflowed")
     return E
@@ -205,14 +268,16 @@ def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     l is a stack (m, N, k >= n) of the first k columns of unit lower
     triangular factors, so the leading n x n block of each l^{-1} is the
     inverse of the leading block of l, and one n x n forward substitution
-    per sample suffices.  Every step is elementwise over the stack, so a
-    sample gets the same bits alone or inside a stack.  Returns the rates
-    as (m, n) rows.
+    per sample suffices.  It runs on the stack transposed to (n, n, m), as
+    ``_gauss`` does, so each step is one contiguous elementwise pass over
+    the samples, and a sample gets the same bits alone or inside a stack.
+    Returns the rates as (m, n) rows.
     """
-    Z = Y[:n] @ l[..., :n]
+    Z = np.moveaxis(Y[:n] @ l[..., :n], 0, -1).copy()
+    L = np.moveaxis(l[:, :n, :n], 0, -1).copy()
     for j in range(n - 1):
-        Z[..., j + 1 :, :] -= l[..., j + 1 : n, j, None] * Z[..., j, None, :]
-    return np.diagonal(Z, axis1=-2, axis2=-1).copy()
+        Z[j + 1 :] -= L[j + 1 :, j, None] * Z[j, None]
+    return np.diagonal(Z, axis1=0, axis2=1).copy()
 
 
 def _samples(

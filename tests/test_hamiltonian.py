@@ -1,6 +1,7 @@
 """Energy function, derived coordinates, and the analytic vector field."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,3 +337,17 @@ def test_overflowing_gamma_raises_typed_error():
     stack = (np.stack([np.zeros(3), hot.xi]), np.stack([np.zeros(3), hot.eta]))
     with pytest.raises(CoordinateOverflowError, match="gamma and upsilon"):
         build_bundle(stack, params)
+
+
+def test_overflowing_rates_of_x_and_w_raise_typed_errors():
+    # the coordinates pass every guard, but beta x_3 X_H[p_3] and
+    # w_3 delta upsilon overflow; build_bundle refuses the state too
+    params = ModelParams(3, 1.0, 1.0)
+    hot = State(np.array([0.0, 0.0, -220.0]), np.zeros(3))
+    derived_coords(hot, params)
+    for fn, what in ((xh_x, "X_H[x]"), (xh_w, "X_H[w]")):
+        message = rf"^overflow while evaluating {re.escape(what)}$"
+        with pytest.raises(CoordinateOverflowError, match=message):
+            fn(hot, params)
+    with pytest.raises(CoordinateOverflowError, match="non-finite entries in dcal"):
+        build_bundle(hot, params)

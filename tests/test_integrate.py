@@ -41,6 +41,8 @@ from vdtoda.integrate import solve_ivp as dop853
 
 PARAMS = ModelParams(4, 0.5, 1.0)
 
+integrate_module = sys.modules["vdtoda.integrate"]
+
 
 def _state(seed: int, n: int = 4, box: float = 1.0) -> State:
     return random_state(n, np.random.default_rng(seed), box=box)
@@ -127,6 +129,46 @@ def test_integrator_takes_scipy_dop853_steps_bitwise(seed, t_end, rtol, atol):
     assert np.array_equal(sol.t, times)
     assert np.array_equal(got, sol.y.T)
     assert len(calls) == len(scipy_calls) == sol.nfev
+
+
+# (t_end, sample times) that put the samples of a dense-pool state in
+# different places among the steps
+SAMPLE_GRIDS = {
+    "one_sample": (0.5, np.array([0.5])),
+    "many_per_step": (0.5, sample_times(0.5, 0.0005)),
+    "most_steps_without": (20.0, sample_times(20.0, 2.5)),
+    "over_three_blocks": (25.0, sample_times(25.0, 0.05)),
+}
+
+
+@pytest.mark.parametrize("grid", SAMPLE_GRIDS)
+def test_integrator_samples_any_grid_as_scipy_dop853_bitwise(grid, count_calls):
+    # the interpolants of pending steps are evaluated in stacks of
+    # _DENSE_BLOCK samples and at the end, each sample as alone
+    t_end, times = SAMPLE_GRIDS[grid]
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(2718)
+    y0 = np.concatenate([rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)])
+    rhs = _chain_rhs(params)
+    flushes = count_calls(integrate_module, "_dense_output")
+    got, calls, sol, scipy_calls = _ours_and_scipy(
+        rhs, lambda _t, y: rhs(y, np.empty(16)), t_end, y0, times, 1e-10, 1e-12
+    )
+    assert sol.success and np.array_equal(sol.t, times)
+    assert np.array_equal(got, sol.y.T)
+    assert len(calls) == len(scipy_calls) == sol.nfev
+    steps = sol.nfev // 12
+    if grid == "many_per_step":
+        assert len(times) == 1001 and len(times) > 4 * steps
+    if grid == "most_steps_without":
+        assert steps > 2 * len(times)
+    # every evaluation but the last holds a block or more
+    block = integrate_module._DENSE_BLOCK
+    assert 1 <= flushes.count <= 1 + (len(times) - 1) // block
+    if grid in ("one_sample", "most_steps_without"):
+        assert flushes.count == 1
+    if grid == "over_three_blocks":
+        assert len(times) > 3 * block and flushes.count > 3
 
 
 @pytest.mark.parametrize("seed", [7, 601, 4242])

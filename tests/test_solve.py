@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 from scipy.linalg.lapack import dtrtrs
 
 from vdtoda import (
@@ -16,7 +18,7 @@ from vdtoda import (
     time_reversal,
 )
 from vdtoda.hamiltonian import hamiltonian, xh_q
-from vdtoda.integrate import TrajectoryCheckError, spectral_drift
+from vdtoda.integrate import TrajectoryCheckError, sample_times, spectral_drift
 from vdtoda.lax import build_bundle
 from vdtoda.solve import (
     FactorizationBreakdownError,
@@ -156,6 +158,60 @@ def test_exponential_semigroup():
 def test_exponential_overflow_is_diagnosed():
     with pytest.raises(CoordinateOverflowError):
         matrix_exp(2000.0 * np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def _pade_structure(M):
+    # the Pade order m and the number of squarings s that scipy picks for M
+    Am = np.empty((5,) + M.shape)
+    Am[0] = M
+    return pick_pade_structure(Am)
+
+
+def _assert_expm_bitwise(stack):
+    got = matrix_exp(stack)
+    assert got.shape == stack.shape
+    N = stack.shape[-1]
+    for E, M in zip(got.reshape(-1, N, N), stack.reshape(-1, N, N)):
+        assert np.array_equal(E, expm(M))
+
+
+@pytest.mark.parametrize("seed", [7, 811])
+def test_exponential_of_trajectory_stacks_is_scipy_expm_bitwise(seed, count_calls):
+    # t Ycal stacks of dense-pool states (n = 8, beta 0.5, kappa 1).  The
+    # kernels are private to scipy: matrix_exp checks their convention on
+    # its first call, and would fall back to expm if it had changed.
+    assert solve_module._kernels_reproduce_expm()
+    stacked = count_calls(solve_module, "_pade_stack")
+    params = ModelParams(8, 0.5, 1.0)
+    rng = np.random.default_rng(seed)
+    times = sample_times(5.0, 0.05)[1:]
+    structures = set()
+    for _ in range(4):
+        state = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))
+        stack = times[:, None, None] * build_bundle(state, params).Ycal
+        _assert_expm_bitwise(stack)
+        structures.update(_pade_structure(M) for M in stack)
+    assert stacked.count == 4
+    assert {m for m, _ in structures} == {5, 7, 9, 13}
+    assert {0, 1} <= {s for _, s in structures}
+
+
+def test_exponential_of_crafted_inputs_is_scipy_expm_bitwise(count_calls):
+    Y = build_bundle(STATE, ModelParams(5, 1.0, 1.0)).Ycal
+    scaled = np.array([4.0, 8.0, 16.0])[:, None, None] * Y
+    assert min(_pade_structure(M)[1] for M in scaled) >= 3
+    _assert_expm_bitwise(scaled)
+    _assert_expm_bitwise(1.5 * Y)
+    _assert_expm_bitwise(np.stack([scaled[:2], 0.25 * scaled[:2]]))
+    _assert_expm_bitwise(np.zeros((6, 6)))
+    # scipy treats triangular and diagonal matrices apart; a stack holding
+    # one goes to expm whole
+    stacked = count_calls(solve_module, "_pade_stack")
+    for special in (np.triu, np.tril, lambda M: np.diag(np.diag(M))):
+        mixed = np.array([0.5, 1.0, 2.0])[:, None, None] * Y
+        mixed[1] = special(mixed[1])
+        _assert_expm_bitwise(mixed)
+    assert stacked.count == 0
 
 
 # --------------------------------------------------------- reconstruction

@@ -266,11 +266,16 @@ def solve_ivp(
     stage array.  The stage points are formed in one preallocated
     buffer, by the operations of ``y + np.dot(K_s, a) * h`` in the same
     order, so ``fun`` must not keep ``y`` past its call.  ``t_eval`` is
-    an increasing array inside [0, t_end].
+    a strictly increasing array inside [0, t_end], else ``ValueError``
+    with scipy's message, before ``fun`` is first called.
     Returns the samples as rows; a step shrinking under its minimum
     raises ``StepSizeUnderflowError`` with the time of the last sample
     reached (0.0 if none was).
     """
+    if not (np.all(t_eval >= 0.0) and np.all(t_eval <= t_end)):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    if np.any(np.diff(t_eval) <= 0.0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
     if rtol < _RTOL_FLOOR:
         warnings.warn(
             "At least one element of `rtol` is too small. "

@@ -14,6 +14,8 @@ gets the same bits alone or inside a stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -54,14 +56,20 @@ def graded_part(M: np.ndarray, k: int) -> np.ndarray:
     return np.diag(np.diag(M, int(k)), int(k))
 
 
+# np.tri, made once per call signature: the masks of the strict parts
+_tri = cache(np.tri)
+
+
 def strict_lower(M: np.ndarray) -> np.ndarray:
-    """Sum of all bands with k < 0."""
-    return np.tril(np.asarray(M), -1)
+    """Sum of all bands with k < 0: np.tril(M, -1)."""
+    M = np.asarray(M)
+    return np.where(_tri(*M.shape[-2:], k=-1, dtype=bool), M, M.dtype.type(0))
 
 
 def strict_upper(M: np.ndarray) -> np.ndarray:
-    """Sum of all bands with k > 0."""
-    return np.triu(np.asarray(M), 1)
+    """Sum of all bands with k > 0: np.triu(M, 1)."""
+    M = np.asarray(M)
+    return np.where(_tri(*M.shape[-2:], k=0, dtype=bool), M.dtype.type(0), M)
 
 
 def diag_part(M: np.ndarray) -> np.ndarray:
@@ -78,6 +86,17 @@ def _rev(M: np.ndarray) -> np.ndarray:
     # R M R reverses both index orders; pure entry moves, bitwise exact.
     # A view: every caller assigns it into a block of an allocated array.
     return M[..., ::-1, ::-1]
+
+
+def _diagonal(M: np.ndarray, i: int, j: int, length: int) -> np.ndarray:
+    """The writable view M[:, i + t, j + t], t < length, of a C-contiguous (S, N, N) M.
+
+    A strided slice of the flattened matrices: writing through it costs
+    less than a write through index arrays, and moves the same entries.
+    """
+    N = M.shape[-1]
+    start = i * N + j
+    return M.reshape(M.shape[0], -1)[:, start : start + length * (N + 1) : N + 1]
 
 
 def build_omega(n: int) -> np.ndarray:
@@ -105,8 +124,8 @@ def omega_conjugate(M: np.ndarray) -> np.ndarray:
     n = N // 2
     out = np.empty_like(M)
     out[..., :n, :n] = _rev(M[..., n:, n:])
-    out[..., :n, n:] = -_rev(M[..., n:, :n])
-    out[..., n:, :n] = -_rev(M[..., :n, n:])
+    np.negative(_rev(M[..., n:, :n]), out=out[..., :n, n:])
+    np.negative(_rev(M[..., :n, n:]), out=out[..., n:, :n])
     out[..., n:, n:] = _rev(M[..., :n, :n])
     return out
 
@@ -153,8 +172,9 @@ class LaxBundle:
     def __post_init__(self) -> None:
         arrays = {name: np.asarray(getattr(self, name)).view() for name in _ARRAY_FIELDS}
         x, w, delta = arrays["x"], arrays["w"], arrays["delta"]
-        finite = all(np.isfinite(a).all() for a in arrays.values())
-        if not (finite and (x > 0.0).all() and (w > 0.0).all() and (delta >= 1.0).all()):
+        # one pass per field, each mask freed before the next is made
+        oks = chain(map(np.isfinite, arrays.values()), (x > 0.0, w > 0.0, delta >= 1.0))
+        if not all(np.logical_and.reduce(ok, axis=None) for ok in oks):
 
             def rows(ok):
                 return ok.reshape(delta.size, -1).all(axis=1)
@@ -216,7 +236,7 @@ def _dcal_xhw(x, w, delta, gamma, xhw, params: ModelParams) -> tuple[np.ndarray,
     )
     N = 2 * params.n
     XhW = np.zeros((x.shape[0], N, N))
-    XhW[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(0.5 * xhw / np.sqrt(w))
+    _diagonal(XhW, 1, 0, N - 1)[...] = _w_subdiagonal(0.5 * xhw / np.sqrt(w))
     plus = 0.25 * beta * d
     return np.concatenate([plus, -plus[:, ::-1]], axis=1), XhW
 
@@ -244,20 +264,18 @@ def _triad_blocks(x, w, delta, gamma, params: ModelParams):
     # Corner correction shared by the diagonal blocks of A.
     bump = 0.5 * beta * kappa * w[:, -1] + 0.25 * beta * kappa * kappa * w[:, -1] * gamma
     half = 0.5 * beta
-    i = np.arange(n - 1)
-    j = np.arange(n - 2)
 
     A = np.zeros((S, N, N))
     App, Apm, Amp = A[:, :n, :n], A[:, :n, n:], A[:, n:, :n]
-    App[:, i, i] = phi[:, :-1]
+    _diagonal(A, 0, 0, n - 1)[...] = phi[:, :-1]
     App[:, -1, -1] = phi[:, -1] + bump
-    App[:, i, i + 1] = half * sw[:, :-1] / x[:, :-1]
-    App[:, i + 1, i] = -half * sw[:, :-1] * x[:, :-1]
+    _diagonal(A, 0, 1, n - 1)[...] = half * sw[:, :-1] / x[:, :-1]
+    _diagonal(A, 1, 0, n - 1)[...] = -half * sw[:, :-1] * x[:, :-1]
     Amm = np.zeros((S, n, n))
-    Amm[:, np.arange(n), np.arange(n)] = phi
+    _diagonal(Amm, 0, 0, n)[...] = phi
     Amm[:, -1, -1] -= bump
-    Amm[:, j, j + 1] = half * sw[:, :-2] / x[:, 1:-1]
-    Amm[:, j + 1, j] = -half * sw[:, :-2] * x[:, 1:-1]
+    _diagonal(Amm, 0, 1, n - 2)[...] = half * sw[:, :-2] / x[:, 1:-1]
+    _diagonal(Amm, 1, 0, n - 2)[...] = -half * sw[:, :-2] * x[:, 1:-1]
     Amm[:, -2, -1] = half * sw[:, -2] * delta / x[:, -1]
     Amm[:, -1, -2] = -half * sw[:, -2] * x[:, -1]
     A[:, n:, n:] = _rev(Amm)
@@ -268,9 +286,9 @@ def _triad_blocks(x, w, delta, gamma, params: ModelParams):
 
     B = np.zeros((S, N, N))
     Bpp, Bpm = B[:, :n, :n], B[:, :n, n:]
-    Bpp[:, np.arange(n), np.arange(n)] = psi
-    Bpp[:, j, j + 1] = half * sw[:, :-2] / x[:, :-2]
-    Bpp[:, j + 1, j] = -half * sw[:, :-2] * x[:, 1:-1]
+    _diagonal(B, 0, 0, n)[...] = psi
+    _diagonal(B, 0, 1, n - 2)[...] = half * sw[:, :-2] / x[:, :-2]
+    _diagonal(B, 1, 0, n - 2)[...] = -half * sw[:, :-2] * x[:, 1:-1]
     Bpp[:, -2, -1] = half * sw[:, -2] / x[:, -2]
     Bpp[:, -1, -2] = -half * sw[:, -2] * (x[:, -1] + kappa * w[:, -1])
     Bpm[:, -1, 0] = half * sw[:, -1] * (delta / x[:, -1] + kappa)
@@ -289,23 +307,22 @@ def _acal_explicit(x, w, delta, phi, bump, params: ModelParams) -> np.ndarray:
     half = 0.5 * beta
     sup = half * sw[:, :-2] / (sx[:, :-2] * sx[:, 1:-1])
     sub = -half * sw[:, :-2] * sx[:, :-2] * sx[:, 1:-1]
-    j = np.arange(n - 2)
     dp = {c: _delta_power(delta, c) for c in (-0.25, 0.25, 0.5, 0.75)}
 
     out = np.zeros((S, N, N))
     pp, pm, mp = out[:, :n, :n], out[:, :n, n:], out[:, n:, :n]
-    pp[:, np.arange(n), np.arange(n)] = phi
+    _diagonal(out, 0, 0, n)[...] = phi
     pp[:, -1, -1] += bump
-    pp[:, j, j + 1] = sup
-    pp[:, j + 1, j] = sub
+    _diagonal(out, 0, 1, n - 2)[...] = sup
+    _diagonal(out, 1, 0, n - 2)[...] = sub
     pp[:, -2, -1] = half * sw[:, -2] * dp[0.25] / (sx[:, -2] * sx[:, -1])
     pp[:, -1, -2] = -half * sw[:, -2] * sx[:, -2] * sx[:, -1] * dp[-0.25]
 
     mm = np.zeros((S, n, n))
-    mm[:, np.arange(n), np.arange(n)] = phi
+    _diagonal(mm, 0, 0, n)[...] = phi
     mm[:, -1, -1] -= bump
-    mm[:, j, j + 1] = sup
-    mm[:, j + 1, j] = sub
+    _diagonal(mm, 0, 1, n - 2)[...] = sup
+    _diagonal(mm, 1, 0, n - 2)[...] = sub
     mm[:, -2, -1] = half * sw[:, -2] * dp[0.75] / (sx[:, -2] * sx[:, -1])
     mm[:, -1, -2] = -half * sw[:, -2] * sx[:, -2] * sx[:, -1] * dp[0.25]
     out[:, n:, n:] = _rev(mm)
@@ -336,25 +353,24 @@ def _lax_chain(
     d = np.concatenate([dn, (1.0 / dn)[:, ::-1]], axis=1)
 
     W = np.zeros((S, N, N))
-    W[:, np.arange(1, N), np.arange(N - 1)] = _w_subdiagonal(sw)
+    _diagonal(W, 1, 0, N - 1)[...] = _w_subdiagonal(sw)
     L = d[:, :, None] * (np.eye(N) + W)
 
     g = np.zeros((S, N, N))
-    g[:, np.arange(N), np.arange(N)] = 1.0
+    _diagonal(g, 0, 0, N)[...] = 1.0
     g[:, n - 1, n - 1] = g[:, n, n] = _delta_power(delta, 0.5)
     g[:, n - 1, n] = g[:, n, n - 1] = kappa * sw[:, -1]
 
     # Omega L Omega^{-1} = D^{-1} (I - W^T) is upper bidiagonal, so Hcal
     # solves a triangular system; forward substitution leaves exact
     # zeros below the first subdiagonal.  LAPACK trtrs is called
-    # directly: the scipy wrapper costs more than the solve.
-    U = omega_conjugate(L)
-    Hcal = np.empty_like(L)
-    for k in range(S):
-        HcalT, info = dtrtrs(U[k].T, L[k].T, lower=1)
+    # directly, solving in place in the Fortran-ordered transpose of a
+    # copy of L: the scipy wrapper costs more than the solve.
+    Hcal = L.copy()
+    for U, H in zip(omega_conjugate(L), Hcal):
+        info = dtrtrs(U.T, H.T, lower=1, overwrite_b=1)[1]
         if info:
             raise np.linalg.LinAlgError(f"singular Omega conjugate of L at diagonal {info}")
-        Hcal[k] = HcalT.T
     return d, W, L, g, Hcal, Hcal @ g
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -137,7 +137,7 @@ def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str,
 
 def _amax(M: np.ndarray) -> np.ndarray:
     """max |M| of each state: over every axis but the first."""
-    return np.max(np.abs(M), axis=tuple(range(1, M.ndim)))
+    return np.maximum.reduce(np.abs(M), axis=tuple(range(1, M.ndim)))
 
 
 def _xh_of_L(m: dict[str, np.ndarray]) -> np.ndarray:
@@ -149,7 +149,7 @@ def _xh_of_L(m: dict[str, np.ndarray]) -> np.ndarray:
 def _block_maxima(M: np.ndarray) -> np.ndarray:
     """max |.| of the pp, pm, mp and mm blocks of each state, as (S, 4)."""
     S, n = M.shape[0], M.shape[-1] // 2
-    return np.abs(M).reshape(S, 2, n, 2, n).max(axis=(2, 4)).reshape(S, 4)
+    return np.maximum.reduce(np.abs(M).reshape(S, 2, n, 2, n), axis=(2, 4)).reshape(S, 4)
 
 
 def _gauge_rate(m: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
@@ -265,7 +265,7 @@ def _cross(m, params: ModelParams) -> list:
     gu_gap = np.maximum(np.abs(gamma + upsilon - plus), np.abs(gamma - upsilon - minus))
     return [
         ("acal_routes", TOL_ACAL_ROUTES, acal_gap, _amax(m["Acal"]), None),
-        ("xh_q_forms", TOL_XH_Q_FORMS, xh_q_gap, half * np.max(gain + loss, axis=1), None),
+        ("xh_q_forms", TOL_XH_Q_FORMS, xh_q_gap, half * np.maximum.reduce(gain + loss, axis=1), None),
         ("xh_w_composition", TOL_XH_W_COMPOSITION, xh_w_gap, xh_w_scale, None),
         ("gamma_upsilon", TOL_GAMMA_UPSILON, gu_gap, np.maximum(plus, minus), None),
     ]
@@ -279,13 +279,15 @@ def _reports(column, tags: tuple = (None,) * 4, start: int | None = None) -> lis
 
     ``tags`` are the reports' (n, beta, kappa, seed); with ``start``, each
     also gets its state index, counted from there.  Only the columns with
-    block maxima build a ``blocks`` dict per state.
+    block maxima build a ``blocks`` dict per state.  The records are
+    built from the zipped columns by ``tuple.__new__``, which skips the
+    Python-level ``__new__`` of the named tuple.
     """
     name, tol, max_abs, rel_scale, blocks = column
     index = repeat(None) if start is None else range(start, start + len(max_abs))
     rows = repeat(None) if blocks is None else map(dict, map(zip, repeat(_BLOCKS), blocks.tolist()))
     fields = repeat(name), max_abs.tolist(), rel_scale.tolist(), repeat(tol), *map(repeat, tags)
-    return list(map(ResidualReport, *fields, index, rows))
+    return list(map(tuple.__new__, repeat(ResidualReport), zip(*fields, index, rows)))
 
 
 def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
@@ -447,7 +449,7 @@ def run_suite(
         block = slice(start, start + _SUITE_BLOCK)
         columns = _block_columns(q[block], th[block], params, perturb)
         by_column = [_reports(column, tags, start) for column in columns]
-        reports.extend(report for state_reports in zip(*by_column) for report in state_reports)
+        reports.extend(chain.from_iterable(zip(*by_column)))
     return reports
 
 

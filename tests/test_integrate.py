@@ -217,6 +217,32 @@ def test_integrator_fails_like_scipy_at_a_blow_up():
     assert 0.0 < sol.t[-1] < 2.0
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([0.0, 0.5, 2.0], "Values in `t_eval` are not within `t_span`."),
+        ([-0.5, 0.0, 0.5], "Values in `t_eval` are not within `t_span`."),
+        ([0.0, 0.5, 0.25], "Values in `t_eval` are not properly sorted."),
+        ([0.0, 0.5, 0.5], "Values in `t_eval` are not properly sorted."),
+    ],
+    ids=["past_end", "negative", "decreasing", "repeated"],
+)
+def test_integrator_refuses_a_grid_outside_its_span_or_unsorted_as_scipy(times, message):
+    calls = []
+
+    def fun(y, out):
+        calls.append(1)
+        return np.negative(y, out=out)
+
+    times = np.array(times)
+    with pytest.raises(ValueError) as ours:
+        dop853(fun, 1.0, np.ones(2), times, 1e-8, 1e-10)
+    with pytest.raises(ValueError) as theirs:
+        solve_ivp(lambda _t, y: -y, (0.0, 1.0), np.ones(2), method="DOP853", t_eval=times)
+    assert str(ours.value) == str(theirs.value) == message
+    assert not calls
+
+
 def test_integrator_clamps_rtol_with_scipy_warning():
     times = np.linspace(0.0, 1.0, 5)
     y0 = np.array([1.0, 0.5])

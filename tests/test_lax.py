@@ -13,6 +13,7 @@ from vdtoda import ModelParams, State, random_state
 from vdtoda.hamiltonian import derived_coords, xh_q
 from vdtoda.lax import (
     LaxBundle,
+    _diagonal,
     build_bundle,
     build_omega,
     diag_part,
@@ -49,6 +50,17 @@ def test_triangular_splitters():
     assert np.all(np.tril(strict_upper(M)) == 0)
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (3, 8, 8), (4, 7), (2, 7, 4)])
+@pytest.mark.parametrize("dtype", [float, int, complex])
+def test_triangular_splitters_give_the_bytes_of_tril_and_triu(shape, dtype):
+    rng = np.random.default_rng(2)
+    for _ in range(2):  # a second call reads the cached masks
+        M = (rng.normal(size=shape) * 10).astype(dtype)
+        for ours, theirs in ((strict_lower(M), np.tril(M, -1)), (strict_upper(M), np.triu(M, 1))):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+
 # ----------------------------------------------------- reversal and Omega
 
 
@@ -71,6 +83,26 @@ def test_reversal_exchanges_bands():
     R = reversal(n)
     L = np.tril(np.random.default_rng(4).normal(size=(n, n)), -1)
     assert np.all(np.tril(R @ L @ R, 0) == 0)  # strictly lower -> strictly upper
+
+
+@pytest.mark.parametrize("S", [1, 5])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_diagonal_view_writes_the_entries_of_index_arrays(n, S):
+    # every (size, row, column, length) that build_bundle writes through _diagonal
+    N = 2 * n
+    uses = [(N, 1, 0, N - 1), (N, 0, 0, N)]
+    uses += [(N, 0, 0, n - 1), (N, 0, 1, n - 1), (N, 1, 0, n - 1)]
+    uses += [(N, 0, 0, n), (N, 0, 1, n - 2), (N, 1, 0, n - 2)]
+    uses += [(n, 0, 0, n), (n, 0, 1, n - 2), (n, 1, 0, n - 2)]
+    rng = np.random.default_rng(100 * n + S)
+    for size, i, j, length in uses:
+        M = rng.normal(size=(S, size, size))
+        v = rng.normal(size=(S, length))
+        want, got = M.copy(), M.copy()
+        t = np.arange(length)
+        want[:, i + t, j + t] = v
+        _diagonal(got, i, j, length)[...] = v
+        assert got.tobytes() == want.tobytes(), (size, i, j, length)
 
 
 def test_omega_squares_to_minus_identity():

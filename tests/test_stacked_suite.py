@@ -9,6 +9,7 @@ failing suite raises what a state-by-state loop raises: the earliest
 failing state's error, at its first check.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,25 @@ def test_bundle_keeps_the_invariants_of_derived_coords():
     delta[1:] = (0.25, 0.5)
     with pytest.raises(ValueError, match="^delta must be >= 1, got 0.25$"):
         replace(stack, delta=delta)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", _ARRAY_FIELDS)
+def test_bundle_names_the_first_non_finite_field_of_the_earliest_state(name, bad):
+    # bad planted in one entry of state 2 of name, and in state 4 of the
+    # first field: the earliest state, 2, fails first, at name
+    q, th = verify._draw_states(5, 6, 8, 2.0)
+    stack = build_bundle((q, th), ModelParams(5, 0.7, 1.3))
+    planted = {}
+    for field, k in ((_ARRAY_FIELDS[0], 4), (name, 2)):
+        a = planted.get(field, getattr(stack, field)).copy()
+        a.reshape(a.shape[0], -1)[k, -1] = bad
+        planted[field] = a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoordinateOverflowError) as info:
+            replace(stack, **planted)
+    assert str(info.value) == f"non-finite entries in {name}"
 
 
 def test_one_state_bundle_runs_each_check_once(monkeypatch):

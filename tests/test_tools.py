@@ -46,8 +46,21 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     with np.load(a) as data:
         arrays = dict(data)
     prefixes = {key.split("/")[0] for key in arrays}
-    assert prefixes == {"traj", "expm", "error", "cli"}
+    assert prefixes == {"traj", "expm", "suite", "bundle", "error", "cli"}
     assert str(arrays["error/blow_up"]).startswith("StepSizeUnderflowError: ")
+    # the suite: 12 reports per state, 4 states, a clean and a perturbed run
+    for run in ("clean", "Acal_0_0"):
+        key = f"suite/n8_kappa1_box10/{run}"
+        assert arrays[f"{key}/names"].shape == (48,)
+        assert arrays[f"{key}/values"].shape == (48, 8)
+        assert arrays[f"{key}/blocks"].shape == (8, 4)
+    assert str(arrays["suite/n3_kappa0_box2/Lcal_7_0/error"]).startswith("IndexError: ")
+    assert str(arrays["suite/n3_box500/error"]) == (
+        "CoordinateOverflowError: non-finite entries in dcal"
+    )
+    for field in ("d", "Hcal", "Ycal", "xhw", "upsilon"):
+        assert arrays[f"bundle/stack/{field}"].shape[0] == 5
+        assert arrays[f"bundle/state/{field}"].ndim == arrays[f"bundle/stack/{field}"].ndim - 1
     capsys.readouterr()
     assert capture.main(["--diff", str(a), str(a)]) == 0
     assert capsys.readouterr().out.endswith(f"{len(arrays)} keys, 0 differ\n")

@@ -91,6 +91,20 @@ def test_jsonl_schema_and_round_trip():
         assert (r.margin <= 1.0) is r.passed
 
 
+def test_suite_reports_equal_records_built_by_keyword():
+    reports = run_suite(PARAMS, 4, seed=9, perturb=("Acal", 0, 0, 1e-3))
+    rebuilt = [ResidualReport(**r._asdict()) for r in reports]
+    for r, want in zip(reports, rebuilt):
+        assert type(r) is ResidualReport
+        assert r == want and r._fields == want._fields
+        assert [repr(v) for v in r] == [repr(v) for v in want]
+        assert (r.passed, r.margin) == (want.passed, want.margin)
+        assert r._replace(tol=1.0) == want._replace(tol=1.0)
+        assert type(r._replace(tol=1.0)) is ResidualReport
+    assert not all(r.passed for r in reports)
+    assert reports_to_jsonl(reports) == reports_to_jsonl(rebuilt)
+
+
 def test_jsonl_writes_non_finite_floats_as_null():
     def reject(token):
         raise ValueError(f"not JSON: {token}")

@@ -1,4 +1,4 @@
-"""Capture the outputs of both trajectory routes, and compare two captures.
+"""Capture the outputs of the trajectory routes and the suite, and compare two captures.
 
 Usage::
 
@@ -14,6 +14,15 @@ A capture is an ``.npz`` of named arrays, all from fixed seeds:
 * ``expm/...``: ``matrix_exp`` of ``t Ycal`` stacks and of crafted inputs
   (a scaled stack, one 2-D matrix, the zero matrix, a stack that mixes a
   triangular matrix into full ones);
+* ``suite/...``: the fields of every ``run_suite`` report (``names``, the
+  ``values`` max_abs, rel_scale, tol, n, beta, kappa, seed, state_index
+  as rows, and the ``blocks`` maxima of the reports that carry them) at
+  n = 3, 8, 12, kappa 0, 1 and box 2, 10, on clean states and under the
+  entry perturbations of ``tests/test_verify.py`` (or the error a run
+  raises), the ``jsonl`` bytes of one run, and the errors of runs at
+  boxes 200 to 500;
+* ``bundle/...``: every field of one stacked and one one-state
+  ``build_bundle``;
 * ``error/...``: the type and message of what known failing calls raise;
 * ``cli/...``: the stdout, stderr, exit code and written files of
   ``vdtoda simulate``, ``solve`` and ``compare`` runs, as bytes.
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -37,9 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from vdtoda import ModelParams, State, build_bundle, integrate, random_state  # noqa: E402
-from vdtoda import cli, solve, solve_trajectory  # noqa: E402
+from vdtoda import cli, reports_to_jsonl, run_suite, solve, solve_trajectory  # noqa: E402
 from vdtoda.integrate import _sample_stacks, sample_times  # noqa: E402
 from vdtoda.integrate import solve_ivp as dop853  # noqa: E402
+from vdtoda.lax import _ARRAY_FIELDS  # noqa: E402
+from vdtoda.verify import _BLOCKS, _draw_states  # noqa: E402
 
 # (n, number of states, t_end) of the trajectory pools; beta 0.5, kappa 1,
 # |xi_a|, |eta_a| <= 1 as in the benchmark's dense pool
@@ -61,6 +73,9 @@ HOT = (
     (10, 2.5, 7, 12.0),
     (4, 1.0, 3, 5.0),
 )
+# (n, kappa, box) of the suite runs at beta 0.6, 4 states each; each run
+# is repeated under the one-entry perturbations of tests/test_verify.py
+SUITE_CELLS = [(n, kappa, box) for n in (3, 8, 12) for kappa in (0.0, 1.0) for box in (2.0, 10.0)]
 CLI_RUNS = (
     ("simulate", ["simulate", "--n", "4", "--beta", "0.5", "--t-end", "3"]),
     ("simulate_spectrum", ["simulate", "--n", "3", "--spectrum-output", "{dir}/spec.csv"]),
@@ -118,6 +133,45 @@ def exponentials(out: dict) -> None:
     out["expm/triangular_mix"] = solve.matrix_exp(mixed)
 
 
+def _put_reports(out: dict, key: str, reports) -> None:
+    out[f"{key}/names"] = np.array([r.name for r in reports])
+    out[f"{key}/values"] = np.array([r[1:9] for r in reports], dtype=float)
+    blocks = [[r.blocks[b] for b in _BLOCKS] for r in reports if r.blocks is not None]
+    out[f"{key}/blocks"] = np.array(blocks).reshape(-1, len(_BLOCKS))
+
+
+def suites(out: dict) -> None:
+    perturbations = runpy.run_path(str(ROOT / "tests" / "test_verify.py"))["PERTURBATIONS"]
+    for n, kappa, box in SUITE_CELLS:
+        params = ModelParams(n, 0.6, kappa)
+        cell = f"suite/n{n}_kappa{kappa:g}_box{box:g}"
+        _put_reports(out, f"{cell}/clean", run_suite(params, 4, 811, box=box))
+        for target, i, j in perturbations.values():
+            key = f"{cell}/{target}_{i}_{j}"
+            try:
+                reports = run_suite(params, 4, 811, box=box, perturb=(target, i, j, 1e-3))
+            except Exception as err:  # noqa: BLE001 - the outcome is the capture
+                out[f"{key}/error"] = np.array(f"{type(err).__name__}: {err}")
+                continue
+            _put_reports(out, key, reports)
+    jsonl = reports_to_jsonl(run_suite(ModelParams(5, 0.6, 1.2), 3, 6))
+    out["suite/jsonl"] = np.frombuffer(jsonl.encode(), np.uint8)
+    # runs that raise, from a bundle field or from a coordinate guard
+    for n in (3, 4, 8):
+        for box in (200.0, 300.0, 500.0):
+            params = ModelParams(n, 1.0, 1.0)
+            outcome = _outcome(lambda: run_suite(params, 8, 811, box=box))
+            out[f"suite/n{n}_box{box:g}/error"] = outcome
+
+
+def bundles(out: dict) -> None:
+    stack = build_bundle(_draw_states(8, 5, 811, 3.0), ModelParams(8, 0.6, 1.0))
+    one = build_bundle(_pool(5, 1, 811)[0], ModelParams(5, 1.0, 2.5))
+    for name in _ARRAY_FIELDS:
+        out[f"bundle/stack/{name}"] = getattr(stack, name)
+        out[f"bundle/state/{name}"] = getattr(one, name)
+
+
 def errors(out: dict) -> None:
     for n, box, seed, t_end in HOT:
         state = random_state(n, np.random.default_rng(seed), box=box)
@@ -150,7 +204,7 @@ def cli_runs(out: dict) -> None:
                 out[f"cli/{label}/{path.name}"] = np.frombuffer(path.read_bytes(), np.uint8)
 
 
-SECTIONS = (trajectories, exponentials, errors, cli_runs)
+SECTIONS = (trajectories, exponentials, suites, bundles, errors, cli_runs)
 
 
 def capture() -> dict[str, np.ndarray]:

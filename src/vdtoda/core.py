@@ -2,12 +2,11 @@
 
 A configuration of the n-particle chain is a point zeta = (xi, eta) in
 R^{2n}: particle positions xi and particle rapidities eta.  This module
-holds the parameter container, the immutable state type, 1-based
-coordinate accessors, and the three elementary point maps used
-throughout: time reversal, reflection, and the multiplicative
-coordinate shift.  Its two error types report a coordinate that left
-the floating-point range; the other numerical breakdowns have theirs in
-``solve`` and ``integrate``.
+holds the parameter container, the immutable state type, and the two
+elementary point maps used throughout: time reversal and the
+multiplicative coordinate shift.  Its two error types report a
+coordinate that left the floating-point range; the other numerical
+breakdowns have theirs in ``solve`` and ``integrate``.
 """
 
 from __future__ import annotations
@@ -21,10 +20,7 @@ __all__ = [
     "CoordinateUnderflowError",
     "ModelParams",
     "State",
-    "position",
-    "rapidity",
     "time_reversal",
-    "reflect",
     "shift",
     "random_state",
 ]
@@ -129,24 +125,6 @@ class State:
         return states
 
 
-def _check_label(a: int, n: int) -> None:
-    # Particle labels are 1-based: a = 1 .. n.
-    if not 1 <= a <= n:
-        raise IndexError(f"particle label {a} out of range 1..{n}")
-
-
-def position(state: State, a: int) -> float:
-    """Position of particle a (1-based label)."""
-    _check_label(a, state.n)
-    return float(state.xi[a - 1])
-
-
-def rapidity(state: State, a: int) -> float:
-    """Rapidity of particle a (1-based label)."""
-    _check_label(a, state.n)
-    return float(state.eta[a - 1])
-
-
 def time_reversal(state: State) -> State:
     """The involution (xi, eta) -> (xi, -eta).
 
@@ -154,11 +132,6 @@ def time_reversal(state: State) -> State:
     flow.  IEEE negation makes the double application bitwise exact.
     """
     return State(state.xi, -state.eta)
-
-
-def reflect(state: State) -> State:
-    """The involution (xi, eta) -> (-xi, -eta)."""
-    return State(-state.xi, -state.eta)
 
 
 def shift(state: State, chi) -> State:

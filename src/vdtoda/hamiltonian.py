@@ -33,16 +33,12 @@ from .core import (
 
 __all__ = [
     "DerivedCoords",
-    "f_mu",
     "derived_coords",
     "to_canonical",
     "from_canonical",
     "hamiltonian",
-    "hamiltonian_xw",
     "nonrel_hamiltonian",
     "xh_q",
-    "xh_p",
-    "xh_x",
     "xh_w",
     "eom",
 ]
@@ -80,24 +76,6 @@ def _raise_first_failure(checks) -> None:
         raise kind(message % tuple(v[row] for v in values))
 
 
-def _z_of(mu: float, r: np.ndarray | float) -> np.ndarray:
-    """mu^2 e^{-r}, evaluated in log space so the guard sees one exponent."""
-    m2 = mu * mu
-    if m2 == 0.0:
-        return np.zeros_like(np.asarray(r, dtype=float))
-    return _exp_arg_checked(np.log(m2) - np.asarray(r, dtype=float), "mu^2 e^{-r}")
-
-
-def f_mu(mu: float, r: float) -> float:
-    """Pair interaction factor sqrt(1 + mu^2 e^{-r}).
-
-    Strictly greater than 1 for mu != 0 and identically 1 at mu = 0.
-    Extremely negative r overflows the inner exponential; that raises
-    ``CoordinateOverflowError`` instead of returning inf.
-    """
-    return float(np.sqrt(1.0 + _z_of(float(mu), float(r))))
-
-
 def _pair_terms(
     q: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -105,8 +83,8 @@ def _pair_terms(
 
     Returns z at the chain separations (mu = beta, shape (S, n-1)), z at
     the wall 2 q_n for mu = beta and for mu = kappa beta (each (S,)), and
-    per row whether all of them stayed finite.  Each z is evaluated as in
-    ``_z_of``, all in one exponential; overflow is reported, not raised.
+    per row whether all of them stayed finite.  Each z is evaluated in log
+    space, all in one exponential; overflow is reported, not raised.
     """
     beta, kappa = params.beta, params.kappa
     n = q.shape[1]
@@ -126,7 +104,7 @@ def _pair_terms(
 def _s_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Rows of s(q) for a stack of positions, and the per-row finiteness."""
     zs, zb, zk, ok = _pair_terms(q, params)
-    # ln f_mu(r) = (1/2) ln(1 + z); log1p keeps full accuracy for tiny z.
+    # ln sqrt(1 + z) = (1/2) ln(1 + z); log1p keeps full accuracy for tiny z.
     s = np.empty_like(q)
     with np.errstate(over="ignore", invalid="ignore"):
         lf = 0.5 * np.log1p(zs)
@@ -340,16 +318,6 @@ def hamiltonian(state: State, params: ModelParams) -> float:
     return float(_energy_arrays(state.xi[None], state.eta[None], params)[0])
 
 
-def hamiltonian_xw(coords: DerivedCoords, params: ModelParams) -> float:
-    """Energy as a Laurent polynomial in the multiplicative variables."""
-    kappa = params.kappa
-    x, w = coords.x, coords.w
-    chain = 0.5 * float(np.sum((1.0 / x[:-1] + x[1:]) * (1.0 + w[:-1])))
-    boundary = 0.5 / x[-1] * (1.0 + w[-1]) * coords.delta
-    tail = kappa * w[-1] + 0.5 * kappa * w[-2] * w[-1]
-    return 0.5 * x[0] + chain + boundary + tail
-
-
 def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
     """Non-relativistic limit energy: (H - n)/beta^2 as beta -> 0."""
     _check_size(state.n, params)
@@ -381,42 +349,6 @@ def xh_q(state: State, params: ModelParams) -> np.ndarray:
     """
     derived_coords(state, params)
     return _xh_q_theta(state.xi[None], state.eta[None], params)[0]
-
-
-def xh_p(state: State, params: ModelParams) -> np.ndarray:
-    """Canonical-momentum components of the Hamiltonian vector field."""
-    coords = derived_coords(state, params)
-    return _xh_p_from_coords(coords, params)
-
-
-def _xh_p_from_coords(coords: DerivedCoords, params: ModelParams) -> np.ndarray:
-    kappa, n = params.kappa, params.n
-    x, w = coords.x, coords.w
-    # u_c = (1/2)(x_c^{-1} + x_{c+1}) w_c carries the whole chain part.
-    u = 0.5 * (1.0 / x[:-1] + x[1:]) * w[:-1]
-    out = np.empty(n)
-    out[0] = u[0]
-    out[1:-1] = u[1:] - u[:-1]
-    out[-1] = -u[-1] + w[-1] / x[-1] * (1.0 + kappa * kappa * (1.0 + 2.0 * w[-1])) + 2.0 * kappa * w[-1]
-    corner = 0.5 * kappa * w[-2] * w[-1]
-    out[-2] += corner
-    out[-1] += corner
-    return out
-
-
-def _finite_rates(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` if every entry is finite, else ``CoordinateOverflowError`` naming ``what``."""
-    if not np.isfinite(values).all():
-        raise CoordinateOverflowError(_OVERFLOW + what)
-    return values
-
-
-def xh_x(state: State, params: ModelParams) -> np.ndarray:
-    """X_H[x_a] = beta x_a X_H[p_a]; an entry that overflows raises ``CoordinateOverflowError``."""
-    coords = derived_coords(state, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = params.beta * coords.x * _xh_p_from_coords(coords, params)
-    return _finite_rates(rates, "X_H[x]")
 
 
 def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
@@ -464,7 +396,9 @@ def xh_w(state: State, params: ModelParams) -> np.ndarray:
     c = derived_coords(state, params)
     with np.errstate(over="ignore", invalid="ignore"):
         rates = _xh_w_arrays(c.x[None], c.w[None], c.delta, c.upsilon, params)[0][0]
-    return _finite_rates(rates, "X_H[w]")
+    if not np.isfinite(rates).all():
+        raise CoordinateOverflowError(_OVERFLOW + "X_H[w]")
+    return rates
 
 
 def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:

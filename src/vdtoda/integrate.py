@@ -267,11 +267,15 @@ def solve_ivp(
     buffer, by the operations of ``y + np.dot(K_s, a) * h`` in the same
     order, so ``fun`` must not keep ``y`` past its call.  ``t_eval`` is
     a strictly increasing array inside [0, t_end], else ``ValueError``
-    with scipy's message, before ``fun`` is first called.
+    with scipy's message, before ``fun`` is first called.  A ``t_end``
+    that is not finite and positive raises ``ValueError`` there too,
+    where scipy returns a malformed result.
     Returns the samples as rows; a step shrinking under its minimum
     raises ``StepSizeUnderflowError`` with the time of the last sample
     reached (0.0 if none was).
     """
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
     if not (np.all(t_eval >= 0.0) and np.all(t_eval <= t_end)):
         raise ValueError("Values in `t_eval` are not within `t_span`.")
     if np.any(np.diff(t_eval) <= 0.0):

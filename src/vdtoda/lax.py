@@ -34,12 +34,10 @@ __all__ = [
     "graded_part",
     "strict_lower",
     "strict_upper",
-    "diag_part",
     "reversal",
     "build_omega",
     "omega_conjugate",
     "build_bundle",
-    "hessenberg_parts",
 ]
 
 
@@ -70,11 +68,6 @@ def strict_upper(M: np.ndarray) -> np.ndarray:
     """Sum of all bands with k > 0: np.triu(M, 1)."""
     M = np.asarray(M)
     return np.where(_tri(*M.shape[-2:], k=0, dtype=bool), M.dtype.type(0), M)
-
-
-def diag_part(M: np.ndarray) -> np.ndarray:
-    """Band k = 0."""
-    return np.diag(np.diag(np.asarray(M)))
 
 
 def reversal(n: int) -> np.ndarray:
@@ -194,12 +187,6 @@ class LaxBundle:
 
 
 _ARRAY_FIELDS = tuple(f.name for f in fields(LaxBundle))
-
-
-def _check_one_state(bundle: LaxBundle) -> None:
-    # the functions of one state read its bundle as the S = 1 case
-    if bundle.delta.ndim:
-        raise ValueError(f"bundle holds a stack of {bundle.delta.size} states, not one state")
 
 
 def _delta_power(delta: float | np.ndarray, c: float) -> float | np.ndarray:
@@ -418,25 +405,3 @@ def build_bundle(
     arrays += (x, w, delta, gamma, upsilon)
     return LaxBundle(*(a[0] if one else a for a in arrays))
 
-
-def hessenberg_parts(
-    state: State, params: ModelParams, bundle: LaxBundle | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form bands -1, 0, 1 of the Hessenberg factor Hcal.
-
-    With T = I + W W^T (diagonal, entries 1 and 1 + w), the bands are
-    D W D, D T D and D T W^T D: ``graded_part`` -1, 0 and 1 of Hcal.
-    """
-    _check_size(state.n, params)
-    if bundle is None:
-        bundle = build_bundle(state, params)
-    _check_one_state(bundle)
-    d = bundle.d
-    sub = np.diag(bundle.W, -1)
-    t = np.ones(d.shape[0])
-    t[1:] += sub * sub
-
-    H_m1 = d[:, None] * bundle.W * d[None, :]
-    H_0 = np.diag(d * t * d)
-    H_1 = np.diag(d[:-1] * t[:-1] * sub * d[1:], 1)
-    return H_m1, H_0, H_1

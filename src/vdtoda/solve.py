@@ -19,8 +19,7 @@ solve.  Rapidities invert the velocity relation through arcsinh.
 Samples are evaluated in stacks, and each gets the same bits as alone.
 Double precision limits the usable horizon, and past it a breakdown
 raises instead of returning noise: ``CoordinateOverflowError`` for the
-exponential, ``FactorizationBreakdownError`` for the elimination (and
-for ``ldu`` factors that do not rebuild their matrix) and
+exponential, ``FactorizationBreakdownError`` for the elimination and
 ``TrajectoryCheckError`` for the energy gate.  README "Algebraic solver"
 gives the blocks and the order of the checks, "Precision range" the
 measured error bound and horizon.
@@ -29,7 +28,6 @@ measured error bound and horizon.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -52,10 +50,8 @@ from .lax import build_bundle
 
 __all__ = [
     "FactorizationBreakdownError",
-    "LduFactors",
     "matrix_exp",
     "leading_minors",
-    "ldu",
     "positions_at",
     "position_rates_at",
     "rapidities_at",
@@ -69,7 +65,6 @@ _PIVOT_UNDERFLOW = "pivot underflow in minor chain"
 # elimination, one block of 100 costs less than two of 64 and 36 (about 1.85
 # against 2.0 ms per n = 8 trajectory).
 _SAMPLE_BLOCK = 128
-_RECONSTRUCTION_TOL = 1e-11
 _ENERGY_DRIFT_TOL = 1e-9
 
 
@@ -79,8 +74,6 @@ class FactorizationBreakdownError(ArithmeticError):
     Along the exact flow every minor is strictly positive, so this
     always signals a conditioning failure, never model behavior.  The
     minor index (1-based) and, when known, the sample time are attached.
-    ``ldu`` also raises it, with neither attached, when its Gauss factors
-    do not rebuild their matrix.
     """
 
     def __init__(self, message: str, j: int | None = None, t: float | None = None):
@@ -191,75 +184,24 @@ def _gauss(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(A, -1, 0)).reshape(M.shape)
 
 
-def _checked_pivots(r: np.ndarray) -> np.ndarray:
-    """The pivots of one elimination; the first pivot under the floor or not finite raises."""
-    d = np.diag(r).copy()
-    bad = (np.abs(d) < _PIVOT_FLOOR) | ~np.isfinite(d)
-    if bad.any():
-        j = int(np.argmax(bad))
-        what = _PIVOT_UNDERFLOW if np.isfinite(d[j]) else "non-finite pivot in minor chain"
-        raise FactorizationBreakdownError(what, j=j + 1)
-    return d
-
-
 def leading_minors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All leading principal minors pi_j and their ratios m_j = pi_j/pi_{j-1}.
 
     Computed from the pivots of an LU elimination without pivoting; the
     j-th pivot IS m_j, and pi is the running product (which can overflow
     to inf for strongly graded matrices even when every m_j is benign).
+    The first pivot under the floor or not finite raises
+    ``FactorizationBreakdownError``.
     """
-    m = _checked_pivots(_gauss(M))
+    m = np.diag(_gauss(M)).copy()
+    bad = (np.abs(m) < _PIVOT_FLOOR) | ~np.isfinite(m)
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = _PIVOT_UNDERFLOW if np.isfinite(m[j]) else "non-finite pivot in minor chain"
+        raise FactorizationBreakdownError(what, j=j + 1)
     with np.errstate(over="ignore"):
         pi = np.cumprod(m)
     return pi, m
-
-
-@dataclass(frozen=True, eq=False)
-class LduFactors:
-    """Unique Gauss factors M = l diag(d) u with unit triangular l, u."""
-
-    l: np.ndarray
-    d: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        l = np.array(self.l, dtype=float)
-        d = np.array(self.d, dtype=float)
-        u = np.array(self.u, dtype=float)
-        N = d.shape[0]
-        if l.shape != (N, N) or u.shape != (N, N):
-            raise ValueError("factor shapes disagree")
-        if np.any(np.diag(l) != 1.0) or np.any(np.diag(u) != 1.0):
-            raise ValueError("l and u must be unit triangular")
-        for arr in (l, d, u):
-            arr.flags.writeable = False
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-
-
-def ldu(M: np.ndarray) -> LduFactors:
-    """LDU (Gauss) factorization without pivoting.
-
-    Exists iff every leading principal minor is nonzero; d reproduces
-    the minor ratios of ``leading_minors``.  As a conditioning guard, a
-    reconstruction l diag(d) u off M by more than 1e-11 relative raises
-    ``FactorizationBreakdownError``.
-    """
-    A = _gauss(M)
-    d = _checked_pivots(A)
-    L = np.tril(A, -1) + np.eye(len(d))
-    U = np.triu(A) / d[:, None]
-    rebuilt = (L * d[None, :]) @ U
-    M0 = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M0))))
-    gap = float(np.max(np.abs(rebuilt - M0)))
-    if not gap <= _RECONSTRUCTION_TOL * scale:
-        raise FactorizationBreakdownError(
-            f"factor reconstruction off by {gap:.3e} (> {_RECONSTRUCTION_TOL * scale:.3e})"
-        )
-    return LduFactors(l=L, d=d, u=U)
 
 
 def _minor_log_rates(l: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:

@@ -33,7 +33,6 @@ from .hamiltonian import _check_size, _energy_arrays, _xh_q_theta, _xh_w_arrays
 from .lax import (
     _ARRAY_FIELDS,
     LaxBundle,
-    _check_one_state,
     _delta_power,
     build_bundle,
     omega_conjugate,
@@ -295,7 +294,8 @@ def _single(kernel, state, params, bundle, perturb) -> list[ResidualReport]:
     _check_size(state.n, params)
     if bundle is None:
         bundle = build_bundle(state, params)
-    _check_one_state(bundle)
+    elif bundle.delta.ndim:
+        raise ValueError(f"bundle holds a stack of {bundle.delta.size} states, not one state")
     m = _inputs(bundle, state.xi[None], state.eta[None], params, perturb)
     return [report for column in kernel(m, params) for report in _reports(column)]
 

@@ -1,13 +1,12 @@
 """Energy function, derived coordinates, and the analytic vector field."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
 import vdtoda.verify as verify
-from conftest import draw_states
+from conftest import draw_states, xh_p_laurent
 from vdtoda import (
     CoordinateOverflowError,
     ModelParams,
@@ -21,16 +20,13 @@ from vdtoda import (
 )
 from vdtoda.hamiltonian import (
     _coord_arrays,
+    _factor_arrays,
     derived_coords,
     eom,
-    f_mu,
     from_canonical,
-    hamiltonian_xw,
     to_canonical,
-    xh_p,
     xh_q,
     xh_w,
-    xh_x,
 )
 from vdtoda.lax import build_bundle
 from vdtoda.verify import cross_check_residuals, run_suite
@@ -38,21 +34,43 @@ from vdtoda.verify import cross_check_residuals, run_suite
 SQRT2 = math.sqrt(2.0)
 
 
-# ---------------------------------------------------------------- f_mu
+# ------------------------------------------------------ pair factors
+#
+# F_a(q) multiplies the pair factors f_mu(r) = sqrt(1 + mu^2 e^{-r}) at the
+# edges of particle a: f_beta(d_1) for a = 1, and at a = n also the wall
+# factors f_beta(2 q_n) and f_{kappa beta}(2 q_n).
+
+
+def _pair_factor(mu: float, r: float) -> float:
+    return math.sqrt(1.0 + mu * mu * math.exp(-r))
 
 
 def test_interaction_factor_spot_values():
-    assert f_mu(0.0, -3.7) == 1.0
-    assert f_mu(0.0, 12.0) == 1.0
-    assert abs(f_mu(1.0, 0.0) - SQRT2) < 1e-15
-    assert abs(f_mu(2.0, math.log(4.0)) - SQRT2) < 1e-15
+    F, ok = _factor_arrays(np.zeros((1, 3)), ModelParams(3, 1.0, 1.0))
+    assert ok[0] and abs(F[0, 0] - SQRT2) < 1e-15
+    F, _ = _factor_arrays(np.array([[math.log(4.0), 0.0, 0.0]]), ModelParams(3, 2.0, 1.0))
+    assert abs(F[0, 0] - SQRT2) < 1e-15
+    # mu = kappa beta = 0: the kappa wall factor is exactly 1 at any r, as
+    # is one whose mu^2 e^{-r} (under 1e-297 here) vanishes next to 1
+    for r in (-3.7, 12.0):
+        q = np.array([[0.0, 0.0, 0.5 * r]])
+        at_zero, ok = _factor_arrays(q, ModelParams(3, 1.0, 0.0))
+        negligible, _ = _factor_arrays(q, ModelParams(3, 1.0, 1e-150))
+        assert ok[0] and np.array_equal(at_zero, negligible)
 
 
 def test_interaction_factor_limits():
-    assert f_mu(1.0, 800.0) == 1.0  # underflow side is exact
-    assert f_mu(0.5, 30.0) > 1.0  # ~1 + 1.2e-14, still above 1
-    with pytest.raises(CoordinateOverflowError):
-        f_mu(1.0, -1500.0)
+    # underflow side is exact: every z = mu^2 e^{-800} rounds to 0
+    F, ok = _factor_arrays(np.array([[1600.0, 800.0, 400.0]]), ModelParams(3, 1.0, 1.0))
+    assert ok[0] and np.array_equal(F, np.ones((1, 3)))
+    # f_{0.5}(30) is about 1 + 1.2e-14, still above 1
+    F, _ = _factor_arrays(np.array([[30.0, 0.0, 0.0]]), ModelParams(3, 0.5, 1.0))
+    assert F[0, 0] > 1.0
+    # e^{1500} overflows: reported by the kernel, raised by the energy
+    hot = np.array([[0.0, 1500.0, 0.0]])
+    assert not _factor_arrays(hot, ModelParams(3, 1.0, 1.0))[1][0]
+    with pytest.raises(CoordinateOverflowError, match=r"mu\^2 e\^\{-r\}$"):
+        hamiltonian(State(hot[0], np.zeros(3)), ModelParams(3, 1.0, 1.0))
 
 
 # ------------------------------------------------- frozen reference point
@@ -88,9 +106,9 @@ def test_vector_field_at_origin(zero3):
     p1 = ModelParams(3, 1.0, 1.0)
     assert np.array_equal(xh_q(zero3, p0), np.zeros(3))
     expected0 = [0.5 * (1.0 + 1.0 / SQRT2), 1.0 - 0.5 * (1.0 + 1.0 / SQRT2), 0.0]
-    assert np.allclose(xh_p(zero3, p0), expected0, atol=1e-14)
+    assert np.allclose(xh_p_laurent(zero3, p0), expected0, atol=1e-14)
     expected1 = [0.5 * (1.0 + 1.0 / SQRT2), 0.5 * (1.0 + 1.0 / SQRT2), 2.0 + 3.0 / SQRT2]
-    assert np.allclose(xh_p(zero3, p1), expected1, atol=1e-14)
+    assert np.allclose(xh_p_laurent(zero3, p1), expected1, atol=1e-14)
 
 
 # ------------------------------------------------------------- invariants
@@ -129,20 +147,20 @@ def _shifted_energy_explicit(st: State, params: ModelParams, chi: np.ndarray) ->
     """Closed form for the energy after the position shift q -> q + ln chi."""
     n, beta, kappa = params.n, params.beta, params.kappa
     q, th = st.xi, st.eta
-    total = math.cosh(beta * th[0]) * f_mu(
+    total = math.cosh(beta * th[0]) * _pair_factor(
         beta * math.sqrt(chi[1] / chi[0]), q[0] - q[1]
     )
     for c in range(1, n - 1):
         total += (
             math.cosh(beta * th[c])
-            * f_mu(beta * math.sqrt(chi[c] / chi[c - 1]), q[c - 1] - q[c])
-            * f_mu(beta * math.sqrt(chi[c + 1] / chi[c]), q[c] - q[c + 1])
+            * _pair_factor(beta * math.sqrt(chi[c] / chi[c - 1]), q[c - 1] - q[c])
+            * _pair_factor(beta * math.sqrt(chi[c + 1] / chi[c]), q[c] - q[c + 1])
         )
     total += (
         math.cosh(beta * th[n - 1])
-        * f_mu(beta * math.sqrt(chi[n - 1] / chi[n - 2]), q[n - 2] - q[n - 1])
-        * f_mu(beta / chi[n - 1], 2.0 * q[n - 1])
-        * f_mu(kappa * beta / chi[n - 1], 2.0 * q[n - 1])
+        * _pair_factor(beta * math.sqrt(chi[n - 1] / chi[n - 2]), q[n - 2] - q[n - 1])
+        * _pair_factor(beta / chi[n - 1], 2.0 * q[n - 1])
+        * _pair_factor(kappa * beta / chi[n - 1], 2.0 * q[n - 1])
     )
     total += kappa * beta**2 * chi[n - 1] ** -2 * math.exp(-2.0 * q[n - 1])
     total += (
@@ -165,14 +183,24 @@ def test_shifted_energy_matches_explicit_expression():
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
+def _hamiltonian_xw(st: State, params: ModelParams) -> float:
+    """The energy as a Laurent polynomial in the multiplicative variables."""
+    kappa = params.kappa
+    coords = derived_coords(st, params)
+    x, w = coords.x, coords.w
+    chain = 0.5 * float(np.sum((1.0 / x[:-1] + x[1:]) * (1.0 + w[:-1])))
+    boundary = 0.5 / x[-1] * (1.0 + w[-1]) * coords.delta
+    tail = kappa * w[-1] + 0.5 * kappa * w[-2] * w[-1]
+    return 0.5 * x[0] + chain + boundary + tail
+
+
 def test_two_energy_expressions_agree():
     # theta-form versus the (x, w) trace-side form
     for kappa in (0.0, 0.4, 2.0):
         params = ModelParams(6, 0.9, kappa)
         for st in draw_states(6, 50, seed=3):
             h = hamiltonian(st, params)
-            hxw = hamiltonian_xw(derived_coords(st, params), params)
-            assert abs(h - hxw) <= 1e-12 * abs(h)
+            assert abs(h - _hamiltonian_xw(st, params)) <= 1e-12 * abs(h)
 
 
 # ---------------------------------------------------- nonrelativistic limit
@@ -247,7 +275,9 @@ def test_xh_x_matches_the_flow_of_x():
     traj = integrate(st, params, 2 * h, sample_dt=h, rtol=1e-12, atol=1e-14)
     start, mid, end = traj.states
     fd = (derived_coords(end, params).x - derived_coords(start, params).x) / (2 * h)
-    assert np.max(np.abs(fd - xh_x(mid, params))) < 1e-6
+    # X_H[x] = beta x X_H[p]
+    xh_x = params.beta * derived_coords(mid, params).x * xh_p_laurent(mid, params)
+    assert np.max(np.abs(fd - xh_x)) < 1e-6
 
 
 # alternating +-3 at rest: the w-velocity terms reach ~1e6 and cancel to 0
@@ -288,7 +318,7 @@ def test_rapidity_flow_reduces_at_zero_rapidity():
     for _ in range(25):
         st = State(rng.uniform(-1.5, 1.5, 5), np.zeros(5))
         _, thdot = eom(st, params)
-        assert np.allclose(thdot, xh_p(st, params), rtol=0, atol=1e-14)
+        assert np.allclose(thdot, xh_p_laurent(st, params), rtol=0, atol=1e-14)
 
 
 # --------------------------------------------------------- canonical maps
@@ -340,14 +370,13 @@ def test_overflowing_gamma_raises_typed_error():
 
 
 def test_overflowing_rates_of_x_and_w_raise_typed_errors():
-    # the coordinates pass every guard, but beta x_3 X_H[p_3] and
-    # w_3 delta upsilon overflow; build_bundle refuses the state too
+    # the coordinates pass every guard, but w_3 delta upsilon overflows, and
+    # so does beta x_3 X_H[p_3]; build_bundle refuses the state at dcal,
+    # which holds X_H[x] / (2 x)
     params = ModelParams(3, 1.0, 1.0)
     hot = State(np.array([0.0, 0.0, -220.0]), np.zeros(3))
     derived_coords(hot, params)
-    for fn, what in ((xh_x, "X_H[x]"), (xh_w, "X_H[w]")):
-        message = rf"^overflow while evaluating {re.escape(what)}$"
-        with pytest.raises(CoordinateOverflowError, match=message):
-            fn(hot, params)
+    with pytest.raises(CoordinateOverflowError, match=r"^overflow while evaluating X_H\[w\]$"):
+        xh_w(hot, params)
     with pytest.raises(CoordinateOverflowError, match="non-finite entries in dcal"):
         build_bundle(hot, params)

@@ -243,6 +243,21 @@ def test_integrator_refuses_a_grid_outside_its_span_or_unsorted_as_scipy(times, 
     assert not calls
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+def test_integrator_refuses_an_end_time_that_is_not_finite_and_positive(t_end):
+    # scipy returns a malformed result for t_end = 0; this integrator refuses it
+    # before the first call, so no row is left unwritten
+    calls = []
+
+    def fun(y, out):
+        calls.append(1)
+        return np.negative(y, out=out)
+
+    with pytest.raises(ValueError, match="^t_end must be finite and positive$"):
+        dop853(fun, t_end, np.ones(2), np.array([0.0]), 1e-8, 1e-10)
+    assert not calls
+
+
 def test_integrator_clamps_rtol_with_scipy_warning():
     times = np.linspace(0.0, 1.0, 5)
     y0 = np.array([1.0, 0.5])

@@ -16,9 +16,7 @@ from vdtoda.lax import (
     _diagonal,
     build_bundle,
     build_omega,
-    diag_part,
     graded_part,
-    hessenberg_parts,
     omega_conjugate,
     reversal,
     strict_lower,
@@ -45,7 +43,7 @@ def test_graded_parts_partition_the_matrix():
 
 def test_triangular_splitters():
     M = np.random.default_rng(1).normal(size=(5, 5))
-    assert np.array_equal(strict_lower(M) + diag_part(M) + strict_upper(M), M)
+    assert np.array_equal(strict_lower(M) + graded_part(M, 0) + strict_upper(M), M)
     assert np.all(np.triu(strict_lower(M)) == 0)
     assert np.all(np.tril(strict_upper(M)) == 0)
 
@@ -244,14 +242,28 @@ def test_half_trace_equals_energy(zero3):
 # --------------------------------------------------- Hessenberg gradings
 
 
+def _hessenberg_parts(bundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form bands -1, 0, 1 of Hcal: D W D, D T D and D T W^T D.
+
+    T = I + W W^T is diagonal, with entries 1 and 1 + w.
+    """
+    d = bundle.d
+    sub = np.diag(bundle.W, -1)
+    t = np.ones(d.shape[0])
+    t[1:] += sub * sub
+    H_m1 = d[:, None] * bundle.W * d[None, :]
+    H_0 = np.diag(d * t * d)
+    H_1 = np.diag(d[:-1] * t[:-1] * sub * d[1:], 1)
+    return H_m1, H_0, H_1
+
+
 def test_hessenberg_parts_match_gradings():
     # the closed-form bands against the solved Hcal, at kappa 0 and > 0
     for n, kappa in ((5, 1.1), (3, 0.0), (12, 0.0), (12, 2.5)):
         st = random_state(n, np.random.default_rng(23), box=1.5)
         params = ModelParams(n, 0.7, kappa)
         b = build_bundle(st, params)
-        parts = hessenberg_parts(st, params, b)
-        for k, part in zip((-1, 0, 1), parts):
+        for k, part in zip((-1, 0, 1), _hessenberg_parts(b)):
             assert np.max(np.abs(part - graded_part(b.Hcal, k))) <= 1e-12 * max(
                 1.0, np.max(np.abs(b.Hcal))
             )

@@ -25,7 +25,6 @@ from vdtoda.solve import (
     _gauss,
     _minor_log_rates,
     _samples,
-    ldu,
     leading_minors,
     matrix_exp,
     position_rates_at,
@@ -48,6 +47,8 @@ def test_leading_minors_frozen_chain():
     pi, m = leading_minors(TOY)
     assert np.allclose(pi, [2.0, 3.0, 4.0], rtol=0, atol=1e-15)
     assert np.allclose(m, [2.0, 1.5, 4.0 / 3.0], rtol=0, atol=1e-15)
+    # the 1e20 pivot swamps the lower-right 1; the ratios are still returned
+    assert np.array_equal(leading_minors(np.array([[1e-20, 1.0], [1.0, 1.0]]))[1], [1e-20, -1e20])
 
 
 def test_leading_minors_identity():
@@ -78,11 +79,10 @@ NON_FINITE = "non-finite pivot in minor chain"
         ([[1e-310, 1.0], [1.0, 1.0]], "pivot underflow in minor chain", 1),
     ],
 )
-@pytest.mark.parametrize("factor", [leading_minors, ldu])
-def test_first_bad_pivot_is_a_breakdown(factor, M, message, j):
+def test_first_bad_pivot_is_a_breakdown(M, message, j):
     # tier-1 turns RuntimeWarnings into errors: none may escape on the way
     with pytest.raises(FactorizationBreakdownError) as info:
-        factor(np.array(M))
+        leading_minors(np.array(M))
     assert str(info.value) == f"{message} (minor index {j})"
     assert info.value.j == j
 
@@ -92,50 +92,29 @@ def test_leading_minors_requires_square():
         leading_minors(np.ones((2, 3)))
 
 
-# ------------------------------------------------------------------- ldu
+# ------------------------------------------------------- Gauss factors
 
 
 def test_gauss_factors_reconstruct():
-    out = ldu(TOY)
-    assert np.array_equal(np.diag(out.l), np.ones(3))
-    assert np.array_equal(np.diag(out.u), np.ones(3))
-    assert np.array_equal(np.triu(out.l, 1), np.zeros((3, 3)))
-    assert np.array_equal(np.tril(out.u, -1), np.zeros((3, 3)))
-    assert np.allclose(out.d, [2.0, 1.5, 4.0 / 3.0], rtol=0, atol=1e-15)
-    rebuilt = (out.l * out.d[None, :]) @ out.u
-    assert np.max(np.abs(rebuilt - TOY)) < 1e-15
+    # packed: the multipliers of the unit lower l below the diagonal,
+    # r = diag(d) u on and above it
+    A = _gauss(TOY)
+    l, r = np.tril(A, -1) + np.eye(3), np.triu(A)
+    assert np.allclose(np.diag(r), [2.0, 1.5, 4.0 / 3.0], rtol=0, atol=1e-15)
+    assert np.max(np.abs(l @ r - TOY)) < 1e-15
 
 
 def test_gauss_factors_of_identity_are_trivial():
-    out = ldu(np.eye(4))
-    assert np.array_equal(out.l, np.eye(4))
-    assert np.array_equal(out.u, np.eye(4))
-    assert np.array_equal(out.d, np.ones(4))
+    assert np.array_equal(_gauss(np.eye(4)), np.eye(4))
 
 
 def test_gauss_diagonal_matches_minor_ratios():
     rng = np.random.default_rng(14)
     M = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)  # comfortably factorizable
-    _, m = leading_minors(M)
-    out = ldu(M)
-    assert np.max(np.abs(out.d - m)) <= 1e-12 * np.max(np.abs(m))
-
-
-def test_gauss_factors_that_do_not_rebuild_their_matrix_are_a_breakdown():
-    # the 1e20 pivot swamps the lower-right 1: the minor ratios are still
-    # returned, but l diag(d) u is off M by 1
-    M = np.array([[1e-20, 1.0], [1.0, 1.0]])
-    with pytest.raises(FactorizationBreakdownError) as info:
-        ldu(M)
-    assert str(info.value) == "factor reconstruction off by 1.000e+00 (> 1.000e-11)"
-    assert (info.value.j, info.value.t) == (None, None)
-    assert np.array_equal(leading_minors(M)[1], [1e-20, -1e20])
-
-
-def test_gauss_factors_are_readonly():
-    out = ldu(TOY)
-    with pytest.raises(ValueError):
-        out.d[0] = 5.0
+    minors = np.array([np.linalg.det(M[:j, :j]) for j in range(1, 7)])
+    ratios = minors / np.concatenate([[1.0], minors[:-1]])
+    d = np.diag(_gauss(M))
+    assert np.max(np.abs(d - ratios)) <= 1e-12 * np.max(np.abs(ratios))
 
 
 # ---------------------------------------------------------- matrix_exp

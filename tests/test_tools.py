@@ -1,5 +1,6 @@
 """The scripts in tools/: the line counter's four classes add up to wc -l,
-and a capture diffs as equal to itself and as different from an edited copy."""
+a capture diffs as equal to itself and as different from an edited copy,
+and the reach tool lists the functions that its runs never enter."""
 
 import importlib.util
 from pathlib import Path
@@ -74,3 +75,21 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     assert any(line.startswith(f"{key}: 1/{arrays[key].size} differ, largest 1.0") for line in out)
     assert "expm/zero: only in A" in out
     assert out[-1] == f"{len(arrays) + 1} keys, 2 differ"
+
+
+def test_reach_lists_the_functions_no_run_enters(tmp_path):
+    reach = _tool("reach")
+    package = tmp_path / "pkg"
+    package.mkdir()
+    source = "def used():\n    return 1\n\n\ndef unused():\n    return 2\n"
+    (package / "m.py").write_text(source, encoding="utf-8")
+
+    def run():
+        spec = importlib.util.spec_from_file_location("m", package / "m.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.used() == 1
+
+    assert set(reach.functions(package).values()) == {"used", "unused"}
+    missed = reach.unentered(package, [run])
+    assert [(Path(path).name, line, name) for path, line, name in missed] == [("m.py", 5, "unused")]

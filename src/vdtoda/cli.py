@@ -4,8 +4,10 @@
 
 Configuration is a single JSON document whose keys match the RunConfig
 fields; command-line flags override file values, which override the
-built-in defaults.  The fields of RunConfig define the config flags,
-their types and the type check of every value.  Exit codes: 0 success,
+built-in defaults.  ``_COMMAND_KEYS`` lists the fields each command
+reads: its parser offers a flag for each of them and for no other, and
+its config file may hold those keys only.  A field's default sets its
+flag's type and the type check of every value.  Exit codes: 0 success,
 1 check failure, 2 usage or parse error, 3 numerical breakdown.
 """
 
@@ -51,6 +53,13 @@ _KINDS = {int: (Integral, "an integer"), float: (Real, "a real number")}
 _VECTOR_HELP = {"xi": "comma-separated positions", "eta": "comma-separated rapidities"}
 # every perturbable bundle matrix but X_H[W]
 _DUMPED_MATRICES = tuple(name for name in _MATRIX_FIELDS if name != "xhw")
+# the RunConfig fields each command reads: its flags and the keys its config file may hold
+_COMMAND_KEYS = {
+    "verify": ("n", "beta", "kappa", "xi", "eta", "seed", "num_states"),
+    "simulate": ("n", "beta", "kappa", "xi", "eta", "t_end", "sample_dt", "rtol", "atol"),
+    "solve": ("n", "beta", "kappa", "xi", "eta", "t_end", "sample_dt"),
+    "compare": ("n", "beta", "kappa", "xi", "eta", "t_end", "sample_dt", "rtol", "atol"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class RunConfig:
     kappa: float = 1.0
     xi: tuple[float, ...] | None = None
     eta: tuple[float, ...] | None = None
-    t_end: float = 5.0
+    t_end: float = 3.0
     sample_dt: float = 0.05
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -115,23 +124,20 @@ class RunConfig:
         return State(xi, eta)
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
 def _is_real(value, kind: type = Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _load_config(path: str | None, overrides: dict) -> RunConfig:
+def _load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
         raw = Path(path).read_text(encoding="utf-8")
         doc = json.loads(raw)
         if not isinstance(doc, dict):
             raise ValueError("config document must be a JSON object")
-        unknown = set(doc) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(doc) - set(_COMMAND_KEYS[command])
+        if unread:
+            raise ValueError(f"{command} does not read config keys {sorted(unread)}")
         values.update(doc)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
@@ -160,6 +166,8 @@ def cmd_verify(
     dump_matrices: str | None = None,
 ) -> int:
     """Run the residual suite; exit 0 iff every report passes."""
+    if dump_matrices is None and (config.xi, config.eta) != (None, None):
+        raise ValueError("verify reads xi and eta only with --dump-matrices")
     try:
         reports = run_suite(config.params, config.num_states, config.seed, box=box, perturb=perturb)
     except IndexError as err:  # a --perturb entry outside its matrix
@@ -191,40 +199,39 @@ def _dump_bundle(config: RunConfig, directory: str) -> None:
         _write_table(out / f"{name}.csv", dense[name] if name in dense else getattr(bundle, name))
 
 
-def _run_method(config: RunConfig, method: str) -> Trajectory:
+def _rk(config: RunConfig) -> Trajectory:
+    return integrate(config.state, config.params, config.t_end,
+                     sample_dt=config.sample_dt, rtol=config.rtol, atol=config.atol)
+
+
+def _algebraic(config: RunConfig) -> Trajectory:
+    return solve_trajectory(config.state, config.params, config.t_end, sample_dt=config.sample_dt)
+
+
+def _trajectory(config: RunConfig, route) -> Trajectory:
+    # both routes refuse t_end = 0, where the trajectory is the initial sample
     if config.t_end == 0.0:
         return initial_only(config.state, config.params)
-    if method == "rk":
-        return integrate(
-            config.state,
-            config.params,
-            config.t_end,
-            sample_dt=config.sample_dt,
-            rtol=config.rtol,
-            atol=config.atol,
-        )
-    if method == "algebraic":
-        return solve_trajectory(
-            config.state, config.params, config.t_end, sample_dt=config.sample_dt
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return route(config)
 
 
 def cmd_trajectory(
     config: RunConfig,
-    method: str,
+    route,
     output: str | None = None,
     spectrum_output: str | None = None,
 ) -> int:
     """Trajectory of the configured state; CSV plus drift summary.
 
-    ``method`` is "rk" (the ``simulate`` command) or "algebraic" (``solve``).
+    ``route`` maps the config to its trajectory: ``_rk`` (the ``simulate``
+    command) or ``_algebraic`` (``solve``).
     """
-    traj = _run_method(config, method)
+    traj = _trajectory(config, route)
     with _open_target(output) as target:
         trajectory_to_csv(traj, target)
     if spectrum_output is not None:
-        spectrum_to_csv(traj, spectrum_output)
+        with _open_target(spectrum_output) as target:
+            spectrum_to_csv(traj, target)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
     print(
         f"energy drift {drift:.3e}, spectral drift {spectral_drift(traj):.3e}",
@@ -241,7 +248,7 @@ def cmd_compare(
     Emits `t,max_dq,max_dtheta` rows; exit 0 iff the worst deviation
     stays within 1e-5.
     """
-    trajs = {method: _run_method(config, method) for method in ("rk", "algebraic")}
+    trajs = {"rk": _trajectory(config, _rk), "algebraic": _trajectory(config, _algebraic)}
     rk, algebraic = trajs.values()
     # largest deviation per sample, in positions and in rapidities
     dq, dtheta = (
@@ -270,11 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_text: str, **defaults) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        for f in fields(RunConfig):
+        for f in (f for f in fields(RunConfig) if f.name in _COMMAND_KEYS[name]):
             kind = _parse_vector if f.name in _VECTOR_HELP else type(f.default)
             flag = "--" + f.name.replace("_", "-")
             p.add_argument(flag, dest=f.name, type=kind, help=_VECTOR_HELP.get(f.name))
-        p.add_argument("--output", "-o", help="output path (default: stdout)")
+        p.add_argument("--output", "-o", help="output path, or - for stdout (the default)")
         p.set_defaults(**defaults)
         return p
 
@@ -287,12 +294,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--box", type=float, default=2.0, help="random state box half-width")
     p_verify.add_argument("--dump-matrices", help="directory for per-matrix CSV dumps")
 
-    for name, method, help_text in (
-        ("simulate", "rk", "adaptive Runge-Kutta trajectory"),
-        ("solve", "algebraic", "algebraic (factorization) trajectory"),
+    for name, route, help_text in (
+        ("simulate", _rk, "adaptive Runge-Kutta trajectory"),
+        ("solve", _algebraic, "algebraic (factorization) trajectory"),
     ):
-        p_traj = command(name, help_text, handler=cmd_trajectory, method=method)
-        p_traj.add_argument("--spectrum-output", help="also write the spectrum CSV here")
+        p_traj = command(name, help_text, handler=cmd_trajectory, route=route)
+        p_traj.add_argument(
+            "--spectrum-output", help="also write the spectrum CSV here, or - for stdout"
+        )
 
     p_cmp = command("compare", "dual-method deviation report", handler=cmd_compare)
     p_cmp.add_argument("--dump-trajectories", help="directory for tagged trajectory CSVs")
@@ -303,11 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     # every other argparse dest is a keyword of the handler
-    handler, path = args.pop("handler"), args.pop("config")
-    del args["command"]
-    overrides = {key: args.pop(key) for key in _CONFIG_KEYS}
+    handler, path, command = args.pop("handler"), args.pop("config"), args.pop("command")
+    overrides = {key: args.pop(key) for key in _COMMAND_KEYS[command]}
     try:
-        return handler(_load_config(path, overrides), **args)
+        return handler(_load_config(command, path, overrides), **args)
     except TrajectoryCheckError as err:
         print(f"check failure: {err}", file=sys.stderr)
         return 1

@@ -34,7 +34,17 @@ def write_config(tmp_path, **kwargs):
     return str(path)
 
 
-BASE = dict(n=4, beta=0.5, kappa=1.0, t_end=1.0, sample_dt=0.25, seed=7, num_states=4)
+MODEL = dict(n=4, beta=0.5, kappa=1.0)
+# a config file holds only keys its command reads
+VERIFY = dict(MODEL, seed=7, num_states=4)
+TRAJECTORY = dict(MODEL, t_end=1.0, sample_dt=0.25)
+# the keys that each command does not read
+UNREAD = [
+    ("verify", "t_end"), ("verify", "sample_dt"), ("verify", "rtol"), ("verify", "atol"),
+    ("simulate", "seed"), ("simulate", "num_states"),
+    ("solve", "rtol"), ("solve", "atol"), ("solve", "seed"), ("solve", "num_states"),
+    ("compare", "seed"), ("compare", "num_states"),
+]
 
 
 # ---------------------------------------------------------------- config
@@ -75,7 +85,7 @@ def test_readme_states_the_code_defaults():
 
 
 def test_flags_override_config_file(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **VERIFY)
     out = tmp_path / "r.jsonl"
     rc = main(["verify", "--config", cfg, "--beta", "0.7", "-o", str(out)])
     assert rc == 0
@@ -88,7 +98,7 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_verify_writes_jsonl_and_passes(tmp_path, capsys):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **VERIFY)
     out = tmp_path / "reports.jsonl"
     rc = main(["verify", "--config", cfg, "-o", str(out)])
     assert rc == 0
@@ -105,7 +115,7 @@ def test_verify_writes_jsonl_and_passes(tmp_path, capsys):
 
 
 def test_verify_perturbation_fails(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **VERIFY)
     out = tmp_path / "reports.jsonl"
     rc = main(["verify", "--config", cfg, "--perturb", "L,1,0,1e-3", "-o", str(out)])
     assert rc == 1
@@ -135,7 +145,7 @@ def test_verify_jsonl_is_strict_json_with_non_finite_residuals(tmp_path, spec, f
 
 
 def test_verify_dumps_matrices(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **VERIFY)
     mats = tmp_path / "mats"
     rc = main(["verify", "--config", cfg, "--dump-matrices", str(mats),
                "-o", str(tmp_path / "r.jsonl")])
@@ -194,27 +204,108 @@ def test_unknown_config_key_exits_2(tmp_path):
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, doc):
-    cfg = write_config(tmp_path, **doc)
-    assert main(["verify", "--config", cfg]) == 2
     (key,) = doc
+    command = next(name for name, keys in cli._COMMAND_KEYS.items() if key in keys)
+    cfg = write_config(tmp_path, **doc)
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "solve", "compare"])
 def test_every_config_key_is_a_flag(command, capsys):
+    # ... of the commands that read it, and of no other
     with pytest.raises(SystemExit) as info:
         main([command, "--help"])
     assert info.value.code == 0
     text = capsys.readouterr().out
-    for key in (f.name for f in fields(RunConfig)):
-        assert f"--{key.replace('_', '-')} {key.upper()}" in text
+    offered = {key for key in (f.name for f in fields(RunConfig))
+               if f"--{key.replace('_', '-')} {key.upper()}" in text}
+    assert offered == set(cli._COMMAND_KEYS[command])
     assert "--method" not in text  # compare always runs RK against the algebraic route
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, key, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, f"--{key.replace('_', '-')}", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_a_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, n=3, **{key: 3})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {command} does not read config keys ['{key}']\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", ["xi", "eta"])
+def test_verify_reads_xi_and_eta_only_with_dump_matrices(tmp_path, capsys, source, key):
+    out = tmp_path / "r.jsonl"
+    if source == "flag":
+        args = [f"--{key}=1,2,3"]
+    else:
+        args = ["--config", write_config(tmp_path, **{key: [1, 2, 3]})]
+    assert main(["verify", *args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: verify reads xi and eta only with --dump-matrices\n"
+    assert not out.exists()
+
+
+def test_readme_lists_the_keys_each_command_reads():
+    section = README.read_text(encoding="utf-8").split("## Command line")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (`\w+`(?: and `\w+`)*) \| `([^`]*)` \|$", section, re.MULTILINE)
+    documented = {
+        command: tuple(key.strip() for key in keys.split(","))
+        for commands, keys in rows
+        for command in re.findall(r"`(\w+)`", commands)
+    }
+    assert documented == cli._COMMAND_KEYS
+
+
+# a tiny run of each command: the key values it sets and the files it adds
+# to its output; CHANGED holds a second value of every key
+TINY = {
+    "verify": (dict(num_states=1), ["--dump-matrices", "{dir}/mats"]),
+    "simulate": (dict(t_end=0.5, sample_dt=0.25), ["--spectrum-output", "{dir}/spec.csv"]),
+    "solve": (dict(t_end=0.5, sample_dt=0.25), ["--spectrum-output", "{dir}/spec.csv"]),
+    "compare": (dict(t_end=0.5, sample_dt=0.25), ["--dump-trajectories", "{dir}/dump"]),
+}
+CHANGED = dict(n=4, beta=0.7, kappa=0.3, xi="0.1,-0.2,0.3", eta="0.2,0.0,-0.1", t_end=0.75,
+               sample_dt=0.125, rtol=1e-6, atol=1e-9, seed=8, num_states=2)
+
+
+def _tiny_run(tmp_path, command: str, **changed) -> tuple[int, dict[str, bytes]]:
+    values, extra = TINY[command]
+    directory = tmp_path / "-".join([command, *changed])
+    directory.mkdir()
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in {**values, **changed}.items()]
+    argv = [command, *flags, "-o", "{dir}/out", *extra]
+    code = main([arg.format(dir=directory) for arg in argv])
+    return code, {str(p.relative_to(directory)): p.read_bytes()
+                  for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(name, key) for name, keys in cli._COMMAND_KEYS.items() for key in keys]
+)
+def test_each_key_a_command_reads_changes_its_output_or_exit_code(tmp_path, command, key):
+    base = _tiny_run(tmp_path, command)
+    assert base[0] in (0, 1) and base[1]
+    assert _tiny_run(tmp_path, command, **{key: CHANGED[key]}) != base
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "solve", "compare"])
+def test_every_command_runs_at_its_defaults(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "-o", str(out)]) == 0
+    assert out.read_text()
 
 
 def test_bad_perturb_spec_exits_2(tmp_path):
     # malformed flag values are rejected by the parser itself
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **VERIFY)
     with pytest.raises(SystemExit) as info:
         main(["verify", "--config", cfg, "--perturb", "L,1,0"])
     assert info.value.code == 2
@@ -241,7 +332,7 @@ def test_perturbing_off_the_diagonal_of_d_exits_2(capsys):
 
 
 def test_simulate_row_count(tmp_path, capsys):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     out = tmp_path / "traj.csv"
     rc = main(["simulate", "--config", cfg, "-o", str(out)])
     assert rc == 0
@@ -261,7 +352,7 @@ def test_simulate_zero_horizon_single_row(tmp_path):
 
 
 def test_simulate_writes_spectrum(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     spec = tmp_path / "spec.csv"
     rc = main(["simulate", "--config", cfg, "-o", str(tmp_path / "t.csv"),
                "--spectrum-output", str(spec)])
@@ -271,12 +362,23 @@ def test_simulate_writes_spectrum(tmp_path):
     assert len(lines) == 1 + 5 and all(len(line.split(",")) == 1 + 2 * 4 for line in lines)
 
 
+def test_spectrum_output_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "--t-end", "0.5", "--sample-dt", "0.25", "-o", "traj.csv",
+               "--spectrum-output", "-"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,lambda_1,lambda_2,lambda_3,lambda_4,lambda_5,lambda_6"
+    assert len(lines) == 1 + 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
 def test_vector_flags_match_config_file(tmp_path):
     xi, eta = [0.5, 0.1, -0.2, -0.6], [-0.3, 0.2, 0.0, 0.4]
     from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
-    cfg = write_config(tmp_path, **BASE, xi=xi, eta=eta)
+    cfg = write_config(tmp_path, **TRAJECTORY, xi=xi, eta=eta)
     assert main(["simulate", "--config", cfg, "-o", str(from_file)]) == 0
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     flags = [f"--{name}={','.join(map(repr, vec))}" for name, vec in (("xi", xi), ("eta", eta))]
     assert main(["simulate", "--config", cfg, *flags, "-o", str(from_flags)]) == 0
     assert from_flags.read_bytes() == from_file.read_bytes()
@@ -326,7 +428,7 @@ def test_every_exported_error_exits_with_its_documented_code(monkeypatch, capsys
 
 
 def test_solve_matches_simulate(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     a, b = tmp_path / "rk.csv", tmp_path / "alg.csv"
     assert main(["simulate", "--config", cfg, "-o", str(a)]) == 0
     assert main(["solve", "--config", cfg, "-o", str(b)]) == 0
@@ -357,7 +459,7 @@ def test_solve_beyond_horizon_exits_1(tmp_path):
 
 
 def test_compare_methods(tmp_path, capsys):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     out = tmp_path / "diff.csv"
     rc = main(["compare", "--config", cfg, "-o", str(out)])
     assert rc == 0
@@ -378,7 +480,7 @@ def test_compare_methods(tmp_path, capsys):
 def test_spectrum_is_computed_only_where_a_command_reads_it(
     tmp_path, count_calls, command, extra, spectra
 ):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     calls = count_calls(sys.modules["vdtoda.integrate"], "_matched_spectra")
     extra = [str(tmp_path / e) if e in ("dump", "spec.csv") else e for e in extra]
     assert main([command, "--config", cfg, "-o", str(tmp_path / "out.csv"), *extra]) == 0
@@ -386,7 +488,7 @@ def test_spectrum_is_computed_only_where_a_command_reads_it(
 
 
 def test_compare_dumps_both_trajectories(tmp_path):
-    cfg = write_config(tmp_path, **BASE)
+    cfg = write_config(tmp_path, **TRAJECTORY)
     rc = main(["compare", "--config", cfg, "-o", str(tmp_path / "d.csv"),
                "--dump-trajectories", str(tmp_path / "dump")])
     assert rc == 0

@@ -5,9 +5,10 @@ Usage: ``python tools/reach.py``
 Runs a fixed set of ``vdtoda`` invocations in process, each writing its
 files into one temporary directory: ``verify`` (plain, ``--box 10``,
 ``--dump-matrices`` at a given ``--xi``/``--eta``, ``--perturb``),
-``simulate --spectrum-output``, ``solve`` (at the defaults, which lie
-past the algebraic route's horizon and exit 1, at ``--beta 0.5``, and to
-``--t-end 0``) and ``compare --beta 0.5 --dump-trajectories``.  Then it
+``simulate --spectrum-output``, ``solve`` (to ``--t-end 5``, past the
+algebraic route's horizon at the default state, where it exits 1, at
+``--beta 0.5``, and to ``--t-end 0``) and ``compare --beta 0.5
+--dump-trajectories``.  Then it
 runs every ``demos/*.py`` through ``runpy``.  Their printed output is
 discarded.  A profile hook (``sys.setprofile``) records the code object
 of every call.
@@ -39,7 +40,7 @@ CLI_RUNS = (
     ["verify", "--xi=0.5,0.1,-0.2", "--eta=-0.3,0.2,0.4", "--dump-matrices", "{dir}/dump"],
     ["verify", "--perturb", "A,0,0,1e-3", "--output", "{dir}/perturb.jsonl"],
     ["simulate", "--output", "{dir}/rk.csv", "--spectrum-output", "{dir}/spectrum.csv"],
-    ["solve", "--output", "{dir}/refused.csv"],
+    ["solve", "--t-end", "5", "--output", "{dir}/refused.csv"],
     ["solve", "--beta", "0.5", "--output", "{dir}/algebraic.csv"],
     ["solve", "--t-end", "0", "--output", "{dir}/initial.csv"],
     ["compare", "--beta", "0.5", "-o", "{dir}/compare.csv", "--dump-trajectories", "{dir}/dumps"],

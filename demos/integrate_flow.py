@@ -26,7 +26,7 @@ print(f"  eigenvalue drift:             {spectral_drift(traj):.3e}")
 
 print()
 print("== the flow is reversible: flip rapidities, integrate, flip back ==")
-bwd = backward_via_reversal(traj, params)
+bwd = backward_via_reversal(traj)
 print(f"  backward samples share the forward grid: {np.array_equal(bwd.t, traj.t)}")
 print(f"  sample 0 rapidities negated exactly:     "
       f"{np.array_equal(bwd.states[0].eta, -traj.states[0].eta)}")

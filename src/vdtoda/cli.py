@@ -29,7 +29,6 @@ from .integrate import (
     _sample_stacks,
     _text_sink,
     _write_table,
-    initial_only,
     integrate,
     spectral_drift,
     spectrum_to_csv,
@@ -37,7 +36,7 @@ from .integrate import (
 )
 from .lax import build_bundle, build_omega
 from .solve import solve_trajectory
-from .verify import _MATRIX_FIELDS, reports_to_jsonl, run_suite
+from .verify import reports_to_jsonl, run_suite
 
 __all__ = [
     "RunConfig",
@@ -51,8 +50,9 @@ _COMPARE_TOL = 1e-5
 # what a value of each scalar field may be, by the type of its default
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a real number")}
 _VECTOR_HELP = {"xi": "comma-separated positions", "eta": "comma-separated rapidities"}
-# every perturbable bundle matrix but X_H[W]
-_DUMPED_MATRICES = tuple(name for name in _MATRIX_FIELDS if name != "xhw")
+# what ``verify --dump-matrices`` writes: every bundle matrix but X_H[W], and Omega and Q
+_DUMPED_MATRICES = ("D", "W", "L", "Dcal", "A", "B", "Acal", "g", "g_inv", "Omega", "Hcal",
+                    "Lcal", "Lcal_inv", "Ycal", "Q")
 # the RunConfig fields each command reads: its flags and the keys its config file may hold
 _COMMAND_KEYS = {
     "verify": ("n", "beta", "kappa", "xi", "eta", "seed", "num_states"),
@@ -208,13 +208,6 @@ def _algebraic(config: RunConfig) -> Trajectory:
     return solve_trajectory(config.state, config.params, config.t_end, sample_dt=config.sample_dt)
 
 
-def _trajectory(config: RunConfig, route) -> Trajectory:
-    # both routes refuse t_end = 0, where the trajectory is the initial sample
-    if config.t_end == 0.0:
-        return initial_only(config.state, config.params)
-    return route(config)
-
-
 def cmd_trajectory(
     config: RunConfig,
     route,
@@ -226,7 +219,7 @@ def cmd_trajectory(
     ``route`` maps the config to its trajectory: ``_rk`` (the ``simulate``
     command) or ``_algebraic`` (``solve``).
     """
-    traj = _trajectory(config, route)
+    traj = route(config)
     with _open_target(output) as target:
         trajectory_to_csv(traj, target)
     if spectrum_output is not None:
@@ -248,7 +241,7 @@ def cmd_compare(
     Emits `t,max_dq,max_dtheta` rows; exit 0 iff the worst deviation
     stays within 1e-5.
     """
-    trajs = {"rk": _trajectory(config, _rk), "algebraic": _trajectory(config, _algebraic)}
+    trajs = {"rk": _rk(config), "algebraic": _algebraic(config)}
     rk, algebraic = trajs.values()
     # largest deviation per sample, in positions and in rapidities
     dq, dtheta = (

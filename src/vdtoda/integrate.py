@@ -3,12 +3,13 @@
 The chain is integrated in natural coordinates by ``solve_ivp``, the
 module's own Dormand-Prince 8(5,3) integrator, which takes the same steps
 and gives the same samples, bit for bit, as scipy's DOP853.  Both routes,
-this one and ``solve.solve_trajectory``, hand their samples to one
-assembly step as stacked (samples, n) arrays, and every check applies per
-sample and reports the earliest sample that fails it: energy drift within
-the tolerance budget, |theta_a| < ln(2 H) / beta, and no particle faster
-than beta H between consecutive samples.  The spectrum of Lcal is a
-cached property of a trajectory's states, computed on its first read.
+this one and ``solve.solve_trajectory``, take t_end >= 0 and hand their
+samples to one assembly step as stacked (samples, n) arrays.  One check,
+``_check_bounds``, serves their samples and the algebraic route's points,
+and each bound reports the earliest sample that fails it: energy drift
+within the tolerance budget, |theta_a| < ln(2 H) / beta, and no particle
+faster than beta H between consecutive samples.  The spectrum of Lcal is
+a cached property of a trajectory's states, computed on its first read.
 README "Trajectories" describes the RHS kernel, the blocks and how the
 spectrum rows are matched.
 """
@@ -391,14 +392,19 @@ def _check_bounds(
     eta: np.ndarray,
     energy: np.ndarray,
     drift_tol: float,
+    h0: float,
 ) -> None:
-    # xi and eta are the stacked samples (S, n); each bound is checked on
-    # the whole stack and reported at its first failing sample.
-    h0 = energy[0]
-    drift = float(np.max(np.abs(energy - h0)))
-    if drift > drift_tol:
+    # xi and eta are the stacked samples (S, n), h0 the energy at t = 0;
+    # each bound is checked on the whole stack and reported at its first
+    # failing sample, the energy gate with beta (H - n) t there.
+    drift = np.abs(energy - h0)
+    over = ~(drift <= drift_tol)
+    if over.any():
+        i = int(np.argmax(over))
+        horizon = params.beta * (h0 - params.n) * abs(t[i])
         raise TrajectoryCheckError(
-            f"energy drift {drift:.3e} exceeds tolerance {drift_tol:.3e}"
+            f"energy drift {drift[i]:.3e} exceeds tolerance {drift_tol:.3e} at t = {t[i]}"
+            f" (beta (H - n) t = {horizon:.3g})"
         )
     theta_cap = np.log(2.0 * h0) / params.beta
     worst = np.max(np.abs(eta), axis=1)
@@ -430,7 +436,7 @@ def _assemble(
     # the spectrum raises nothing.
     states = State.from_stacks(xi, eta)
     energy = _energy_arrays(xi, eta, params)
-    _check_bounds(params, t, xi, eta, energy, drift_tol)
+    _check_bounds(params, t, xi, eta, energy, drift_tol, energy[0])
     _coord_arrays(xi, eta, params)
     return Trajectory(params=params, t=t, states=states, energy=energy)
 
@@ -438,11 +444,6 @@ def _assemble(
 def _sample_stacks(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Positions and rapidities of every sample, as (S, n) stacks."""
     return np.array([s.xi for s in traj.states]), np.array([s.eta for s in traj.states])
-
-
-def initial_only(state: State, params: ModelParams) -> Trajectory:
-    """Degenerate single-sample trajectory at t = 0 (no integration)."""
-    return _assemble(params, np.zeros(1), state.xi[None], state.eta[None], drift_tol=np.inf)
 
 
 def integrate(
@@ -457,15 +458,16 @@ def integrate(
 
     Local error per step is controlled to atol + rtol * |y| by the
     embedded 8(5,3) pair; samples fall on multiples of sample_dt.  The
-    accepted energy drift budget is 100 * rtol * |H(state)|.
+    accepted energy drift budget is 100 * rtol * |H(state)|.  t_end = 0
+    gives the initial sample alone.
 
     Every RHS evaluation is one call of ``_eom_arrays`` with one kernel
     (``_eom_work``) built here, inside one ``np.errstate`` around the
     whole integration, so the calls allocate nothing and give the bits
     of the one-shot call.
     """
-    if not 0.0 < t_end < np.inf:
-        raise ValueError("t_end must be finite and positive")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError("t_end must be finite and >= 0")
     if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
         raise ValueError("rtol and atol must be finite and positive")
     n = params.n
@@ -479,30 +481,28 @@ def integrate(
         return _eom_arrays(y[:n], y[n:], params, out, kernel)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol)
+        samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol) if t_end else y0[None]
     h0 = hamiltonian(state, params)
     drift_tol = _DRIFT_FACTOR * rtol * abs(h0)
     return _assemble(params, times, samples[:, :n], samples[:, n:], drift_tol)
 
 
-def backward_via_reversal(traj_forward: Trajectory, params: ModelParams) -> Trajectory:
+def backward_via_reversal(traj_forward: Trajectory) -> Trajectory:
     """Backward-flow samples obtained by reversing a forward trajectory.
 
     No integration happens: sample i is time_reversal applied to the
     forward sample i, which lies on the integral curve through
     time_reversal of the initial state at time -t[i].  The samples are
-    presented on the forward grid; applying the construction twice
-    returns the forward trajectory bitwise.  ``params`` must be its own.
+    presented on the forward grid, with the forward trajectory's params;
+    applying the construction twice returns the forward trajectory bitwise.
     """
-    if params != traj_forward.params:
-        raise ValueError(f"params {params} differ from the trajectory's {traj_forward.params}")
     xi, eta = _sample_stacks(traj_forward)
     # The energy is even in the rapidities, so the forward drift budget
     # is already spent; only a rounding allowance is added here.
     h0 = traj_forward.energy[0]
     forward_drift = float(np.max(np.abs(traj_forward.energy - h0)))
     drift_tol = forward_drift + 1e-12 * max(1.0, abs(h0))
-    return _assemble(params, traj_forward.t.copy(), xi, -eta, drift_tol)
+    return _assemble(traj_forward.params, traj_forward.t.copy(), xi, -eta, drift_tol)
 
 
 def spectral_drift(traj: Trajectory) -> float:

@@ -16,11 +16,13 @@ because l^{-1} l' is strictly lower and u' u^{-1} strictly upper, so the
 rates are the first n diagonal entries of one unit-lower triangular
 solve.  Rapidities invert the velocity relation through arcsinh.
 
-Samples are evaluated in stacks, and each gets the same bits as alone.
+Samples are evaluated in stacks, and each gets the same bits as alone;
+a point is checked as a trajectory sample (``integrate._check_bounds``).
 Double precision limits the usable horizon, and past it a breakdown
 raises instead of returning noise: ``CoordinateOverflowError`` for the
 exponential, ``FactorizationBreakdownError`` for the elimination and
-``TrajectoryCheckError`` for the energy gate.  README "Algebraic solver"
+``TrajectoryCheckError`` for the energy gate, at the earliest failing
+time and with ``beta (H - n) t`` there.  README "Algebraic solver"
 gives the blocks and the order of the checks, "Precision range" the
 measured error bound and horizon.
 """
@@ -45,7 +47,7 @@ from .hamiltonian import (
     _raise_first_failure,
     hamiltonian,
 )
-from .integrate import Trajectory, TrajectoryCheckError, _assemble, sample_times
+from .integrate import Trajectory, _assemble, _check_bounds, sample_times
 from .lax import build_bundle
 
 __all__ = [
@@ -282,24 +284,18 @@ def _point_at(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions, position rates and rapidities at time t, checked as a trajectory sample.
 
-    A breakdown raises as in ``solve_trajectory``, and so does the energy
-    gate, whose ``TrajectoryCheckError`` names ``beta (H - n) t``, the
-    indicator of the precision horizon.
+    A breakdown raises as in ``solve_trajectory``, and so do the sample
+    checks, whose energy gate names ``beta (H - n) t``, the indicator of
+    the precision horizon.
     """
-    t = float(t)
-    q, qdot, error = _samples(zeta.xi, build_bundle(zeta, params).Ycal, params.n, np.array([t]))
+    times = np.array([float(t)])
+    q, qdot, error = _samples(zeta.xi, build_bundle(zeta, params).Ycal, params.n, times)
     if error is not None:
         raise error
     theta = _invert_velocity(q, qdot, params)
     h0 = hamiltonian(zeta, params)
-    drift = abs(float(_energy_arrays(q, theta, params)[0]) - h0)
     tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
-    if not drift <= tol:
-        horizon = params.beta * (h0 - params.n) * abs(t)
-        raise TrajectoryCheckError(
-            f"energy drift {drift:.3e} exceeds tolerance {tol:.3e} at t = {t}"
-            f" (beta (H - n) t = {horizon:.3g})"
-        )
+    _check_bounds(params, times, q, theta, _energy_arrays(q, theta, params), tol, h0)
     return q[0], qdot[0], theta[0]
 
 
@@ -347,7 +343,7 @@ def solve_trajectory(
     breakdown raises the error of the earliest failing sample.  Energy
     constancy across samples (1e-9 relative), the rapidity bound, and
     the position speed bound are enforced exactly as for integrated
-    trajectories.
+    trajectories, and each reports its earliest failing sample.
     """
     times = sample_times(t_end, sample_dt)
     Y = build_bundle(zeta, params).Ycal

@@ -47,7 +47,6 @@ __all__ = [
     "omega_relations_residual",
     "band_relations_residual",
     "scalar_identities",
-    "cross_check_residuals",
     "run_suite",
     "reports_to_jsonl",
 ]
@@ -69,11 +68,10 @@ TOL_GAMMA_UPSILON = 1e-12
 # about seventeen (2n, 2n) matrices per state, stays bounded for any num_states.
 _SUITE_BLOCK = 64
 
-# The matrices ``perturb`` names and ``vdtoda verify --dump-matrices``
-# writes (all but xhw).  D and Dcal are the bundle's diagonals d and dcal;
-# no residual reads Omega, Ycal or Q, so their perturbation has no effect.
-_MATRIX_FIELDS = ("D", "W", "L", "Dcal", "A", "B", "Acal", "g", "g_inv", "Omega", "Hcal",
-                  "Lcal", "Lcal_inv", "Ycal", "Q", "xhw")
+# The matrices ``perturb`` names: those the residuals read.  D and Dcal
+# are the bundle's diagonals d and dcal.
+_MATRIX_FIELDS = ("D", "W", "L", "Dcal", "A", "B", "Acal", "g", "g_inv", "Hcal", "Lcal",
+                  "Lcal_inv", "xhw")
 _DIAGONALS = {"D": "d", "Dcal": "dcal"}
 _READ_FIELDS = tuple(name for name in _ARRAY_FIELDS if name != "Ycal")
 
@@ -127,7 +125,7 @@ def _inputs(bundle: LaxBundle, q, th, params: ModelParams, perturb) -> dict[str,
                 raise ValueError(f"{name} is diagonal; entry ({i}, {j}) is off its diagonal")
             d = m[_DIAGONALS[name]] = m[_DIAGONALS[name]].copy()
             d[:, i] += float(amount)
-        elif name in m:
+        else:
             M = m[name] = m[name].copy()
             M[:, i, j] += float(amount)
     m.update(q=q, th=th, qdot=_xh_q_theta(q, th, params))
@@ -372,24 +370,6 @@ def scalar_identities(
     (xh_q, -reversed(xh_q)).
     """
     return tuple(_single(_scalar, state, params, bundle, perturb))
-
-
-def cross_check_residuals(
-    state: State,
-    params: ModelParams,
-    bundle: LaxBundle | None = None,
-    perturb: tuple[str, int, int, float] | None = None,
-) -> tuple[ResidualReport, ResidualReport, ResidualReport, ResidualReport]:
-    """Second evaluation routes of quantities the constructors build once.
-
-    ``acal_routes``: the explicit Acal against D A D^{-1}.  ``xh_q_forms``:
-    the hyperbolic form of X_H[q] against the Laurent form in (x, w,
-    delta).  ``xh_w_composition``: X_H[w] read off X_H[W] against the
-    chain rule through the positions (see ``xh_w``).  ``gamma_upsilon``:
-    gamma + upsilon and gamma - upsilon against 2 (1 + w_n) / x_n and
-    2 x_n (1 + w_{n-1}) / delta.
-    """
-    return tuple(_single(_cross, state, params, bundle, perturb))
 
 
 def _draw_states(n: int, num_states: int, seed: int, box: float) -> tuple[np.ndarray, np.ndarray]:

@@ -227,7 +227,7 @@ def test_read_spectrum_equals_one_stacked_eigvals_bitwise(route, kappa):
     else:
         traj = integrate(state, params, 2.0, sample_dt=0.05)
         if route == "backward_via_reversal":
-            traj = backward_via_reversal(traj, params)
+            traj = backward_via_reversal(traj)
     if kappa == 0.0:  # every eigenvalue real: eigvals returns a real array
         assert np.linalg.eigvals(build_bundle(_sample_stacks(traj), params).Lcal).dtype == float
     assert same_bits(traj.spectrum, eager_spectrum(traj))

@@ -15,7 +15,6 @@ import vdtoda.cli as cli
 from vdtoda import integrate, random_state, solve_trajectory
 from vdtoda.cli import RunConfig, main
 from vdtoda.lax import build_bundle, build_omega
-from vdtoda.verify import _MATRIX_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the exit code the README documents for each error the package exports
@@ -153,8 +152,7 @@ def test_verify_dumps_matrices(tmp_path):
     files = sorted(p.name for p in mats.iterdir())
     assert len(files) == 15
     assert "Lcal.csv" in files and "Omega.csv" in files
-    # every perturbable matrix of the suite but X_H[W]
-    assert set(files) == {f"{name}.csv" for name in _MATRIX_FIELDS if name != "xhw"}
+    assert set(files) == {f"{name}.csv" for name in cli._DUMPED_MATRICES}
 
 
 def test_dumped_matrices_are_the_bundle_at_the_configured_state(tmp_path):
@@ -312,7 +310,7 @@ def test_bad_perturb_spec_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec, axis", [("L,99,0,1", 0), ("Hcal,0,-7,1", 1), ("Q,99,0,1", 0), ("Dcal,0,-7,1", 1)]
+    "spec, axis", [("L,99,0,1", 0), ("Hcal,0,-7,1", 1), ("Acal,99,0,1", 0), ("Dcal,0,-7,1", 1)]
 )
 def test_perturb_entry_outside_the_matrix_exits_2(tmp_path, capsys, spec, axis):
     out = tmp_path / "reports.jsonl"
@@ -320,6 +318,13 @@ def test_perturb_entry_outside_the_matrix_exits_2(tmp_path, capsys, spec, axis):
     index = spec.split(",")[axis + 1]
     want = f"error: --perturb index {index} is out of bounds for axis {axis} with size 6\n"
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("name", ["Omega", "Ycal", "Q"])
+def test_perturbing_a_matrix_no_residual_reads_exits_2(capsys, name):
+    # --dump-matrices writes these, but no residual reads them
+    assert main(["verify", "--n", "3", "--perturb", f"{name},1,0,1e-3", "-o", "-"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown matrix '{name}'; choose from")
 
 
 def test_perturbing_off_the_diagonal_of_d_exits_2(capsys):
@@ -349,6 +354,18 @@ def test_simulate_zero_horizon_single_row(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("0,")
+
+
+def test_both_routes_write_one_csv_at_zero_horizon(tmp_path):
+    what = {}
+    for command in ("simulate", "solve"):
+        out, spec = tmp_path / f"{command}.csv", tmp_path / f"{command}_spectrum.csv"
+        args = [command, "--n", "4", "--xi", "0.1,-0.2,0.3,0.0", "--eta", "0.2,0.0,-0.1,0.4",
+                "--t-end", "0", "-o", str(out), "--spectrum-output", str(spec)]
+        assert main(args) == 0
+        what[command] = out.read_bytes(), spec.read_bytes()
+    assert what["simulate"] == what["solve"]
+    assert len(what["solve"][0].splitlines()) == 2
 
 
 def test_simulate_writes_spectrum(tmp_path):

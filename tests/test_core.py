@@ -141,7 +141,7 @@ def test_random_state_is_reproducible_and_box_bounded():
 # these also take a prebuilt bundle
 BUNDLED = (
     "lax_triad_residual lax_equation_residual omega_relations_residual band_relations_residual"
-    " scalar_identities cross_check_residuals"
+    " scalar_identities"
 ).split()
 SIZE_CHECKED = (
     "hamiltonian nonrel_hamiltonian to_canonical derived_coords xh_q xh_w eom build_bundle"

@@ -29,7 +29,7 @@ from vdtoda.hamiltonian import (
     xh_w,
 )
 from vdtoda.lax import build_bundle
-from vdtoda.verify import cross_check_residuals, run_suite
+from vdtoda.verify import run_suite
 
 SQRT2 = math.sqrt(2.0)
 
@@ -289,7 +289,7 @@ def test_xh_w_check_scales_with_its_terms():
     # scaled by the (zero) results instead rejected this valid state
     params = ModelParams(8, 1.0, 1.0)
     assert np.all(np.isfinite(xh_w(HOT_REST, params)))
-    report = cross_check_residuals(HOT_REST, params)[2]
+    report = verify._single(verify._cross, HOT_REST, params, None, None)[2]
     assert report.name == "xh_w_composition" and report.passed
 
 

@@ -31,7 +31,6 @@ from vdtoda.integrate import (
     Trajectory,
     _sample_stacks,
     backward_via_reversal,
-    initial_only,
     sample_times,
     spectral_drift,
     spectrum_to_csv,
@@ -313,7 +312,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_initial_only_holds_one_sample():
     st = _state(1)
-    traj = initial_only(st, PARAMS)
+    traj = integrate(st, PARAMS, 0.0)
     assert traj.t.shape == (1,)
     assert traj.t[0] == 0.0
     assert np.array_equal(traj.states[0].xi, st.xi)
@@ -323,7 +322,7 @@ def test_initial_only_holds_one_sample():
 
 
 def test_trajectory_arrays_are_readonly():
-    traj = initial_only(_state(2), PARAMS)
+    traj = integrate(_state(2), PARAMS, 0.0)
     with pytest.raises(ValueError):
         traj.t[0] = 3.0
     with pytest.raises(ValueError):
@@ -332,14 +331,28 @@ def test_trajectory_arrays_are_readonly():
 
 def test_integrate_validates_arguments():
     st = _state(3)
-    with pytest.raises(ValueError):
-        integrate(st, PARAMS, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t_end must be finite and >= 0$"):
         integrate(st, PARAMS, -2.0)
     with pytest.raises(ValueError):
         integrate(st, PARAMS, 1.0, rtol=0.0)
     with pytest.raises(ValueError):
         integrate(st, ModelParams(5, 0.5, 1.0), 1.0)  # size mismatch
+
+
+def test_zero_horizon_is_the_initial_sample_on_both_routes():
+    st = _state(3)
+    rk, algebraic = integrate(st, PARAMS, 0.0), solve_trajectory(st, PARAMS, 0.0)
+    for field in ("t", "energy", "spectrum"):
+        assert np.array_equal(getattr(rk, field), getattr(algebraic, field)), field
+    for a, b in zip(_sample_stacks(rk), _sample_stacks(algebraic)):
+        assert a.shape == (1, PARAMS.n) and np.array_equal(a, b)
+    # the arguments are checked before the zero horizon returns
+    with pytest.raises(ValueError, match="^rtol and atol must be finite and positive$"):
+        integrate(st, PARAMS, 0.0, rtol=0.0)
+    with pytest.raises(ValueError, match="sample_dt finite and > 0"):
+        integrate(st, PARAMS, 0.0, sample_dt=0.0)
+    with pytest.raises(ValueError, match="^state size does not match params.n$"):
+        integrate(st, ModelParams(5, 0.5, 1.0), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +425,7 @@ def test_rk_error_decreases_with_tolerance():
 def test_backward_samples_match_negated_field():
     st = _state(7)
     fwd = integrate(st, PARAMS, 3.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
-    bwd = backward_via_reversal(fwd, PARAMS)
+    bwd = backward_via_reversal(fwd)
     assert np.array_equal(bwd.t, fwd.t)
 
     n = PARAMS.n
@@ -434,17 +447,9 @@ def test_backward_samples_match_negated_field():
         assert np.max(np.abs(bwd.states[i].eta - sol.y[n:, i])) < 1e-6
 
 
-@pytest.mark.parametrize("kappa", [PARAMS.kappa + 1e-13, PARAMS.kappa + 0.5])
-def test_reversal_refuses_other_params(kappa):
-    fwd = integrate(_state(8), PARAMS, 1.0, sample_dt=0.5)
-    other = ModelParams(PARAMS.n, PARAMS.beta, kappa)
-    with pytest.raises(ValueError, match="differ from the trajectory's"):
-        backward_via_reversal(fwd, other)
-
-
 def test_double_reversal_is_bitwise_identity():
     fwd = integrate(_state(8), PARAMS, 2.0, sample_dt=0.5)
-    twice = backward_via_reversal(backward_via_reversal(fwd, PARAMS), PARAMS)
+    twice = backward_via_reversal(backward_via_reversal(fwd))
     assert np.array_equal(twice.t, fwd.t)
     assert np.array_equal(twice.energy, fwd.energy)
     for a, b in zip(twice.states, fwd.states):
@@ -471,7 +476,7 @@ def test_trajectory_csv_round_trips_exactly():
 
 
 def test_trajectory_csv_method_column():
-    traj = initial_only(_state(10), PARAMS)
+    traj = integrate(_state(10), PARAMS, 0.0)
     buf = io.StringIO()
     trajectory_to_csv(traj, buf, method="rk")
     lines = buf.getvalue().strip().split("\n")
@@ -493,7 +498,7 @@ def test_spectrum_csv_shape():
 
 
 def test_csv_accepts_paths(tmp_path):
-    traj = initial_only(_state(12), PARAMS)
+    traj = integrate(_state(12), PARAMS, 0.0)
     target = tmp_path / "out.csv"
     trajectory_to_csv(traj, str(target))
     assert target.read_text().startswith("t,q1")

@@ -406,6 +406,26 @@ def test_hot_state_within_factorization_range_fails_energy_check():
         solve_trajectory(st, ModelParams(4, 1.0, 1.0), 5.0)
 
 
+def test_refused_trajectory_and_refused_point_raise_one_message():
+    # one sample check for both: the trajectory names its first failing
+    # sample, and that sample alone, as a point, raises the same string
+    st = random_state(4, np.random.default_rng(3), box=1.0)
+    params = ModelParams(4, 1.0, 1.0)
+    with pytest.raises(TrajectoryCheckError) as traj_info:
+        solve_trajectory(st, params, 5.0)
+    times = sample_times(5.0, 0.05)
+    first = times[61]
+    assert first == 3.0500000000000003
+    with pytest.raises(TrajectoryCheckError) as point_info:
+        positions_at(st, params, first)
+    assert str(traj_info.value) == str(point_info.value) == (
+        "energy drift 1.358e-08 exceeds tolerance 1.148e-08 at t = 3.0500000000000003"
+        " (beta (H - n) t = 22.8)"
+    )
+    for t in times[1:61]:
+        positions_at(st, params, t)
+
+
 def test_block_stops_at_first_non_finite_rate():
     # pivot 1 of exp(t Y) is e^{-667 t}: at t = 1 the multiplier below it
     # overflows, so the rates of that sample are not finite

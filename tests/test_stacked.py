@@ -195,12 +195,32 @@ def test_bound_checks_name_the_first_failing_sample():
     energy = np.full(6, 3.0)  # rapidity cap ln(6), speed cap 3 per unit time
     eta[4, 0] = eta[2, 1] = 5.0
     with pytest.raises(TrajectoryCheckError, match=r"rapidity bound violated at t=0\.2:"):
-        _check_bounds(params, t, xi, eta, energy, np.inf)
+        _check_bounds(params, t, xi, eta, energy, np.inf, energy[0])
     eta[:] = 0.0
     xi[3:, 2] = 1.0  # a jump between samples 2 and 3, and one between 4 and 5
     xi[5:, 0] = 1.0
     with pytest.raises(TrajectoryCheckError, match=r"in \[0\.2, 0\.30000000000000004\]"):
-        _check_bounds(params, t, xi, eta, energy, np.inf)
+        _check_bounds(params, t, xi, eta, energy, np.inf, energy[0])
+
+
+def test_energy_gate_names_the_first_sample_past_its_budget():
+    # samples 2 and 4 leave the budget, 4 by more; 2 is the one reported
+    params = ModelParams(3, 1.0, 0.0)
+    t = 0.1 * np.arange(6)
+    xi = eta = np.zeros((6, 3))
+    energy = np.full(6, 3.0)
+    energy[2] += 2e-6
+    energy[4] += 5e-6
+    want = (r"^energy drift 2\.000e-06 exceeds tolerance 1\.000e-06 at t = 0\.2"
+            r" \(beta \(H - n\) t = 0\)$")
+    with pytest.raises(TrajectoryCheckError, match=want):
+        _check_bounds(params, t, xi, eta, energy, 1e-6, 3.0)
+    energy[2] = 3.0 + 5e-7  # within the budget
+    with pytest.raises(TrajectoryCheckError, match=r"drift 5\.000e-06 .* at t = 0\.4 "):
+        _check_bounds(params, t, xi, eta, energy, 1e-6, 3.0)
+    energy[4] = np.nan  # a drift that is not a number fails
+    with pytest.raises(TrajectoryCheckError, match=r"drift nan .* at t = 0\.4 "):
+        _check_bounds(params, t, xi, eta, energy, 1e-6, 3.0)
 
 
 def test_stack_underflow_raises_before_a_later_overflow():

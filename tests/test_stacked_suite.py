@@ -22,7 +22,6 @@ from vdtoda.lax import _ARRAY_FIELDS, LaxBundle, build_bundle
 from vdtoda.verify import (
     _MATRIX_FIELDS,
     band_relations_residual,
-    cross_check_residuals,
     lax_equation_residual,
     lax_triad_residual,
     omega_relations_residual,
@@ -46,7 +45,7 @@ def one_by_one(state, params, perturb=None, bundle=None):
     reports.extend(omega_relations_residual(state, params, bundle, perturb))
     reports.extend(band_relations_residual(state, params, bundle, perturb))
     reports.extend(scalar_identities(state, params, bundle, perturb))
-    reports.extend(cross_check_residuals(state, params, bundle, perturb))
+    reports.extend(verify._single(verify._cross, state, params, bundle, perturb))
     return reports
 
 
@@ -186,7 +185,7 @@ def test_perturbation_index_fails_as_for_one_matrix():
         run_suite(params, 3, 5, perturb=("L", 0, 9, 1.0))
     with pytest.raises(ValueError, match="unknown matrix 'nope'"):
         run_suite(params, 3, 5, perturb=("nope", 0, 0, 1.0))
-    for name in ("Omega", "Ycal", "Q", "D", "Dcal"):
+    for name in ("D", "Dcal"):
         with pytest.raises(IndexError, match="index 8 is out of bounds for axis 0 with size 8"):
             run_suite(params, 3, 5, perturb=(name, 8, 8, 1.0))
         with pytest.raises(IndexError, match="index -9 is out of bounds for axis 1 with size 8"):
@@ -209,11 +208,20 @@ def test_a_diagonal_factor_is_perturbed_on_its_stored_diagonal(name, field):
         run_suite(params, 3, 5, perturb=(name, 0, 1, 1e-3))
 
 
-def test_perturbing_a_matrix_no_residual_reads_changes_nothing():
+def test_perturb_names_exactly_the_matrices_the_residuals_read():
+    # a corruption of a matrix no residual reads could not fail a report,
+    # so such a name is refused like any unknown one
+    assert set(_MATRIX_FIELDS) - set(DIAGONAL) <= set(_ARRAY_FIELDS)
+    assert len(_MATRIX_FIELDS) == 13
     params = ModelParams(4, 0.6, 1.2)
-    clean = repr(run_suite(params, 3, 5))
     for name in ("Omega", "Ycal", "Q"):
-        assert repr(run_suite(params, 3, 5, perturb=(name, 1, 0, 1e-3))) == clean
+        with pytest.raises(ValueError, match=f"^unknown matrix '{name}'; choose from"):
+            run_suite(params, 3, 5, perturb=(name, 1, 0, 1e-3))
+    # every name it takes fails some report under a 1e-3 corruption of
+    # its entry (3, 3), which the gauge rate does not zero out in Hcal
+    for name in _MATRIX_FIELDS:
+        reports = run_suite(params, 3, 5, perturb=(name, 3, 3, 1e-3))
+        assert not all(r.passed for r in reports), name
 
 
 # --------------------------------------------------------- error contract
@@ -290,7 +298,7 @@ def test_a_nan_gap_fails_each_cross_check(monkeypatch):
         return qdot
 
     monkeypatch.setattr(verify, "_xh_q_theta", with_nan)
-    reports = {r.name: r for r in cross_check_residuals(GOOD, PARAMS3)}
+    reports = {r.name: r for r in verify._single(verify._cross, GOOD, PARAMS3, None, None)}
     monkeypatch.undo()
     # the bundle refuses a nan gamma, so it goes in where the kernel reads it
     inputs = verify._inputs
@@ -301,9 +309,10 @@ def test_a_nan_gap_fails_each_cross_check(monkeypatch):
         return m
 
     monkeypatch.setattr(verify, "_inputs", with_nan_gamma)
-    reports["gamma_upsilon"] = cross_check_residuals(GOOD, PARAMS3)[3]
+    reports["gamma_upsilon"] = verify._single(verify._cross, GOOD, PARAMS3, None, None)[3]
     monkeypatch.undo()
-    reports["acal_routes"] = cross_check_residuals(GOOD, PARAMS3, perturb=("A", 0, 0, np.nan))[0]
+    perturb = ("A", 0, 0, np.nan)
+    reports["acal_routes"] = verify._single(verify._cross, GOOD, PARAMS3, None, perturb)[0]
     assert len(reports) == 4
     for name, report in reports.items():
         assert np.isnan(report.max_abs) and not report.passed, name

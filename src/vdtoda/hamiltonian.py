@@ -56,23 +56,29 @@ def _exp_arg_checked(t: np.ndarray | float, what: str) -> np.ndarray:
     return out
 
 
-def _raise_first_failure(checks) -> None:
-    """Raise the error that evaluating the rows of a stack one by one would.
+def _first_failure(checks) -> tuple[int, tuple] | None:
+    """(row, check): the earliest failing row of a stack and the first check it fails.
 
-    ``checks`` holds (ok, error type, message, *values) in the order a
-    single-state evaluation meets them, ``ok`` a boolean per row and each
-    value an array over the rows.  The earliest row with a failed check
-    wins, and within it the first failed check; its message is
-    %-formatted with the values at that row.
+    ``checks`` holds tuples that start with a boolean per row, in the
+    order a one-row evaluation meets them; None if every row passes.
     """
     first = None
-    for ok, kind, message, *values in checks:
-        if not ok.all():
-            row = int(np.argmin(ok))
+    for check in checks:
+        if not check[0].all():
+            row = int(np.argmin(check[0]))
             if first is None or row < first[0]:
-                first = (row, kind, message, values)
+                first = (row, check)
+    return first
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise ``_first_failure`` of (ok, error type, message, *value arrays) checks.
+
+    The message is %-formatted with the values at the failing row.
+    """
+    first = _first_failure(checks)
     if first is not None:
-        row, kind, message, values = first
+        row, (_, kind, message, *values) = first
         raise kind(message % tuple(v[row] for v in values))
 
 

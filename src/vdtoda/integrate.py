@@ -5,11 +5,13 @@ module's own Dormand-Prince 8(5,3) integrator, which takes the same steps
 and gives the same samples, bit for bit, as scipy's DOP853.  Both routes,
 this one and ``solve.solve_trajectory``, take t_end >= 0 and hand their
 samples to one assembly step as stacked (samples, n) arrays.  One check,
-``_check_bounds``, serves their samples and the algebraic route's points,
-and each bound reports the earliest sample that fails it: energy drift
-within the tolerance budget, |theta_a| < ln(2 H) / beta, and no particle
-faster than beta H between consecutive samples.  The spectrum of Lcal is
-a cached property of a trajectory's states, computed on its first read.
+``_check_bounds``, serves their samples and the algebraic route's points:
+energy drift within the tolerance budget, |theta_a| < ln(2 H) / beta,
+and no particle faster than beta H over the interval ending at a sample.
+It reports the earliest failing sample, and within it the first bound in
+that order.  The assembly runs each stage over all samples: the energies
+(overflow), ``_check_bounds``, then the coordinate guards.  The spectrum
+of Lcal is a cached property of the states, computed on its first read.
 README "Trajectories" describes the RHS kernel, the blocks and how the
 spectrum rows are matched.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .core import ModelParams, State
 from .hamiltonian import _check_size, _coord_arrays, _energy_arrays, _eom_arrays, _eom_work
-from .hamiltonian import hamiltonian
+from .hamiltonian import _first_failure, hamiltonian
 from .lax import _lax_chain
 
 __all__ = [
@@ -394,34 +396,27 @@ def _check_bounds(
     drift_tol: float,
     h0: float,
 ) -> None:
-    # xi and eta are the stacked samples (S, n), h0 the energy at t = 0;
-    # each bound is checked on the whole stack and reported at its first
-    # failing sample, the energy gate with beta (H - n) t there.
+    # xi and eta are the stacked samples (S, n), h0 the energy at t = 0.
+    # The earliest failing sample is reported, and within it the energy
+    # gate (with beta (H - n) t there), the rapidity bound, then the speed
+    # over the interval that ends at it.
     drift = np.abs(energy - h0)
-    over = ~(drift <= drift_tol)
-    if over.any():
-        i = int(np.argmax(over))
-        horizon = params.beta * (h0 - params.n) * abs(t[i])
-        raise TrajectoryCheckError(
-            f"energy drift {drift[i]:.3e} exceeds tolerance {drift_tol:.3e} at t = {t[i]}"
-            f" (beta (H - n) t = {horizon:.3g})"
-        )
     theta_cap = np.log(2.0 * h0) / params.beta
     worst = np.max(np.abs(eta), axis=1)
-    over = ~(worst < theta_cap)
-    if over.any():
-        i = int(np.argmax(over))
-        raise TrajectoryCheckError(
-            f"rapidity bound violated at t={t[i]}: {float(worst[i])} >= {theta_cap}"
-        )
     step = np.max(np.abs(np.diff(xi, axis=0)), axis=1)
     allowed = params.beta * h0 * np.diff(t) * _SPEED_SLACK
-    over = step > allowed
-    if over.any():
-        i = int(np.argmax(over))
-        raise TrajectoryCheckError(
-            f"position moved {step[i]:.6e} in [{t[i]}, {t[i + 1]}], bound {allowed[i]:.6e}"
-        )
+    first = _first_failure([
+        (drift <= drift_tol, lambda i: f"energy drift {drift[i]:.3e} exceeds tolerance"
+            f" {drift_tol:.3e} at t = {t[i]}"
+            f" (beta (H - n) t = {params.beta * (h0 - params.n) * abs(t[i]):.3g})"),
+        (worst < theta_cap, lambda i: "rapidity bound violated at"
+            f" t={t[i]}: {float(worst[i])} >= {theta_cap}"),
+        (np.concatenate(([True], ~(step > allowed))), lambda i: "position moved"
+            f" {step[i - 1]:.6e} in [{t[i - 1]}, {t[i]}], bound {allowed[i - 1]:.6e}"),
+    ])
+    if first is not None:
+        i, (_, message) = first
+        raise TrajectoryCheckError(message(i))
 
 
 def _assemble(
@@ -432,8 +427,8 @@ def _assemble(
     drift_tol: float,
 ) -> Trajectory:
     # xi and eta are the stacked samples (S, n).  Every check runs here,
-    # the coordinate guards of the spectrum included, so a first read of
-    # the spectrum raises nothing.
+    # stage by stage over all samples, the coordinate guards of the spectrum
+    # last, so a first read of the spectrum raises nothing.
     states = State.from_stacks(xi, eta)
     energy = _energy_arrays(xi, eta, params)
     _check_bounds(params, t, xi, eta, energy, drift_tol, energy[0])

@@ -21,10 +21,11 @@ a point is checked as a trajectory sample (``integrate._check_bounds``).
 Double precision limits the usable horizon, and past it a breakdown
 raises instead of returning noise: ``CoordinateOverflowError`` for the
 exponential, ``FactorizationBreakdownError`` for the elimination and
-``TrajectoryCheckError`` for the energy gate, at the earliest failing
-time and with ``beta (H - n) t`` there.  README "Algebraic solver"
-gives the blocks and the order of the checks, "Precision range" the
-measured error bound and horizon.
+``TrajectoryCheckError`` for the energy gate (with ``beta (H - n) t``),
+each at the earliest failing sample: a breakdown waits for the checks of
+the samples before it.  README "Algebraic solver" gives the blocks and
+the order of the checks, "Precision range" the measured error bound and
+horizon.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .hamiltonian import (
     _PAIR_OVERFLOW,
     _energy_arrays,
     _factor_arrays,
+    _first_failure,
     _raise_first_failure,
     hamiltonian,
 )
@@ -233,8 +235,7 @@ def _samples(
     failing one, and that sample's error (None if every sample passed).
     A sample fails on the first of its checks, in this order: the
     exponential is not finite, a pivot falls under the floor, a minor ratio
-    is not positive, a rate is not finite.  So the error is the one that
-    evaluating the samples one by one, in time order, would raise first.
+    is not positive, a rate is not finite (``_first_failure``).
     """
     tY = times[:, None, None] * Y
     error = None
@@ -254,29 +255,20 @@ def _samples(
                 break
     A = _gauss(E[:m])
     d = np.diagonal(A, axis1=1, axis2=2)
-    small = np.abs(d) < _PIVOT_FLOOR
-    if small.any():
-        m = int(np.argmax(small.any(axis=1)))
-        error = FactorizationBreakdownError(
-            _PIVOT_UNDERFLOW, j=int(np.argmax(small[m])) + 1, t=float(times[m])
-        )
-    head = d[:m, :n]
-    low = head <= 0.0
-    if low.any():
-        m = int(np.argmax(low.any(axis=1)))
-        error = FactorizationBreakdownError(
-            "non-positive minor ratio along the flow",
-            j=int(np.argmax(low[m])) + 1,
-            t=float(times[m]),
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         # the first n columns of l, all that the rates read
-        rates = _minor_log_rates(np.tril(A[:m, :, :n], -1) + np.eye(len(Y), n), Y, n)
-    bad = ~np.isfinite(rates).all(axis=1)
-    if bad.any():
-        m = int(np.argmax(bad))
-        error = FactorizationBreakdownError("non-finite minor log-rates", t=float(times[m]))
-    return xi + np.log(head[:m]), rates[:m], error
+        rates = _minor_log_rates(np.tril(A[:, :, :n], -1) + np.eye(len(Y), n), Y, n)
+    small, low = np.abs(d) < _PIVOT_FLOOR, d[:, :n] <= 0.0
+    first = _first_failure([
+        (~small.any(axis=1), _PIVOT_UNDERFLOW, small),
+        (~low.any(axis=1), "non-positive minor ratio along the flow", low),
+        (np.isfinite(rates).all(axis=1), "non-finite minor log-rates", None),
+    ])
+    if first is not None:
+        m, (_, reason, bad) = first
+        j = None if bad is None else int(np.argmax(bad[m])) + 1
+        error = FactorizationBreakdownError(reason, j=j, t=float(times[m]))
+    return xi + np.log(d[:m, :n]), rates[:m], error
 
 
 def _point_at(
@@ -339,21 +331,26 @@ def solve_trajectory(
     Every sample recomputes exp(t Ycal) from scratch for uniform
     accuracy; samples are taken in time-ordered blocks of
     ``_SAMPLE_BLOCK`` (128), with one stacked exponential and one stacked
-    elimination per block, and the block size changes no bit.  A
-    breakdown raises the error of the earliest failing sample.  Energy
+    elimination per block, and the block size changes no bit.  Energy
     constancy across samples (1e-9 relative), the rapidity bound, and
-    the position speed bound are enforced exactly as for integrated
-    trajectories, and each reports its earliest failing sample.
+    the position speed bound are enforced as for integrated trajectories.
+    The blocks stop at a breakdown, which is raised only after the
+    samples before it pass their checks, so the earliest failing sample
+    is reported; velocity inversion raises where it is met.
     """
     times = sample_times(t_end, sample_dt)
     Y = build_bundle(zeta, params).Ycal
-    xi, eta = [zeta.xi[None]], [zeta.eta[None]]
+    xi, eta, error = [zeta.xi[None]], [zeta.eta[None]], None
     for k in range(1, len(times), _SAMPLE_BLOCK):
         q, qdot, error = _samples(zeta.xi, Y, params.n, times[k : k + _SAMPLE_BLOCK])
         xi.append(q)
         eta.append(_invert_velocity(q, qdot, params))
         if error is not None:
-            raise error
+            break
     h0 = hamiltonian(zeta, params)
     drift_tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
-    return _assemble(params, times, np.concatenate(xi), np.concatenate(eta), drift_tol)
+    xi, eta = np.concatenate(xi), np.concatenate(eta)
+    traj = _assemble(params, times[: len(xi)], xi, eta, drift_tol)
+    if error is not None:
+        raise error
+    return traj

@@ -347,6 +347,24 @@ def test_pivot_breakdown_names_minor_and_time_once():
 
 NON_POSITIVE = "non-positive minor ratio along the flow"
 
+# (n, box, seed, t_end) of hot states at beta = kappa = 1 whose trajectory an
+# energy-gate failure refuses, with the message; it names a sample earlier
+# than any breakdown of the state
+ENERGY_REFUSALS = {
+    (4, 1.0, 3, 5.0): "energy drift 1.358e-08 exceeds tolerance 1.148e-08"
+    " at t = 3.0500000000000003 (beta (H - n) t = 22.8)",
+    (8, 2.0, 1, 5.0): "energy drift 5.451e-08 exceeds tolerance 4.324e-08"
+    " at t = 1.1 (beta (H - n) t = 38.8)",
+    (6, 2.0, 2, 8.0): "energy drift 3.402e-08 exceeds tolerance 3.346e-08"
+    " at t = 0.9500000000000001 (beta (H - n) t = 26.1)",
+    (5, 3.0, 4, 10.0): "energy drift 1.463e-07 exceeds tolerance 6.327e-08"
+    " at t = 0.55 (beta (H - n) t = 32)",
+    (3, 4.0, 6, 30.0): "energy drift 3.481e-07 exceeds tolerance 7.745e-08"
+    " at t = 0.4 (beta (H - n) t = 29.8)",
+    (10, 2.5, 7, 12.0): "energy drift 2.639e-07 exceeds tolerance 1.127e-07"
+    " at t = 0.30000000000000004 (beta (H - n) t = 30.8)",
+}
+
 
 @pytest.mark.parametrize(
     "n, box, seed, t_end, reason, j, t",
@@ -364,13 +382,26 @@ NON_POSITIVE = "non-positive minor ratio along the flow"
     ],
 )
 def test_hot_state_reports_earliest_failing_sample(n, box, seed, t_end, reason, j, t):
+    # the first block breaks down at (reason, j, t); the trajectory raises
+    # that breakdown only if no earlier sample fails its checks, and else
+    # the energy gate at the earlier sample
     st = random_state(n, np.random.default_rng(seed), box=box)
-    with pytest.raises(FactorizationBreakdownError) as info:
-        solve_trajectory(st, ModelParams(n, 1.0, 1.0), t_end)
-    err = info.value
+    params = ModelParams(n, 1.0, 1.0)
+    block = sample_times(t_end, 0.05)[1 : 1 + solve_module._SAMPLE_BLOCK]
+    _, _, err = _samples(st.xi, build_bundle(st, params).Ycal, n, block)
+    assert isinstance(err, FactorizationBreakdownError)
     assert str(err) == f"{reason} (minor index {j}) (t = {err.t})"
     assert err.j == j
     assert err.t == pytest.approx(t, abs=1e-12)
+    with pytest.raises((TrajectoryCheckError, FactorizationBreakdownError)) as info:
+        solve_trajectory(st, params, t_end)
+    refusal = ENERGY_REFUSALS.get((n, box, seed, t_end))
+    if refusal is None:
+        assert type(info.value) is FactorizationBreakdownError
+        assert str(info.value) == str(err)
+    else:
+        assert type(info.value) is TrajectoryCheckError
+        assert str(info.value) == refusal
 
 
 @pytest.mark.parametrize("block", [1, 7, 32, 64, 128])
@@ -406,23 +437,25 @@ def test_hot_state_within_factorization_range_fails_energy_check():
         solve_trajectory(st, ModelParams(4, 1.0, 1.0), 5.0)
 
 
-def test_refused_trajectory_and_refused_point_raise_one_message():
+@pytest.mark.parametrize(
+    "n, box, seed, t_end, first",
+    [(4, 1.0, 3, 5.0, 61), (8, 2.0, 1, 5.0, 22), (3, 4.0, 6, 30.0, 8)],
+)
+def test_refused_trajectory_and_refused_point_raise_one_message(n, box, seed, t_end, first):
     # one sample check for both: the trajectory names its first failing
-    # sample, and that sample alone, as a point, raises the same string
-    st = random_state(4, np.random.default_rng(3), box=1.0)
-    params = ModelParams(4, 1.0, 1.0)
+    # sample, before any breakdown of a later one, and that sample alone,
+    # as a point, raises the same string
+    st = random_state(n, np.random.default_rng(seed), box=box)
+    params = ModelParams(n, 1.0, 1.0)
     with pytest.raises(TrajectoryCheckError) as traj_info:
-        solve_trajectory(st, params, 5.0)
-    times = sample_times(5.0, 0.05)
-    first = times[61]
-    assert first == 3.0500000000000003
+        solve_trajectory(st, params, t_end)
+    times = sample_times(t_end, 0.05)
     with pytest.raises(TrajectoryCheckError) as point_info:
-        positions_at(st, params, first)
-    assert str(traj_info.value) == str(point_info.value) == (
-        "energy drift 1.358e-08 exceeds tolerance 1.148e-08 at t = 3.0500000000000003"
-        " (beta (H - n) t = 22.8)"
-    )
-    for t in times[1:61]:
+        positions_at(st, params, times[first])
+    want = ENERGY_REFUSALS[(n, box, seed, t_end)]
+    assert f" at t = {times[first]} " in want
+    assert str(traj_info.value) == str(point_info.value) == want
+    for t in times[1:first]:
         positions_at(st, params, t)
 
 

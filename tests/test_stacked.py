@@ -223,6 +223,45 @@ def test_energy_gate_names_the_first_sample_past_its_budget():
         _check_bounds(params, t, xi, eta, energy, 1e-6, 3.0)
 
 
+@st.composite
+def planted_bound_failures(draw):
+    # a stack at rest on a 0.1 grid, energy 3 throughout, with energy,
+    # rapidity and speed failures planted at drawn samples
+    n = draw(st.integers(3, 6))
+    size = draw(st.integers(2, 30))
+    params = ModelParams(n, draw(st.floats(0.2, 2.0)), 1.0)
+    t = 0.1 * np.arange(size)
+    xi, eta = np.zeros((size, n)), np.zeros((size, n))
+    energy = np.full(size, 3.0)
+    theta_cap = np.log(6.0) / params.beta
+    samples = st.lists(st.integers(0, size - 1), max_size=3)
+    for i in draw(samples):
+        energy[i] += draw(st.sampled_from([2e-6, -5e-6, np.nan]))
+    for i in draw(samples):
+        eta[i, draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -2.0])) * theta_cap
+    for i in draw(st.lists(st.integers(1, size - 1), max_size=3)):
+        # a jump between samples i - 1 and i; the later positions move with it
+        xi[i:, draw(st.integers(0, n - 1))] += 10.0
+    return params, t, xi, eta, energy
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_bound_failures())
+def test_bound_checks_report_what_checking_in_time_order_meets_first(case):
+    # the reference is the shortest prefix of samples that raises
+    params, t, xi, eta, energy = case
+
+    def outcome(r):
+        try:
+            _check_bounds(params, t[:r], xi[:r], eta[:r], energy[:r], 1e-6, 3.0)
+        except TrajectoryCheckError as err:
+            return str(err)
+        return None
+
+    first = next((m for r in range(1, len(t) + 1) if (m := outcome(r)) is not None), None)
+    assert outcome(len(t)) == first
+
+
 def test_stack_underflow_raises_before_a_later_overflow():
     # row 1: q_1 - q_2 = 800, so w_1 = beta^2 e^{-800} underflows to 0;
     # row 3 overflows; the earlier row's ValueError is the one raised

@@ -47,8 +47,16 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     with np.load(a) as data:
         arrays = dict(data)
     prefixes = {key.split("/")[0] for key in arrays}
-    assert prefixes == {"traj", "expm", "suite", "bundle", "error", "cli"}
+    assert prefixes == {"traj", "expm", "suite", "bundle", "error", "refusal", "cli"}
     assert str(arrays["error/blow_up"]).startswith("StepSizeUnderflowError: ")
+    # the refusal sweep: 16 states, each a type, a message and (j, t)
+    assert len([key for key in arrays if key.startswith("refusal/")]) == 48
+    key = "refusal/n3_box3_seed0"
+    assert str(arrays[f"{key}/type"]) == "FactorizationBreakdownError"
+    assert arrays[f"{key}/j_t"].tolist() == [4.0, 0.05]
+    key = "refusal/n3_box1_seed0"
+    assert str(arrays[f"{key}/message"]).startswith("energy drift ")
+    assert np.isnan(arrays[f"{key}/j_t"]).all()
     # the suite: 12 reports per state, 4 states, a clean and a perturbed run
     for run in ("clean", "Acal_0_0"):
         key = f"suite/n8_kappa1_box10/{run}"

@@ -24,6 +24,10 @@ A capture is an ``.npz`` of named arrays, all from fixed seeds:
 * ``bundle/...``: every field of one stacked and one one-state
   ``build_bundle``;
 * ``error/...``: the type and message of what known failing calls raise;
+* ``refusal/...``: which failure ``solve_trajectory`` reports on a seeded
+  sweep of hot states (n = 3, 8, box 1, 3, seeds 0 to 3, beta = kappa =
+  1, t_end 40): the error's ``type`` and ``message``, and ``j_t``, its
+  minor index and time (nan where the error carries none);
 * ``cli/...``: the stdout, stderr, exit code and written files of
   ``vdtoda simulate``, ``solve`` and ``compare`` runs, as bytes.
 
@@ -73,6 +77,8 @@ HOT = (
     (10, 2.5, 7, 12.0),
     (4, 1.0, 3, 5.0),
 )
+# (n, box, seed) of the refusal sweep at beta = kappa = 1, t_end 40
+REFUSALS = [(n, box, seed) for n in (3, 8) for box in (1.0, 3.0) for seed in range(4)]
 # (n, kappa, box) of the suite runs at beta 0.6, 4 states each; each run
 # is repeated under the one-entry perturbations of tests/test_verify.py
 SUITE_CELLS = [(n, kappa, box) for n in (3, 8, 12) for kappa in (0.0, 1.0) for box in (2.0, 10.0)]
@@ -191,6 +197,20 @@ def errors(out: dict) -> None:
     out["error/expm_overflow_full"] = _outcome(lambda: solve.matrix_exp(200.0 * Y))
 
 
+def refusals(out: dict) -> None:
+    for n, box, seed in REFUSALS:
+        state = random_state(n, np.random.default_rng(seed), box=box)
+        key = f"refusal/n{n}_box{box:g}_seed{seed}"
+        kind, message, j, t = "no error", "", None, None
+        try:
+            solve_trajectory(state, ModelParams(n, 1.0, 1.0), 40.0)
+        except Exception as err:  # noqa: BLE001 - the outcome is the capture
+            kind, message = type(err).__name__, str(err)
+            j, t = getattr(err, "j", None), getattr(err, "t", None)
+        out[f"{key}/type"], out[f"{key}/message"] = np.array(kind), np.array(message)
+        out[f"{key}/j_t"] = np.array([np.nan if v is None else v for v in (j, t)], dtype=float)
+
+
 def cli_runs(out: dict) -> None:
     for label, argv in CLI_RUNS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -204,7 +224,7 @@ def cli_runs(out: dict) -> None:
                 out[f"cli/{label}/{path.name}"] = np.frombuffer(path.read_bytes(), np.uint8)
 
 
-SECTIONS = (trajectories, exponentials, suites, bundles, errors, cli_runs)
+SECTIONS = (trajectories, exponentials, suites, bundles, errors, refusals, cli_runs)
 
 
 def capture() -> dict[str, np.ndarray]:

@@ -1,35 +1,41 @@
 """Reference dynamics by adaptive Runge-Kutta integration.
 
 The chain is integrated in natural coordinates by ``solve_ivp``, the
-module's own Dormand-Prince 8(5,3) integrator, which takes the same steps
-and gives the same samples, bit for bit, as scipy's DOP853.  Both routes,
-this one and ``solve.solve_trajectory``, take t_end >= 0 and hand their
-samples to one assembly step as stacked (samples, n) arrays.  One check,
-``_check_bounds``, serves their samples and the algebraic route's points:
-energy drift within the tolerance budget, |theta_a| < ln(2 H) / beta,
-and no particle faster than beta H over the interval ending at a sample.
-It reports the earliest failing sample, and within it the first bound in
-that order.  The assembly runs each stage over all samples: the energies
-(overflow), ``_check_bounds``, then the coordinate guards.  The spectrum
-of Lcal is a cached property of the states, computed on its first read.
+module's own Dormand-Prince 8(5,3) integrator on the tables of scipy's
+own file, run from its path so that ``scipy.integrate`` stays unloaded;
+it takes the same steps and gives the same samples, bit for bit, as
+scipy's DOP853.  Both routes, this one and ``solve.solve_trajectory``,
+take t_end >= 0 and hand their samples to one assembly step as stacked
+(samples, n) arrays, which scales the drift budget by the first sample's
+energy.  One check, ``_check_bounds``, serves their samples and the
+algebraic route's points: energy drift within the budget, |theta_a| <
+ln(2 H) / beta, and no particle faster than beta H over the interval
+ending at a sample.  It reports the earliest failing sample, and within
+it the first bound in that order.  The assembly runs each stage over all
+samples: the energies (overflow), ``_check_bounds``, then the coordinate
+guards.  The spectrum of Lcal is a cached property of the states,
+computed on its first read.
 README "Trajectories" describes the RHS kernel, the blocks and how the
 spectrum rows are matched.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .core import ModelParams, State
 from .hamiltonian import _check_size, _coord_arrays, _energy_arrays, _eom_arrays, _eom_work
-from .hamiltonian import _first_failure, hamiltonian
+from .hamiltonian import _first_failure
 from .lax import _lax_chain
 
 __all__ = [
@@ -55,67 +61,21 @@ _MAX_SAMPLES = 10**6  # most samples one trajectory may hold
 # ten (block, N, N) stacks alive at once.
 _CHAIN_BLOCK = 32
 
-# The Dormand-Prince 8(5,3) pair (DOP853) with scipy's coefficients, nonzero
-# entries only.  Row s of A weighs the earlier stages in stage s: rows 1-11
-# for the step (stage 0 is the derivative at its start), row 12 is the
-# solution weights B (so stage 12 is the derivative at the end), and rows
-# 13-15 the three extra stages of the dense output.  E holds the error
-# weights of the fifth- and third-order estimators, D the last four rows
-# of the seventh-order interpolant.
-_A_PATTERN = (
-    [[0], [0, 1], [0, 2], [0, 2, 3], [0, 3, 4]]
-    + [[0, *range(3, s)] for s in range(6, 12)]
-    + [[0, *range(5, 12)], [0, *range(6, 13)], [0, 5, 6, 7, 10, 11, 12, 13]]
-    + [[0, 5, 6, 7, 8, 12, 13, 14]]
-)
-_A, _E, _D = np.zeros((16, 16)), np.zeros((2, 13)), np.zeros((4, 16))
-_A[[s for s, cols in enumerate(_A_PATTERN, 1) for _ in cols], sum(_A_PATTERN, [])] = [
-    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685,
-    0.08876275643042054, 0.2413651341592667, -0.8845494793282861, 0.924834003261792,
-    0.037037037037037035, 0.17082860872947386, 0.12546768756682242, 0.037109375,
-    0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479,
-    0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
-    0.008273789163814023, 0.6241109587160757, -3.3608926294469414, -0.868219346841726,
-    27.59209969944671, 20.154067550477894, -43.48988418106996, 0.47766253643826434,
-    -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423,
-    -33.28821096898486, -0.020331201708508627, -0.9371424300859873, 5.186372428844064,
-    1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505,
-    2.4936055526796523, -3.0467644718982196, 2.273310147516538, -10.53449546673725,
-    -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-    -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.054293734116568765,
-    4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
-    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
-    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
-    0.007567897660545699, -0.008298, 0.03183464816350214, 0.028300909672366776,
-    0.053541988307438566, -0.05492374857139099, -0.00010834732869724932,
-    0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
-    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
-    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
-]
-_E[:, [0, *range(5, 12)]] = np.reshape([
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
-    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-    -0.022355307863886294, -0.18980075407240762, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-    0.02265179219836082,
-], (2, 8))
-_D[:, [0, *range(5, 16)]] = np.reshape([
-    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
-    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
-    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
-    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
-    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
-    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
-    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
-    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
-    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
-    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564,
-], (4, 12))
-_B = _A[12, :12]
-_E5, _E3 = _E
+
+def _scipy_dop853_tables():
+    # Row s of A weighs the earlier stages in stage s: rows 1-11 for the
+    # step, row 12 the solution weights B, rows 13-15 the extra stages of
+    # the dense output; E5 and E3 weigh the error estimators, D gives the
+    # last four rows of the seventh-order interpolant.  The file imports
+    # only numpy, and is registered under no module name.
+    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    spec = importlib.util.spec_from_file_location("vdtoda._dop853_tables", path)
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    return tables.A, tables.B, tables.E3, tables.E5, tables.D
+
+
+_A, _B, _E3, _E5, _D = _scipy_dop853_tables()
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -136,12 +96,12 @@ class TrajectoryCheckError(Exception):
 class Trajectory:
     """Uniformly sampled solution of the equations of motion.
 
-    t[0] = 0 and t is strictly increasing; states[i] has ``params.n``
-    particles and energy[i] is its energy.  ``spectrum[i]`` holds the
-    2n real Lax eigenvalues at states[i] in increasing order, the n of
-    largest modulus and their reciprocals (``_matched_spectra``); it is
-    computed from ``states`` on its first read and kept read-only, so
-    ``dataclasses.replace(traj, states=...)`` gets the spectrum of the
+    t[0] = 0 and t is finite and strictly increasing; states[i] has
+    ``params.n`` particles and energy[i] is its energy.  ``spectrum[i]``
+    holds the 2n real Lax eigenvalues at states[i] in increasing order,
+    the n of largest modulus and their reciprocals (``_matched_spectra``);
+    it is computed from ``states`` on its first read and kept read-only,
+    so ``dataclasses.replace(traj, states=...)`` gets the spectrum of the
     new states.  Trajectories from this package hold states that are
     read-only row views of one stack per field (``State.from_stacks``),
     and every check on the samples has run before they are returned.
@@ -158,7 +118,7 @@ class Trajectory:
         energy = np.array(self.energy, dtype=float)
         states = tuple(self.states)
         k = t.shape[0]
-        if k == 0 or t[0] != 0.0 or (k > 1 and np.any(np.diff(t) <= 0.0)):
+        if k == 0 or t[0] != 0.0 or not np.isfinite(t).all() or np.any(np.diff(t) <= 0.0):
             raise ValueError("sample times must start at 0 and increase strictly")
         if len(states) != k or energy.shape != (k,):
             raise ValueError("inconsistent sample counts across trajectory fields")
@@ -424,14 +384,16 @@ def _assemble(
     t: np.ndarray,
     xi: np.ndarray,
     eta: np.ndarray,
-    drift_tol: float,
+    rel: float,
+    slack: float = 0.0,
 ) -> Trajectory:
-    # xi and eta are the stacked samples (S, n).  Every check runs here,
-    # stage by stage over all samples, the coordinate guards of the spectrum
-    # last, so a first read of the spectrum raises nothing.
+    # xi and eta are the stacked samples (S, n); the drift budget is
+    # slack + rel |H(t = 0)|.  Every check runs here, stage by stage over all
+    # samples, the coordinate guards of the spectrum last, so a first read
+    # of the spectrum raises nothing.
     states = State.from_stacks(xi, eta)
     energy = _energy_arrays(xi, eta, params)
-    _check_bounds(params, t, xi, eta, energy, drift_tol, energy[0])
+    _check_bounds(params, t, xi, eta, energy, slack + rel * abs(energy[0]), energy[0])
     _coord_arrays(xi, eta, params)
     return Trajectory(params=params, t=t, states=states, energy=energy)
 
@@ -477,9 +439,7 @@ def integrate(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         samples = solve_ivp(rhs, float(t_end), y0, times, rtol, atol) if t_end else y0[None]
-    h0 = hamiltonian(state, params)
-    drift_tol = _DRIFT_FACTOR * rtol * abs(h0)
-    return _assemble(params, times, samples[:, :n], samples[:, n:], drift_tol)
+    return _assemble(params, times, samples[:, :n], samples[:, n:], _DRIFT_FACTOR * rtol)
 
 
 def backward_via_reversal(traj_forward: Trajectory) -> Trajectory:
@@ -494,10 +454,8 @@ def backward_via_reversal(traj_forward: Trajectory) -> Trajectory:
     xi, eta = _sample_stacks(traj_forward)
     # The energy is even in the rapidities, so the forward drift budget
     # is already spent; only a rounding allowance is added here.
-    h0 = traj_forward.energy[0]
-    forward_drift = float(np.max(np.abs(traj_forward.energy - h0)))
-    drift_tol = forward_drift + 1e-12 * max(1.0, abs(h0))
-    return _assemble(traj_forward.params, traj_forward.t.copy(), xi, -eta, drift_tol)
+    drift = float(np.max(np.abs(traj_forward.energy - traj_forward.energy[0])))
+    return _assemble(traj_forward.params, traj_forward.t.copy(), xi, -eta, 1e-12, drift)
 
 
 def spectral_drift(traj: Trajectory) -> float:

@@ -237,7 +237,8 @@ def _samples(
     exponential is not finite, a pivot falls under the floor, a minor ratio
     is not positive, a rate is not finite (``_first_failure``).
     """
-    tY = times[:, None, None] * Y
+    with np.errstate(over="ignore"):  # an overflowing product fails the exponential
+        tY = times[:, None, None] * Y
     error = None
     m = len(times)
     try:
@@ -278,15 +279,17 @@ def _point_at(
 
     A breakdown raises as in ``solve_trajectory``, and so do the sample
     checks, whose energy gate names ``beta (H - n) t``, the indicator of
-    the precision horizon.
+    the precision horizon.  A t that is not finite raises ``ValueError``.
     """
     times = np.array([float(t)])
+    if not np.isfinite(times[0]):
+        raise ValueError(f"t must be finite, got {times[0]}")
     q, qdot, error = _samples(zeta.xi, build_bundle(zeta, params).Ycal, params.n, times)
     if error is not None:
         raise error
     theta = _invert_velocity(q, qdot, params)
     h0 = hamiltonian(zeta, params)
-    tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
+    tol = _ENERGY_DRIFT_TOL * abs(h0)
     _check_bounds(params, times, q, theta, _energy_arrays(q, theta, params), tol, h0)
     return q[0], qdot[0], theta[0]
 
@@ -347,10 +350,8 @@ def solve_trajectory(
         eta.append(_invert_velocity(q, qdot, params))
         if error is not None:
             break
-    h0 = hamiltonian(zeta, params)
-    drift_tol = _ENERGY_DRIFT_TOL * max(1.0, abs(h0))
     xi, eta = np.concatenate(xi), np.concatenate(eta)
-    traj = _assemble(params, times[: len(xi)], xi, eta, drift_tol)
+    traj = _assemble(params, times[: len(xi)], xi, eta, _ENERGY_DRIFT_TOL)
     if error is not None:
         raise error
     return traj

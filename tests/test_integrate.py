@@ -1,5 +1,6 @@
 """Adaptive integration, trajectory containers, and CSV emission."""
 
+import dataclasses
 import io
 import subprocess
 import sys
@@ -279,32 +280,31 @@ def test_integrator_clamps_rtol_with_scipy_warning():
     assert np.array_equal(got, sol.y.T)
 
 
-def test_vendored_tables_equal_scipy_dop853():
+def test_tables_are_scipy_dop853():
     c = dop853_coefficients
     for ours, theirs in [(_A, c.A), (_B, c.B), (_E3, c.E3), (_E5, c.E5), (_D, c.D)]:
         assert ours.shape == theirs.shape
         assert np.array_equal(ours, theirs)
 
 
-def loaded_after_import(module: str) -> bool:
-    # whether a fresh interpreter holds ``module`` after ``import vdtoda``
+def modules_after_import() -> list[str]:
+    # the keys of sys.modules in a fresh interpreter after ``import vdtoda``
     root = str(Path(vdtoda.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {root!r}); import vdtoda; "
-        f"print({module!r} in sys.modules)"
-    )
+    code = f"import sys; sys.path.insert(0, {root!r}); import vdtoda; print(*sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return done.stdout.strip() == "True"
+    return done.stdout.split()
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    assert not loaded_after_import("scipy.integrate")
+    # the DOP853 tables are run from scipy's file, under a name registered nowhere
+    loaded = modules_after_import()
+    assert not [m for m in loaded if m.startswith("scipy.integrate") or "dop853" in m]
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    assert not loaded_after_import("scipy.optimize")
+    assert "scipy.optimize" not in modules_after_import()
 
 
 # ------------------------------------------------------------- container
@@ -327,6 +327,13 @@ def test_trajectory_arrays_are_readonly():
         traj.t[0] = 3.0
     with pytest.raises(ValueError):
         traj.energy[0] = 0.0
+
+
+@pytest.mark.parametrize("t", [[0.0, np.nan, 0.1], [0.0, np.inf, np.inf], [0.0, 0.05, np.inf]])
+def test_trajectory_refuses_sample_times_that_are_not_finite(t):
+    traj = integrate(_state(2), PARAMS, 0.1)
+    with pytest.raises(ValueError, match="^sample times must start at 0 and increase strictly$"):
+        dataclasses.replace(traj, t=np.array(t))
 
 
 def test_integrate_validates_arguments():
@@ -455,6 +462,39 @@ def test_double_reversal_is_bitwise_identity():
     for a, b in zip(twice.states, fwd.states):
         assert np.array_equal(a.xi, b.xi)
         assert np.array_equal(a.eta, b.eta)
+
+
+# ----------------------------------------------------------- drift budget
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    # the drift budget of every ``_check_bounds`` call, in call order
+    seen = []
+    check = integrate_module._check_bounds
+
+    def spy(params, t, xi, eta, energy, drift_tol, h0):
+        seen.append(drift_tol)
+        return check(params, t, xi, eta, energy, drift_tol, h0)
+
+    monkeypatch.setattr(integrate_module, "_check_bounds", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed, n, box", [(0, 3, 1.0), (1, 4, 2.0), (2, 8, 1.0)])
+def test_drift_budget_of_every_route_scales_the_initial_energy(budgets, seed, n, box):
+    params = ModelParams(n, 0.5, 1.0)
+    st = _state(seed, n, box)
+    h0 = hamiltonian(st, params)
+    for rtol in (1e-10, 1e-8):
+        integrate(st, params, 1.0, rtol=rtol, atol=1e-12)
+        assert budgets.pop() == 100.0 * rtol * abs(h0)
+    solve_trajectory(st, params, 1.0)
+    assert budgets.pop() == 1e-9 * max(1.0, abs(h0))
+    fwd = integrate(st, params, 1.0)
+    backward_via_reversal(fwd)
+    drift = float(np.max(np.abs(fwd.energy - fwd.energy[0])))
+    assert budgets.pop() == drift + 1e-12 * max(1.0, abs(h0))
 
 
 # ------------------------------------------------------------ CSV output

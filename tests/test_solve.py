@@ -256,6 +256,21 @@ def test_point_evaluators_refuse_samples_past_the_horizon(evaluate, draw, params
         evaluate(state, params, t)
 
 
+@pytest.mark.parametrize("evaluate", [positions_at, position_rates_at, rapidities_at])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_point_evaluators_refuse_a_time_that_is_not_finite(evaluate, t):
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+        evaluate(STATE, PARAMS, t)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_point_at_an_overflowing_time_fails_the_exponential_without_a_warning(t):
+    state, params = random_state(4, np.random.default_rng(3), box=1.0), ModelParams(4, 1.0, 1.0)
+    assert np.abs(build_bundle(state, params).Ycal).max() > 2.0  # so t Ycal overflows
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        positions_at(state, params, t)
+
+
 def test_point_evaluators_agree_with_trajectory_samples():
     # the energy gate passes every sample solve_trajectory accepts (sample 0
     # is the state itself, not a point evaluation)

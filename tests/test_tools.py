@@ -1,5 +1,6 @@
 """The scripts in tools/: the line counter's four classes add up to wc -l,
-a capture diffs as equal to itself and as different from an edited copy,
+a capture diffs as equal to itself and as different from an edited copy
+(its largest gap taken over the elements finite on both sides),
 and the reach tool lists the functions that its runs never enter."""
 
 import importlib.util
@@ -47,8 +48,15 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     with np.load(a) as data:
         arrays = dict(data)
     prefixes = {key.split("/")[0] for key in arrays}
-    assert prefixes == {"traj", "expm", "suite", "bundle", "error", "refusal", "cli"}
+    assert prefixes == {
+        "traj", "backward", "expm", "suite", "bundle", "error", "refusal", "cli"
+    }
     assert str(arrays["error/blow_up"]).startswith("StepSizeUnderflowError: ")
+    # reversals of the n = 3 and n = 8 pools, and one refused by its budget
+    assert len([key for key in arrays if key.startswith("backward/n")]) == 30
+    assert str(arrays["backward/forged/error"]).startswith(
+        "TrajectoryCheckError: energy drift 5.664e-11 exceeds tolerance 1.150e-11"
+    )
     # the refusal sweep: 16 states, each a type, a message and (j, t)
     assert len([key for key in arrays if key.startswith("refusal/")]) == 48
     key = "refusal/n3_box3_seed0"
@@ -83,6 +91,12 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     assert any(line.startswith(f"{key}: 1/{arrays[key].size} differ, largest 1.0") for line in out)
     assert "expm/zero: only in A" in out
     assert out[-1] == f"{len(arrays) + 1} keys, 2 differ"
+
+
+def test_capture_diff_reports_the_finite_gap_beside_a_nan():
+    a, b = {"x": np.array([1.0, np.nan])}, {"x": np.array([1.5, 2.0])}
+    lines, differ = _tool("capture").diff(a, b)
+    assert lines == ["x: 2/2 differ, largest 5.000e-01, 1 non-finite"] and differ == 1
 
 
 def test_reach_lists_the_functions_no_run_enters(tmp_path):

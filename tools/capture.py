@@ -11,6 +11,10 @@ A capture is an ``.npz`` of named arrays, all from fixed seeds:
   ``integrate`` and ``solve_trajectory`` on states at n = 3, 8 and 12,
   and of ``integrate`` on grids with one sample, with many samples per
   step, with most steps holding none and with more than three blocks;
+* ``backward/...``: the samples and energies of ``backward_via_reversal``
+  of the ``integrate`` trajectories of the n = 3 and n = 8 pools, and the
+  error it raises on a forged forward trajectory (its energies all set
+  to the first, so no drift budget is carried over);
 * ``expm/...``: ``matrix_exp`` of ``t Ycal`` stacks and of crafted inputs
   (a scaled stack, one 2-D matrix, the zero matrix, a stack that mixes a
   triangular matrix into full ones);
@@ -32,13 +36,15 @@ A capture is an ``.npz`` of named arrays, all from fixed seeds:
   ``vdtoda simulate``, ``solve`` and ``compare`` runs, as bytes.
 
 ``--diff`` prints one line per key: how many elements differ bit for bit,
-out of how many, and the largest absolute difference among them.  It
-exits 1 if any key differs or is missing from one capture, else 0.
+out of how many, the largest absolute difference among those finite on
+both sides, and how many are not finite on either side.  It exits 1 if
+any key differs or is missing from one capture, else 0.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import runpy
 import sys
@@ -52,7 +58,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from vdtoda import ModelParams, State, build_bundle, integrate, random_state  # noqa: E402
 from vdtoda import cli, reports_to_jsonl, run_suite, solve, solve_trajectory  # noqa: E402
-from vdtoda.integrate import _sample_stacks, sample_times  # noqa: E402
+from vdtoda.integrate import _sample_stacks, backward_via_reversal, sample_times  # noqa: E402
 from vdtoda.integrate import solve_ivp as dop853  # noqa: E402
 from vdtoda.lax import _ARRAY_FIELDS  # noqa: E402
 from vdtoda.verify import _BLOCKS, _draw_states  # noqa: E402
@@ -121,6 +127,22 @@ def trajectories(out: dict) -> None:
     state = _pool(8, 1, 2718)[0]
     for label, t_end, dt in GRIDS:
         _put_traj(out, f"traj/rk/grid/{label}", integrate(state, params, t_end, sample_dt=dt))
+
+
+def reversals(out: dict) -> None:
+    for n, count, t_end in POOLS[:2]:
+        params = ModelParams(n, 0.5, 1.0)
+        forwards = [integrate(state, params, t_end) for state in _pool(n, count, 811 + n)]
+        for k, forward in enumerate(forwards):
+            traj = backward_via_reversal(forward)
+            xi, eta = _sample_stacks(traj)
+            key = f"backward/n{n}/{k}"
+            out.update({f"{key}/xi": xi, f"{key}/eta": eta, f"{key}/energy": traj.energy})
+    # the first n = 8 trajectory with its energies forged flat: no forward
+    # drift is carried over, so only the rounding allowance is left
+    first = forwards[0]
+    forged = dataclasses.replace(first, energy=np.full_like(first.energy, first.energy[0]))
+    out["backward/forged/error"] = _outcome(lambda: backward_via_reversal(forged))
 
 
 def exponentials(out: dict) -> None:
@@ -224,7 +246,7 @@ def cli_runs(out: dict) -> None:
                 out[f"cli/{label}/{path.name}"] = np.frombuffer(path.read_bytes(), np.uint8)
 
 
-SECTIONS = (trajectories, exponentials, suites, bundles, errors, refusals, cli_runs)
+SECTIONS = (trajectories, reversals, exponentials, suites, bundles, errors, refusals, cli_runs)
 
 
 def capture() -> dict[str, np.ndarray]:
@@ -253,8 +275,11 @@ def diff(a: dict, b: dict) -> tuple[list[str], int]:
             # the bytes of each element, one row per element
             bits = [np.ascontiguousarray(v).reshape(-1, 1).view(np.uint8) for v in (x, y)]
             mask = (bits[0] != bits[1]).any(axis=1)
-            gap = np.abs(x.astype(float).ravel()[mask] - y.astype(float).ravel()[mask])
-            worst = f"{gap.max():.3e}" if mask.any() else "0"
+            u, v = (w.astype(float).ravel()[mask] for w in (x, y))
+            finite = np.isfinite(u) & np.isfinite(v)
+            gap = np.abs(u[finite] - v[finite])
+            worst = f"{gap.max():.3e}" if finite.any() else "none"
+            worst = f"{worst}, {int((~finite).sum())} non-finite" if mask.any() else "0"
         else:
             mask = np.atleast_1d(x != y)
             worst = "strings differ" if mask.any() else "0"

@@ -8,7 +8,9 @@ multiplication, conjugation by R flips the band sign, and conjugation by
 the skew block matrix Omega = [[0, R], [-R, 0]] does the same on the big
 space.  README "Matrix representation" lists what ``build_bundle``
 assembles; every construction step acts matrix by matrix, so a state
-gets the same bits alone or inside a stack.
+gets the same bits alone or inside a stack.  Hcal = L (Omega L
+Omega^{-1})^{-1} is built from its closed form in NumPy: the module
+calls no LAPACK routine and does not import ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cache
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
@@ -340,7 +341,8 @@ def _lax_chain(
     d = np.concatenate([dn, (1.0 / dn)[:, ::-1]], axis=1)
 
     W = np.zeros((S, N, N))
-    _diagonal(W, 1, 0, N - 1)[...] = _w_subdiagonal(sw)
+    s = _w_subdiagonal(sw)
+    _diagonal(W, 1, 0, N - 1)[...] = s
     L = d[:, :, None] * (np.eye(N) + W)
 
     g = np.zeros((S, N, N))
@@ -348,16 +350,22 @@ def _lax_chain(
     g[:, n - 1, n - 1] = g[:, n, n] = _delta_power(delta, 0.5)
     g[:, n - 1, n] = g[:, n, n - 1] = kappa * sw[:, -1]
 
-    # Omega L Omega^{-1} = D^{-1} (I - W^T) is upper bidiagonal, so Hcal
-    # solves a triangular system; forward substitution leaves exact
-    # zeros below the first subdiagonal.  LAPACK trtrs is called
-    # directly, solving in place in the Fortran-ordered transpose of a
-    # copy of L: the scipy wrapper costs more than the solve.
-    Hcal = L.copy()
-    for U, H in zip(omega_conjugate(L), Hcal):
-        info = dtrtrs(U.T, H.T, lower=1, overwrite_b=1)[1]
-        if info:
-            raise np.linalg.LinAlgError(f"singular Omega conjugate of L at diagonal {info}")
+    # Hcal = L (Omega L Omega^{-1})^{-1} = D (I + W) (I - W^T)^{-1} D, in
+    # closed form D (T P + W) D: T = I + W W^T is diagonal, (1, 1 + s^2) for
+    # the subdiagonal s of W, and P = (I - W^T)^{-1} has the entries
+    # s_i .. s_{j-1} for j >= i, one running product along each row.  T P
+    # is upper and W strictly lower, so Hcal is exactly zero below its
+    # first subdiagonal.  Nothing is divided, so no input is singular; an
+    # overflow is left to the checks of LaxBundle.
+    s = np.concatenate([np.zeros((S, 1)), s], axis=1)  # s_{j-1} in column j > 0
+    Hcal = np.where(_tri(N, N, k=0, dtype=bool), 1.0, s[:, None, :])
+    np.cumprod(Hcal, axis=-1, out=Hcal)
+    t = s * s
+    t += 1.0
+    Hcal *= t[:, :, None]
+    np.copyto(Hcal, W, where=_tri(N, N, k=-1, dtype=bool))
+    Hcal *= d[:, :, None]
+    Hcal *= d[:, None, :]
     return d, W, L, g, Hcal, Hcal @ g
 
 

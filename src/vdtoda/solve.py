@@ -25,7 +25,9 @@ exponential, ``FactorizationBreakdownError`` for the elimination and
 each at the earliest failing sample: a breakdown waits for the checks of
 the samples before it.  README "Algebraic solver" gives the blocks and
 the order of the checks, "Precision range" the measured error bound and
-horizon.
+horizon.  The exponential is ``scipy.linalg.expm``'s, bit for bit, but
+``scipy.linalg`` is imported on the first exponential, not with the
+package: ``import vdtoda``, the suite and the integrator never load it.
 """
 
 from __future__ import annotations
@@ -33,12 +35,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import expm
-
-try:  # scipy's own kernels of ``expm``; private, so checked by ``_kernels_reproduce_expm``
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-except ImportError:
-    pade_UV_calc = pick_pade_structure = None
 
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
@@ -91,6 +87,24 @@ class FactorizationBreakdownError(ArithmeticError):
         self.t = t
 
 
+@functools.cache
+def _scipy_expm() -> tuple:
+    """``scipy.linalg.expm`` and its kernels (pick_pade_structure, pade_UV_calc).
+
+    Imported on the first exponential, not with the package: ``scipy.linalg``
+    takes longer to import than the rest of ``vdtoda``, and only the
+    algebraic route needs it.  The kernels are private, so they are None
+    where they cannot be imported, and checked by ``_kernels_reproduce_expm``.
+    """
+    from scipy.linalg import expm
+
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    except ImportError:
+        return expm, None
+    return expm, (pick_pade_structure, pade_UV_calc)
+
+
 def _pade_stack(M: np.ndarray) -> np.ndarray | None:
     """exp of each matrix of a stack (k, N, N) by scipy's scaling-and-squaring kernels.
 
@@ -100,6 +114,7 @@ def _pade_stack(M: np.ndarray) -> np.ndarray | None:
     one ``E @ E`` over the matrices that still need it.  Returns None when
     a kernel reports a failure, which scipy's ``expm`` then raises.
     """
+    pick_pade_structure, pade_UV_calc = _scipy_expm()[1]
     E = np.empty_like(M)
     s = np.empty(len(M), dtype=np.intp)
     Am = np.empty((5,) + M.shape[1:])
@@ -123,7 +138,8 @@ def _kernels_reproduce_expm() -> bool:
     The kernels' calling convention is not public, so it is checked on the
     first call; where it does not hold, ``matrix_exp`` calls ``expm``.
     """
-    if pick_pade_structure is None:
+    expm, kernels = _scipy_expm()
+    if kernels is None:
         return False
     M = np.array([[[1.0, 2.0, 0.5], [-3.0, 4.0, 1.0], [0.25, -1.0, 2.0]]])
     try:
@@ -160,7 +176,7 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
             and _kernels_reproduce_expm()
         ):
             E = _pade_stack(M.reshape((-1,) + M.shape[-2:]))
-        E = expm(M) if E is None else E.reshape(M.shape)
+        E = _scipy_expm()[0](M) if E is None else E.reshape(M.shape)
     if not np.all(np.isfinite(E)):
         raise CoordinateOverflowError("matrix exponential overflowed")
     return E

@@ -167,7 +167,9 @@ def _gauge_rate(m: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
 
 # Each kernel takes the inputs of S states and returns its residuals as
 # (name, tol, max_abs, rel_scale, blocks) columns: arrays over the
-# states, blocks (S, 4) or None.
+# states, blocks (S, 4) or None.  A kernel drops or overwrites each
+# (S, N, N) temporary once it is read, since a block's peak memory is the
+# bundle plus the live temporaries of one kernel.
 
 
 def _residual(lhs, grow, shrink) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +192,11 @@ def _xh_hcal(m) -> np.ndarray:
     xl = _xh_of_L(m)
     L_inv = np.linalg.solve(L, np.eye(L.shape[-1]))
     out = xl @ omega_conjugate(L_inv)
-    out -= L @ omega_conjugate(L_inv @ xl @ L_inv)
+    inner = L_inv @ xl
+    del xl
+    inner = inner @ L_inv
+    del L_inv
+    out -= L @ omega_conjugate(inner)
     return out
 
 
@@ -203,11 +209,14 @@ def _lax_equation(m, params: ModelParams) -> list:
 
 
 def _omega(m, params: ModelParams) -> list:
-    twisted = m["g"] @ m["Acal"] @ m["g_inv"] + _gauge_rate(m, params)
-    conj = omega_conjugate(m["Acal"])
-    lam = conj - twisted
-    diff = omega_conjugate(m["B"]) - m["B"]
-    scale = np.maximum(_amax(conj), _amax(twisted))
+    twisted = m["g"] @ m["Acal"] @ m["g_inv"]
+    twisted += _gauge_rate(m, params)
+    lam = omega_conjugate(m["Acal"])
+    scale = np.maximum(_amax(lam), _amax(twisted))
+    lam -= twisted
+    del twisted
+    diff = omega_conjugate(m["B"])
+    diff -= m["B"]
     return [
         ("omega_acal_gauge", TOL_OMEGA_GAUGE, _amax(lam), scale, _block_maxima(lam)),
         ("omega_b_symmetry", TOL_OMEGA_B, _amax(diff), _amax(m["B"]), None),
@@ -217,13 +226,15 @@ def _omega(m, params: ModelParams) -> list:
 def _band(m, params: ModelParams) -> list:
     half_beta = 0.5 * params.beta
     out = []
+    acal_scale = _amax(m["Acal"])
     for name, inner, part in (
         ("band_lower", m["Lcal"], strict_lower),
         ("band_upper", m["Lcal_inv"], strict_upper),
     ):
-        terms = (m["Acal"], half_beta * inner)
-        band = part(terms[0] + terms[1])
-        out.append((name, TOL_BAND, _amax(band), np.maximum(*map(_amax, terms)), None))
+        term = half_beta * inner
+        scale = np.maximum(acal_scale, _amax(term))
+        term += m["Acal"]
+        out.append((name, TOL_BAND, _amax(part(term)), scale, None))
     return out
 
 

@@ -287,14 +287,15 @@ def test_tables_are_scipy_dop853():
         assert np.array_equal(ours, theirs)
 
 
-def modules_after_import() -> list[str]:
+def modules_after_import(code: str = "") -> list[str]:
     # the keys of sys.modules in a fresh interpreter after ``import vdtoda``
+    # and then ``code``, printed on the last line
     root = str(Path(vdtoda.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {root!r}); import vdtoda; print(*sys.modules)"
+    script = f"import sys; sys.path.insert(0, {root!r}); import vdtoda\n{code}\nprint(*sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    return done.stdout.split()
+    return done.stdout.splitlines()[-1].split()
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -305,6 +306,41 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 def test_import_leaves_scipy_optimize_unloaded():
     assert "scipy.optimize" not in modules_after_import()
+
+
+def _linalg_modules(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m.startswith(("scipy.linalg", "numpy.f2py"))]
+
+
+# the suite, an integration, and the CLI commands that run them
+SUITE_AND_RK = """
+import contextlib, io
+import numpy as np
+from vdtoda import ModelParams, State, cli, integrate, run_suite
+params = ModelParams(4, 0.5, 1.0)
+run_suite(params, 3, 0)
+integrate(State(np.zeros(4), np.zeros(4)), params, 0.5)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--n", "4", "--num-states", "2"]) == 0
+    assert cli.main(["simulate", "--n", "3", "--t-end", "0.5", "--spectrum-output", "-"]) == 0
+"""
+
+
+def test_import_suite_and_integration_leave_scipy_linalg_unloaded():
+    # Hcal is built in numpy, and expm is imported on the first exponential
+    assert _linalg_modules(modules_after_import()) == []
+    assert _linalg_modules(modules_after_import(SUITE_AND_RK)) == []
+
+
+def test_first_exponential_loads_scipy_expm_and_its_kernels():
+    loaded = modules_after_import(
+        "import numpy as np\n"
+        "from vdtoda import solve\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "solve.matrix_exp(np.array([[0.0, 1.0], [-1.0, 0.5]]))\n"
+        "assert solve._kernels_reproduce_expm()"
+    )
+    assert {"scipy.linalg", "scipy.linalg._matfuncs_expm"} <= set(loaded)
 
 
 # ------------------------------------------------------------- container

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mp_reference
 from conftest import draw_states
-from vdtoda import ModelParams, State, random_state
+from vdtoda import CoordinateOverflowError, ModelParams, State, random_state
 from vdtoda.hamiltonian import derived_coords, xh_q
 from vdtoda.lax import (
     LaxBundle,
@@ -24,6 +27,7 @@ from vdtoda.lax import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+EPS = np.finfo(float).eps
 QUART2 = 2.0 ** 0.25
 SQRT2 = math.sqrt(2.0)
 
@@ -258,7 +262,7 @@ def _hessenberg_parts(bundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def test_hessenberg_parts_match_gradings():
-    # the closed-form bands against the solved Hcal, at kappa 0 and > 0
+    # the closed-form bands against Hcal, at kappa 0 and > 0
     for n, kappa in ((5, 1.1), (3, 0.0), (12, 0.0), (12, 2.5)):
         st = random_state(n, np.random.default_rng(23), box=1.5)
         params = ModelParams(n, 0.7, kappa)
@@ -268,6 +272,45 @@ def test_hessenberg_parts_match_gradings():
                 1.0, np.max(np.abs(b.Hcal))
             )
         assert np.array_equal(graded_part(b.Hcal, -2), np.zeros((2 * n, 2 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.sampled_from([0.0, 0.3, 2.5]),
+    st.floats(0.1, 1.0),
+    st.floats(0.0, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_hessenberg_solves_its_definition(n, kappa, beta, box, seed):
+    # Hcal = L (Omega L Omega^{-1})^{-1}: multiplied back, it gives L entry
+    # by entry within a few eps of the terms |Hcal| |Omega L Omega^{-1}|,
+    # whatever route built it
+    state = random_state(n, np.random.default_rng(seed), box=box)
+    b = build_bundle(state, ModelParams(n, beta, kappa))
+    U = omega_conjugate(b.L)
+    resid = np.abs(b.Hcal @ U - b.L)
+    assert np.all(resid <= 4 * EPS * (np.abs(b.Hcal) @ np.abs(U)))
+    assert np.array_equal(np.tril(b.Hcal, -2), np.zeros((2 * n, 2 * n)))
+
+
+@pytest.mark.parametrize("n, kappa", [(3, 0.0), (4, 2.5), (6, 0.3), (8, 1.0)])
+def test_hessenberg_matches_the_extended_precision_definition(n, kappa):
+    # every entry within 8 eps of Hcal evaluated from its definition in
+    # 40 digits, from the same float64 coordinates; its zeros exact
+    params = ModelParams(n, 0.8, kappa)
+    for state in draw_states(n, 3, seed=60 + n, box=3.0):
+        exact = mp_reference.hcal(state, params)
+        assert mp_reference.relative_error(build_bundle(state, params).Hcal, exact) <= 8 * EPS
+
+
+def test_overflowing_delta_is_a_coordinate_overflow(zero3):
+    # kappa^2 overflows, so delta = 1 + kappa^2 w_n is inf and d has the
+    # entries 0 and inf; the bundle's finiteness check names d
+    params = ModelParams(3, 1e-150, 1e160)
+    assert derived_coords(zero3, params).delta == np.inf
+    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in d$"):
+        build_bundle(zero3, params)
 
 
 def test_squared_factor_diagonal():

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from scipy.linalg._matfuncs_expm import pick_pade_structure
 from scipy.linalg.lapack import dtrtrs
 
+import mp_reference
 from vdtoda import (
     CoordinateOverflowError,
     ModelParams,
@@ -301,9 +302,9 @@ def test_positions_near_the_edge_of_the_range_stay_within_the_documented_bound()
     assert err <= 30 * 2.2e-16 * np.exp(growth)
 
 
-# n = 3, beta = 0.5, kappa = 0: off by 1.13e-10 and 3.27e-10 at the two
-# times below, 2.0 and 2.25 times 30 eps e^(beta (H - n) t), though the
-# seeded sweep stayed under 0.9 times that
+# n = 3, beta = 0.5, kappa = 0: off by 3.6e-12 and 3.5e-10 at the two
+# times below, 0.02 and 0.72 times 100 eps e^(beta (H - n) t); the seeded
+# sweep of demos/precision_range.py peaks at 0.70 times it
 COOL = State(
     np.array([-0.03279118617465904, -0.23579456005953148, 0.3889420380314923]),
     np.array([-0.21368168745738525, 0.2737669316985375, -0.012755138947714628]),
@@ -317,6 +318,32 @@ def test_returned_positions_stay_within_the_documented_bound(t, nominal):
     assert growth == pytest.approx(nominal, abs=5e-3)
     reference = integrate(COOL, params, t, sample_dt=t, rtol=1e-13, atol=1e-15).states[-1].xi
     err = np.max(np.abs(positions_at(COOL, params, t) - reference))
+    # README "Precision range": under 100 eps e^(beta (H - n) t)
+    assert err <= 100 * 2.2e-16 * np.exp(growth)
+
+
+# cool states at n <= 4, with beta (H - n) t from 6.2 to 10.0; the first is
+# COOL, off by 3.5e-10 = 72 eps e^(beta (H - n) t) against the exact positions
+EXACT_CASES = [
+    (COOL, ModelParams(3, 0.5, 0.0), 27.627479032378567),
+    ((4, 1, 1.0), ModelParams(4, 0.5, 1.0), 8.0),
+    ((3, 4, 1.0), ModelParams(3, 1.0, 0.3), 2.0),
+    ((4, 11, 1.0), ModelParams(4, 0.5, 0.3), 7.0),
+]
+
+
+@pytest.mark.parametrize(
+    "state, params, t", EXACT_CASES, ids=["COOL", "n4_seed1", "n3_seed4", "n4_seed11"]
+)
+def test_positions_stay_within_the_documented_bound_of_the_exact_positions(state, params, t):
+    # the positions of exp(t Ycal) in extended precision, from the same
+    # float64 coordinates (tests/mp_reference.py), without DOP853's own error
+    if not isinstance(state, State):
+        n, seed, box = state
+        state = random_state(n, np.random.default_rng(seed), box=box)
+    growth = params.beta * (hamiltonian(state, params) - params.n) * t
+    assert growth <= 10.0
+    err = np.max(np.abs(positions_at(state, params, t) - mp_reference.positions(state, params, t)))
     # README "Precision range": under 100 eps e^(beta (H - n) t)
     assert err <= 100 * 2.2e-16 * np.exp(growth)
 
@@ -366,17 +393,19 @@ NON_POSITIVE = "non-positive minor ratio along the flow"
 # energy-gate failure refuses, with the message; it names a sample earlier
 # than any breakdown of the state
 ENERGY_REFUSALS = {
-    (4, 1.0, 3, 5.0): "energy drift 1.358e-08 exceeds tolerance 1.148e-08"
-    " at t = 3.0500000000000003 (beta (H - n) t = 22.8)",
-    (8, 2.0, 1, 5.0): "energy drift 5.451e-08 exceeds tolerance 4.324e-08"
-    " at t = 1.1 (beta (H - n) t = 38.8)",
-    (6, 2.0, 2, 8.0): "energy drift 3.402e-08 exceeds tolerance 3.346e-08"
+    (4, 1.0, 3, 5.0): "energy drift 1.464e-08 exceeds tolerance 1.148e-08"
+    " at t = 2.85 (beta (H - n) t = 21.3)",
+    (8, 2.0, 1, 5.0): "energy drift 9.503e-08 exceeds tolerance 4.324e-08"
+    " at t = 1.1500000000000001 (beta (H - n) t = 40.5)",
+    (6, 2.0, 2, 8.0): "energy drift 3.957e-08 exceeds tolerance 3.346e-08"
     " at t = 0.9500000000000001 (beta (H - n) t = 26.1)",
-    (5, 3.0, 4, 10.0): "energy drift 1.463e-07 exceeds tolerance 6.327e-08"
+    (5, 3.0, 4, 10.0): "energy drift 2.226e-07 exceeds tolerance 6.327e-08"
     " at t = 0.55 (beta (H - n) t = 32)",
-    (3, 4.0, 6, 30.0): "energy drift 3.481e-07 exceeds tolerance 7.745e-08"
-    " at t = 0.4 (beta (H - n) t = 29.8)",
-    (10, 2.5, 7, 12.0): "energy drift 2.639e-07 exceeds tolerance 1.127e-07"
+    (3, 3.0, 3, 30.0): "energy drift 2.301e-06 exceeds tolerance 6.797e-08"
+    " at t = 0.35000000000000003 (beta (H - n) t = 22.7)",
+    (3, 4.0, 6, 30.0): "energy drift 5.159e-07 exceeds tolerance 7.745e-08"
+    " at t = 0.45 (beta (H - n) t = 33.5)",
+    (10, 2.5, 7, 12.0): "energy drift 1.585e-07 exceeds tolerance 1.127e-07"
     " at t = 0.30000000000000004 (beta (H - n) t = 30.8)",
 }
 
@@ -384,16 +413,18 @@ ENERGY_REFUSALS = {
 @pytest.mark.parametrize(
     "n, box, seed, t_end, reason, j, t",
     [
-        (8, 2.0, 1, 5.0, NON_POSITIVE, 8, 1.9),
-        (6, 2.0, 2, 8.0, NON_POSITIVE, 6, 2.25),
-        (5, 3.0, 4, 10.0, NON_POSITIVE, 5, 1.05),
+        (8, 2.0, 1, 5.0, NON_POSITIVE, 8, 1.95),
+        (6, 2.0, 2, 8.0, NON_POSITIVE, 6, 2.3),
+        (5, 3.0, 4, 10.0, NON_POSITIVE, 4, 1.15),
         # an early sample breaks down while a later sample of the same
         # block overflows its exponential: the early breakdown is reported
-        (8, 3.0, 5, 20.0, NON_POSITIVE, 6, 0.05),
-        (3, 4.0, 6, 30.0, "pivot underflow in minor chain", 2, 0.7),
+        (8, 3.0, 5, 20.0, NON_POSITIVE, 2, 0.05),
+        # a pivot underflows where a ratio is non-positive too: the
+        # underflow, checked first, is reported
+        (3, 3.0, 3, 30.0, "pivot underflow in minor chain", 2, 0.8),
         # a non-positive ratio at t = 0.55 precedes a pivot underflow at
-        # t = 1.15 in the same block: the earlier sample is reported
-        (10, 2.5, 7, 12.0, NON_POSITIVE, 8, 0.55),
+        # t = 1.05 in the same block: the earlier sample is reported
+        (10, 2.5, 7, 12.0, NON_POSITIVE, 10, 0.55),
     ],
 )
 def test_hot_state_reports_earliest_failing_sample(n, box, seed, t_end, reason, j, t):
@@ -454,7 +485,7 @@ def test_hot_state_within_factorization_range_fails_energy_check():
 
 @pytest.mark.parametrize(
     "n, box, seed, t_end, first",
-    [(4, 1.0, 3, 5.0, 61), (8, 2.0, 1, 5.0, 22), (3, 4.0, 6, 30.0, 8)],
+    [(4, 1.0, 3, 5.0, 57), (8, 2.0, 1, 5.0, 23), (3, 4.0, 6, 30.0, 9)],
 )
 def test_refused_trajectory_and_refused_point_raise_one_message(n, box, seed, t_end, first):
     # one sample check for both: the trajectory names its first failing

@@ -61,7 +61,7 @@ def test_capture_diffs_equal_to_itself_and_names_an_edited_key(tmp_path, capsys)
     assert len([key for key in arrays if key.startswith("refusal/")]) == 48
     key = "refusal/n3_box3_seed0"
     assert str(arrays[f"{key}/type"]) == "FactorizationBreakdownError"
-    assert arrays[f"{key}/j_t"].tolist() == [4.0, 0.05]
+    assert arrays[f"{key}/j_t"].tolist() == [6.0, 0.05]
     key = "refusal/n3_box1_seed0"
     assert str(arrays[f"{key}/message"]).startswith("energy drift ")
     assert np.isnan(arrays[f"{key}/j_t"]).all()

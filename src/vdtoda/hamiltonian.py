@@ -1,9 +1,11 @@
 """Energy function and equations of motion for the deformed chain.
 
 Each quantity has one kernel on (S, n) stacks of positions and
-rapidities, and the public functions of one ``State`` are its S = 1
-case; README "The model", "Verification suite" and "Trajectories" say
-which routes exist and where their second routes are checked.
+rapidities.  ``hamiltonian`` is its own kernel and takes a stack or one
+``State``; the other public functions take one ``State``, the S = 1
+case of theirs.  README "The model", "Verification suite" and
+"Trajectories" say which routes exist and where their second routes
+are checked.
 
 Conventions.  A state stores natural coordinates: ``xi`` are the
 positions q and ``eta`` the rapidities theta.  Nearest-neighbour
@@ -38,9 +40,6 @@ __all__ = [
     "from_canonical",
     "hamiltonian",
     "nonrel_hamiltonian",
-    "xh_q",
-    "xh_w",
-    "eom",
 ]
 
 _OVERFLOW = "overflow while evaluating "
@@ -126,6 +125,19 @@ def _check_size(n: int, params: ModelParams) -> None:
         raise ValueError("state size does not match params.n")
 
 
+def _rows(state, params: ModelParams) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(q, th, one): the (S, n) stacks of a ``State`` (``one``) or of an (xi, eta) pair."""
+    one = isinstance(state, State)
+    if one:
+        q, th = state.xi[None], state.eta[None]
+    else:
+        q, th = (np.asarray(a, dtype=float) for a in state)
+        if q.ndim != 2 or q.shape != th.shape:
+            raise ValueError("a stack of states is a pair (xi, eta) of (S, n) arrays")
+    _check_size(q.shape[1], params)
+    return q, th, one
+
+
 def _s_vector(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Generating shift s(q) relating rapidities to canonical momenta."""
     _check_size(len(q), params)
@@ -186,7 +198,8 @@ def _coord_arrays(
 
     Past these guards the invariants of ``DerivedCoords`` hold: x and w
     are finite and positive; x = e^{beta p} finite and positive makes p,
-    hence s = p - theta, finite; and delta = 1 + kappa^2 w_n >= 1.
+    hence s = p - theta, finite; and delta = 1 + kappa^2 w_n, checked for
+    overflow last, is finite and at least 1.
     """
     beta, kappa = params.beta, params.kappa
     n = q.shape[1]
@@ -202,8 +215,10 @@ def _coord_arrays(
         np.exp(xw, out=xw)
         xw[:, n:] *= beta * beta
         finite = np.isfinite(xw)
+        delta = 1.0 + kappa * kappa * xw[:, -1]
     positive = xw > 0.0
-    if not (z_ok.all() and finite.all() and positive.all()):
+    delta_ok = np.isfinite(delta)
+    if not (z_ok.all() and finite.all() and positive.all() and delta_ok.all()):
         over = CoordinateOverflowError
         _raise_first_failure(
             [
@@ -216,10 +231,10 @@ def _coord_arrays(
                     CoordinateUnderflowError,
                     "x and w entries must be positive",
                 ),
+                (delta_ok, over, _OVERFLOW + "delta = 1 + kappa^2 w_n"),
             ]
         )
-    x, w = xw[:, :n], xw[:, n:]
-    return s, p, x, w, 1.0 + kappa * kappa * w[:, -1]
+    return s, p, xw[:, :n], xw[:, n:], delta
 
 
 def _gamma_upsilon(x, w, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -279,16 +294,21 @@ def _factor_arrays(q: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.n
     return F, ok
 
 
-def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Energy of every state in a stack: q and th are (S, n).
+def hamiltonian(
+    state: State | tuple[np.ndarray, np.ndarray], params: ModelParams
+) -> float | np.ndarray:
+    """Energy in natural coordinates (q, theta); strictly above n.
 
     H = sum_a cosh(beta theta_a) F_a(q) + kappa w_n + (1/2) kappa w_{n-1} w_n,
-    the tail taken straight from positions.  ``hamiltonian`` is the S = 1
-    case, and a state gets its bits in any stack, whatever its memory
-    layout.  Each exponential and the result are checked once per stack;
-    a failure raises ``CoordinateOverflowError`` for the earliest failing
-    state, as evaluating the states one by one would.
+    the tail taken straight from positions.  ``state`` is a ``State``,
+    whose energy is returned as a float, or a pair (xi, eta) of (S, n)
+    arrays, whose S energies are returned as an array; a state gets its
+    bits in any stack, whatever its memory layout.  Each exponential and
+    the result are checked once per stack; a failure raises
+    ``CoordinateOverflowError`` for the earliest failing state, as
+    evaluating the states one by one would.
     """
+    q, th, one = _rows(state, params)
     beta, kappa = params.beta, params.kappa
     F, z_ok = _factor_arrays(q, params)
     # e^{-2 q_n} and e^{-(q_{n-1} - q_n)} in one exponential
@@ -315,13 +335,7 @@ def _energy_arrays(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.nda
                 (H_ok, over, "energy overflowed"),
             ]
         )
-    return H
-
-
-def hamiltonian(state: State, params: ModelParams) -> float:
-    """Energy in natural coordinates (q, theta); strictly above n."""
-    _check_size(state.n, params)
-    return float(_energy_arrays(state.xi[None], state.eta[None], params)[0])
+    return float(H[0]) if one else H
 
 
 def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
@@ -336,25 +350,14 @@ def nonrel_hamiltonian(state: State, params: ModelParams) -> float:
 
 
 def _xh_q_theta(q: np.ndarray, th: np.ndarray, params: ModelParams) -> np.ndarray:
-    """beta sinh(beta theta_a) F_a(q) for a stack (S, n).
+    """X_H[q_a] = beta sinh(beta theta_a) F_a(q) for a stack (S, n).
 
-    F overflows exactly when the first check of the coordinates fails,
-    so callers evaluate the coordinates first and the flag is not kept.
+    Exactly 0 at rest; the ``xh_q_forms`` residual checks it against the
+    Laurent form.  F overflows exactly when the first check of the
+    coordinates fails, so callers evaluate the coordinates first.
     """
     F, _ = _factor_arrays(q, params)
     return params.beta * np.sinh(params.beta * th) * F
-
-
-def xh_q(state: State, params: ModelParams) -> np.ndarray:
-    """Position components of the Hamiltonian vector field.
-
-    The hyperbolic form beta sinh(beta theta_a) F_a(q), which vanishes
-    exactly at rest.  The coordinates are derived first, for their
-    guards.  Its agreement with the Laurent form in (x, w, delta) is the
-    ``xh_q_forms`` residual of the verification suite.
-    """
-    derived_coords(state, params)
-    return _xh_q_theta(state.xi[None], state.eta[None], params)[0]
 
 
 def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
@@ -362,7 +365,10 @@ def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
 
     x and w are (S, n), delta and upsilon (S,).  Returns the rates and,
     entry by entry, the sum of the magnitudes of the terms each rate is
-    built from, both (S, n).  ``xh_w`` is the S = 1 case.
+    built from, both (S, n).  X_H[w_n] = beta w_n delta upsilon also fixes
+    X_H[delta] = beta kappa^2 w_n delta upsilon.  The ``xh_w_composition``
+    residual checks the rates by the chain rule; an overflow is left to
+    the caller (the ``xhw`` check of ``LaxBundle``).
     """
     beta = params.beta
     # lose[a] = x_a (1 + w_{a-1}), the leftward term; w_0 plays as 0.
@@ -383,28 +389,6 @@ def _xh_w_arrays(x, w, delta, upsilon, params: ModelParams):
     terms[:, :-1] = half_w * (keep + lose + push)
     terms[:, -1] = beta * w[:, -1] * (x[:, -1] * (1.0 + w[:, -2]) + push[:, -1])
     return out, terms
-
-
-def xh_w(state: State, params: ModelParams) -> np.ndarray:
-    """Time derivatives of the w variables along the flow.
-
-    Evaluated from the explicit Laurent expressions; the last entry is
-    X_H[w_n] = beta w_n delta upsilon, which also fixes X_H[delta] =
-    beta kappa^2 w_n delta upsilon.  The ``xh_w_composition`` residual of
-    the verification suite checks them against the chain rule through
-    the positions:
-
-        X_H[w_a] = w_a (X_H[q_{a+1}] - X_H[q_a])   for a < n,
-        X_H[w_n] = -2 w_n X_H[q_n].
-
-    An entry that overflows raises ``CoordinateOverflowError``.
-    """
-    c = derived_coords(state, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = _xh_w_arrays(c.x[None], c.w[None], c.delta, c.upsilon, params)[0][0]
-    if not np.isfinite(rates).all():
-        raise CoordinateOverflowError(_OVERFLOW + "X_H[w]")
-    return rates
 
 
 def _eom_work(params: ModelParams) -> Callable[..., np.ndarray]:
@@ -510,9 +494,11 @@ def _eom_arrays(
     out: np.ndarray | None = None,
     work: Callable[..., np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Flat-vector right-hand side (xidot, etadot) for ODE integration.
+    """Flat-vector right-hand side (xidot, etadot) of one state (n,) for ODE integration.
 
-    ``eom`` is its one-state form.  The result is written into ``out`` (a
+    xidot is X_H[q]; the rapidity rate follows by the chain rule through
+    the canonical pair, etadot_a = X_H[p_a] - sum_b (ds_a/dq_b) X_H[q_b].
+    The result is written into ``out`` (a
     fresh array if None) and returned.  ``work`` is a kernel from
     ``_eom_work(params)``, called as ``work(q, th, out)`` inside an
     ``np.errstate`` that ignores over, invalid and divide, so a caller
@@ -529,15 +515,3 @@ def _eom_arrays(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _eom_work(params)(q, th, out)
     return work(q, th, out)
-
-
-def eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """First-order equations of motion in natural coordinates.
-
-    xidot is X_H[q].  The rapidity rate follows by the chain rule
-    through the canonical pair: etadot_a = X_H[p_a] - sum_b
-    (ds_a/dq_b) X_H[q_b].  The one-state case of ``_eom_arrays``.
-    """
-    _check_size(state.n, params)
-    out = _eom_arrays(state.xi, state.eta, params)
-    return out[: params.n], out[params.n :]

@@ -14,7 +14,8 @@ ending at a sample.  It reports the earliest failing sample, and within
 it the first bound in that order.  The assembly runs each stage over all
 samples: the energies (overflow), ``_check_bounds``, then the coordinate
 guards.  The spectrum of Lcal is a cached property of the states,
-computed on its first read.
+computed on its first read, which raises ``CoordinateOverflowError`` if
+Lcal is not finite at some sample.
 README "Trajectories" describes the RHS kernel, the blocks and how the
 spectrum rows are matched.
 """
@@ -33,9 +34,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import ModelParams, State
-from .hamiltonian import _check_size, _coord_arrays, _energy_arrays, _eom_arrays, _eom_work
-from .hamiltonian import _first_failure
+from .core import CoordinateOverflowError, ModelParams, State
+from .hamiltonian import _check_size, _coord_arrays, _eom_arrays, _eom_work, _first_failure
+from .hamiltonian import _raise_first_failure, hamiltonian
 from .lax import _lax_chain
 
 __all__ = [
@@ -104,8 +105,10 @@ class Trajectory:
     so ``dataclasses.replace(traj, states=...)`` gets the spectrum of the
     new states.  Trajectories from this package hold states that are
     read-only row views of one stack per field (``State.from_stacks``),
-    and every check on the samples has run before they are returned.
-    Equality and hashing are by identity.
+    and every check on the samples has run before they are returned,
+    except that Lcal is finite: the first read of ``spectrum`` checks it
+    and raises ``CoordinateOverflowError`` for the earliest sample where
+    it is not.  Equality and hashing are by identity.
     """
 
     params: ModelParams
@@ -332,14 +335,19 @@ def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np
     the large ones, so a row keeps the real parts of the n eigenvalues of
     largest modulus and their reciprocals, which keep the relative error.
     ``eigvals`` acts matrix by matrix, so the rows are bitwise those of
-    one stacked call.
+    one stacked call.  A non-finite Lcal raises ``CoordinateOverflowError``
+    for the earliest such sample, as ``LaxBundle`` does.
     """
     n = params.n
     _, _, x, w, delta = _coord_arrays(xi, eta, params)
     spectrum = np.empty((xi.shape[0], 2 * n))
     for k in range(0, xi.shape[0], _CHAIN_BLOCK):
         rows = slice(k, k + _CHAIN_BLOCK)
-        lams = np.linalg.eigvals(_lax_chain(x[rows], w[rows], delta[rows], params)[-1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            Lcal = _lax_chain(x[rows], w[rows], delta[rows], params)[-1]
+        ok = np.isfinite(Lcal).all(axis=(1, 2))
+        _raise_first_failure([(ok, CoordinateOverflowError, "non-finite entries in Lcal")])
+        lams = np.linalg.eigvals(Lcal)
         large = np.abs(lams).argsort(axis=1)[:, n:]
         spectrum[rows, :n] = np.take_along_axis(lams, large, axis=1).real
         np.divide(1.0, spectrum[rows, :n], out=spectrum[rows, n:])
@@ -388,11 +396,10 @@ def _assemble(
     slack: float = 0.0,
 ) -> Trajectory:
     # xi and eta are the stacked samples (S, n); the drift budget is
-    # slack + rel |H(t = 0)|.  Every check runs here, stage by stage over all
-    # samples, the coordinate guards of the spectrum last, so a first read
-    # of the spectrum raises nothing.
+    # slack + rel |H(t = 0)|.  Every check but Lcal's (the spectrum's first
+    # read) runs here, stage by stage over all samples, coordinates last.
     states = State.from_stacks(xi, eta)
-    energy = _energy_arrays(xi, eta, params)
+    energy = hamiltonian((xi, eta), params)
     _check_bounds(params, t, xi, eta, energy, slack + rel * abs(energy[0]), energy[0])
     _coord_arrays(xi, eta, params)
     return Trajectory(params=params, t=t, states=states, energy=energy)

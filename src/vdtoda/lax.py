@@ -22,13 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .core import CoordinateOverflowError, ModelParams, State
-from .hamiltonian import (
-    _check_size,
-    _coord_arrays,
-    _gamma_upsilon,
-    _raise_first_failure,
-    _xh_w_arrays,
-)
+from .hamiltonian import _coord_arrays, _gamma_upsilon, _raise_first_failure, _rows, _xh_w_arrays
 
 __all__ = [
     "LaxBundle",
@@ -382,14 +376,7 @@ def build_bundle(
     of the first check that fails, at its earliest failing state
     (``run_suite`` re-runs a failing block state by state).
     """
-    one = isinstance(state, State)
-    if one:
-        q, th = state.xi[None], state.eta[None]
-    else:
-        q, th = (np.asarray(a, dtype=float) for a in state)
-        if q.ndim != 2 or q.shape != th.shape:
-            raise ValueError("a stack of states is a pair (xi, eta) of (S, n) arrays")
-    _check_size(q.shape[1], params)
+    q, th, one = _rows(state, params)
     _, _, x, w, delta = _coord_arrays(q, th, params)
     gamma, upsilon = _gamma_upsilon(x, w, delta)
     beta, n = params.beta, params.n

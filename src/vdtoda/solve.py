@@ -39,7 +39,6 @@ import numpy as np
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
     _PAIR_OVERFLOW,
-    _energy_arrays,
     _factor_arrays,
     _first_failure,
     _raise_first_failure,
@@ -306,7 +305,7 @@ def _point_at(
     theta = _invert_velocity(q, qdot, params)
     h0 = hamiltonian(zeta, params)
     tol = _ENERGY_DRIFT_TOL * abs(h0)
-    _check_bounds(params, times, q, theta, _energy_arrays(q, theta, params), tol, h0)
+    _check_bounds(params, times, q, theta, hamiltonian((q, theta), params), tol, h0)
     return q[0], qdot[0], theta[0]
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ModelParams, State
-from .hamiltonian import _check_size, _energy_arrays, _xh_q_theta, _xh_w_arrays
+from .hamiltonian import _check_size, _xh_q_theta, _xh_w_arrays, hamiltonian
 from .lax import (
     _ARRAY_FIELDS,
     LaxBundle,
@@ -239,7 +239,7 @@ def _band(m, params: ModelParams) -> list:
 
 
 def _scalar(m, params: ModelParams) -> list:
-    H = _energy_arrays(m["q"], m["th"], params)
+    H = hamiltonian((m["q"], m["th"]), params)
     half_trace = 0.5 * np.trace(m["Lcal"], axis1=1, axis2=2)
     dvec = 0.5 * params.beta * np.diagonal(m["Lcal"] - m["Lcal_inv"], axis1=1, axis2=2)
     ref = np.concatenate([m["qdot"], -m["qdot"][:, ::-1]], axis=1)
@@ -378,7 +378,7 @@ def scalar_identities(
 
     The energy is half the trace of Lcal, and the diagonal of
     (beta/2)(Lcal - Lcal^{-1}) reproduces the position velocities as
-    (xh_q, -reversed(xh_q)).
+    (X_H[q], -reversed(X_H[q])).
     """
     return tuple(_single(_scalar, state, params, bundle, perturb))
 

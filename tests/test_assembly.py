@@ -33,7 +33,7 @@ from vdtoda import (
     solve_trajectory,
     time_reversal,
 )
-from vdtoda.hamiltonian import _energy_arrays
+from vdtoda.hamiltonian import hamiltonian
 from vdtoda.integrate import (
     Trajectory,
     _assemble,
@@ -355,7 +355,7 @@ def test_spectrum_rows_sum_to_twice_the_energy(n, beta, kappa, box, seed):
     params = ModelParams(n, beta, kappa)
     xi, eta = np.random.default_rng(seed).uniform(-box, box, (2, 4, n))
     traj = Trajectory(params, np.arange(4.0), State.from_stacks(xi, eta),
-                      _energy_arrays(xi, eta, params))
+                      hamiltonian((xi, eta), params))
     assert traj.spectrum.shape == (4, 2 * n)
     assert_trace_and_pairing(traj.spectrum, traj.energy)
 

@@ -97,6 +97,24 @@ def test_integrate_calls_the_traced_rhs_once_per_evaluation(monkeypatch, count_c
     assert traced.count == sol.nfev > 0
 
 
+def test_each_route_enters_its_modules_binding_of_the_traced_energy(monkeypatch, count_calls):
+    # the benchmark's hamiltonian.energy span wraps ``hamiltonian`` where a
+    # module binds it; each route must take its energies through that name:
+    # both trajectory routes in ``integrate._assemble``, the points and the
+    # suite in their own modules
+    state, params = load_workloads(monkeypatch).dense_pool(7)[0].args()
+    runs = [
+        ("vdtoda.integrate", lambda: vdtoda.integrate(state, params, 1.0)),
+        ("vdtoda.integrate", lambda: vdtoda.solve_trajectory(state, params, 1.0)),
+        ("vdtoda.solve", lambda: vdtoda.positions_at(state, params, 1.0)),
+        ("vdtoda.verify", lambda: vdtoda.run_suite(params, 3, 0)),
+    ]
+    for module, run in runs:
+        energy = count_calls(sys.modules[module], "hamiltonian")
+        run()
+        assert energy.count > 0, module
+
+
 def test_solve_trajectory_builds_one_bundle(monkeypatch, count_calls):
     # the benchmark's own tests require lax.build_bundle calls on compare_dense
     state, params = load_workloads(monkeypatch).dense_pool(7)[0].args()

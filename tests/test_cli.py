@@ -408,6 +408,20 @@ def test_overflowing_start_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "t.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # Lcal overflows at a state every trajectory check accepts
+        (["--n", "4", "--xi=-900,-600,-300,0"], "non-finite entries in Lcal"),
+        # kappa^2 overflows, so delta = 1 + kappa^2 w_n is inf
+        (["--beta", "1e-150", "--kappa", "1e160"], "overflow while evaluating delta"),
+    ],
+)
+def test_overflowing_coordinates_of_the_initial_sample_exit_3(tmp_path, capsys, flags, message):
+    assert main(["simulate", *flags, "--t-end", "0", "-o", str(tmp_path / "t.csv")]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_underflowing_coordinates_exit_3(tmp_path, capsys):
     # a hot state whose particles drift more than ~745 apart: w_a underflows
     # to 0 in the equations of motion, a numerical breakdown, not a usage error

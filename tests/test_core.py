@@ -144,7 +144,7 @@ BUNDLED = (
     " scalar_identities"
 ).split()
 SIZE_CHECKED = (
-    "hamiltonian nonrel_hamiltonian to_canonical derived_coords xh_q xh_w eom build_bundle"
+    "hamiltonian nonrel_hamiltonian to_canonical derived_coords build_bundle"
 ).split() + BUNDLED
 # these also take a time
 TIMED = ["integrate", "solve_trajectory", "positions_at", "position_rates_at", "rapidities_at"]

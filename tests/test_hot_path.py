@@ -26,8 +26,8 @@ from vdtoda import (
 from vdtoda.hamiltonian import (
     _eom_arrays,
     _eom_work,
+    _xh_q_theta,
     derived_coords,
-    xh_q,
 )
 from vdtoda.integrate import _matched_spectra
 from vdtoda.lax import build_bundle
@@ -80,8 +80,8 @@ def _s_jacobian(q: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _chain_rule_eom(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(xidot, etadot) from the guarded routes: etadot = X_H[p] - J X_H[q]."""
-    qdot = xh_q(state, params)
+    """(xidot, etadot) from the reference routes: etadot = X_H[p] - J X_H[q]."""
+    qdot = _xh_q_theta(state.xi[None], state.eta[None], params)[0]
     return qdot, xh_p_laurent(state, params) - _s_jacobian(state.xi, params) @ qdot
 
 

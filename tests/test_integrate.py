@@ -14,6 +14,7 @@ from scipy.integrate._ivp import dop853_coefficients
 
 import vdtoda
 from vdtoda import (
+    CoordinateOverflowError,
     ModelParams,
     State,
     integrate,
@@ -22,6 +23,7 @@ from vdtoda import (
     time_reversal,
 )
 from vdtoda.hamiltonian import _eom_arrays, hamiltonian
+from vdtoda.lax import build_bundle
 from vdtoda.integrate import (
     _A,
     _B,
@@ -411,6 +413,25 @@ def test_integrate_rejects_non_finite_input(kwargs, field):
     args = dict(t_end=1.0) | kwargs
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         integrate(_state(3), PARAMS, **args)
+
+
+def test_a_first_spectrum_read_raises_the_typed_error_of_an_overflowing_lcal():
+    # the state passes every check of the trajectory (energy 4.9e130), but
+    # Lcal overflows: the first read of the spectrum raises, as build_bundle
+    # does, and warns of nothing
+    params = ModelParams(4, 1.0, 1.0)
+    hot = State(np.array([-900.0, -600.0, -300.0, 0.0]), np.zeros(4))
+    traj = integrate(hot, params, 0.0)
+    assert 4e130 < traj.energy[0] < np.inf
+    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in Lcal$"):
+        traj.spectrum
+    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in Hcal$"):
+        build_bundle(hot, params)
+    # every block of samples is checked, not only the first
+    cool = State(np.zeros(4), np.zeros(4))
+    mixed = Trajectory(params, np.arange(41.0), (cool,) * 40 + (hot,), np.zeros(41))
+    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in Lcal$"):
+        mixed.spectrum
 
 
 # ---------------------------------------------------------------- physics

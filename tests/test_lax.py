@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import mp_reference
 from conftest import draw_states
-from vdtoda import CoordinateOverflowError, ModelParams, State, random_state
-from vdtoda.hamiltonian import derived_coords, xh_q
+from vdtoda import CoordinateOverflowError, ModelParams, State, integrate, random_state
+from vdtoda.hamiltonian import derived_coords
 from vdtoda.lax import (
     LaxBundle,
     _diagonal,
@@ -305,12 +305,13 @@ def test_hessenberg_matches_the_extended_precision_definition(n, kappa):
 
 
 def test_overflowing_delta_is_a_coordinate_overflow(zero3):
-    # kappa^2 overflows, so delta = 1 + kappa^2 w_n is inf and d has the
-    # entries 0 and inf; the bundle's finiteness check names d
+    # kappa^2 overflows, so delta = 1 + kappa^2 w_n is inf: the coordinate
+    # guard names delta before any matrix is built from it
     params = ModelParams(3, 1e-150, 1e160)
-    assert derived_coords(zero3, params).delta == np.inf
-    with pytest.raises(CoordinateOverflowError, match="^non-finite entries in d$"):
-        build_bundle(zero3, params)
+    message = r"^overflow while evaluating delta = 1 \+ kappa\^2 w_n$"
+    for fn in (derived_coords, build_bundle, lambda s, p: integrate(s, p, 0.0)):
+        with pytest.raises(CoordinateOverflowError, match=message):
+            fn(zero3, params)
 
 
 def test_squared_factor_diagonal():

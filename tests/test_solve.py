@@ -18,7 +18,7 @@ from vdtoda import (
     solve_trajectory,
     time_reversal,
 )
-from vdtoda.hamiltonian import hamiltonian, xh_q
+from vdtoda.hamiltonian import _xh_q_theta, hamiltonian
 from vdtoda.integrate import TrajectoryCheckError, sample_times, spectral_drift
 from vdtoda.lax import build_bundle
 from vdtoda.solve import (
@@ -218,7 +218,7 @@ def test_minor_chain_stays_positive_along_flow():
 
 def test_rates_at_zero_match_velocity_field():
     rates = position_rates_at(STATE, PARAMS, 0.0)
-    assert np.max(np.abs(rates - xh_q(STATE, PARAMS))) < 1e-10
+    assert np.max(np.abs(rates - _xh_q_theta(STATE.xi[None], STATE.eta[None], PARAMS)[0])) < 1e-10
 
 
 def test_rates_match_position_differences():

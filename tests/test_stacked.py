@@ -16,12 +16,12 @@ from hypothesis.extra.numpy import arrays
 from vdtoda import CoordinateOverflowError, ModelParams, State
 from vdtoda.hamiltonian import (
     _coord_arrays,
-    _energy_arrays,
     _factor_arrays,
     derived_coords,
     hamiltonian,
 )
 from vdtoda.integrate import TrajectoryCheckError, _check_bounds
+from vdtoda.lax import build_bundle
 from vdtoda.solve import _gauss
 
 
@@ -43,7 +43,7 @@ def test_stacked_kernels_equal_single_state_functions(case):
     params, q, th = case
     s, p, x, w, delta = _coord_arrays(q, th, params)
     F, ok = _factor_arrays(q, params)
-    H = _energy_arrays(q, th, params)
+    H = hamiltonian((q, th), params)
     assert ok.all()
     for i in range(q.shape[0]):
         state = State(q[i], th[i])
@@ -102,9 +102,32 @@ def test_stack_layout_changes_no_energy_bit(case, layout):
         q, th = np.asfortranarray(q), np.asfortranarray(th)
     elif layout == "strided":
         q, th = (np.repeat(a, 2, axis=1)[:, ::2] for a in (q, th))
-    H = _energy_arrays(q, th, params)
+    H = hamiltonian((q, th), params)
     for i in range(q.shape[0]):
         assert H[i] == hamiltonian(State(q[i], th[i]), params)
+
+
+def test_energy_of_a_state_is_a_float_and_of_a_stack_an_array():
+    params = ModelParams(3, 0.7, 1.2)
+    q, th = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 5, 3))
+    H = hamiltonian((q, th), params)
+    assert type(H) is np.ndarray and H.shape == (5,)
+    one = hamiltonian(State(q[2], th[2]), params)
+    assert type(one) is float and one == H[2]
+
+
+@pytest.mark.parametrize("fn", [hamiltonian, build_bundle])
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        ((np.zeros((2, 4)), np.zeros((2, 4))), "^state size does not match params.n$"),
+        ((np.zeros((2, 3)), np.zeros((3, 3))), r"^a stack of states is a pair \(xi, eta\)"),
+        ((np.zeros(3), np.zeros(3)), r"^a stack of states is a pair \(xi, eta\)"),
+    ],
+)
+def test_a_malformed_stack_is_refused(fn, stack, message):
+    with pytest.raises(ValueError, match=message):
+        fn(stack, ModelParams(3, 1.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +187,7 @@ def test_stack_overflow_raises_the_earliest_rows_error(order):
     state = State(q[first], th[first])
     coords_error = _error_of(lambda: _coord_arrays(q, th, params))
     assert coords_error == _error_of(lambda: derived_coords(state, params))
-    energy_error = _error_of(lambda: _energy_arrays(q, th, params))
+    energy_error = _error_of(lambda: hamiltonian((q, th), params))
     assert energy_error == _error_of(lambda: hamiltonian(state, params))
     assert coords_error[0] is CoordinateOverflowError
     assert energy_error[0] is CoordinateOverflowError
@@ -184,7 +207,7 @@ def test_one_huge_separation_in_one_row_is_reported():
     with pytest.raises(CoordinateOverflowError):
         _coord_arrays(q, np.zeros_like(q), params)
     with pytest.raises(CoordinateOverflowError):
-        _energy_arrays(q, np.zeros_like(q), params)
+        hamiltonian((q, np.zeros_like(q)), params)
 
 
 def test_bound_checks_name_the_first_failing_sample():

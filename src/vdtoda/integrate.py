@@ -15,7 +15,8 @@ it the first bound in that order.  The assembly runs each stage over all
 samples: the energies (overflow), ``_check_bounds``, then the coordinate
 guards.  The spectrum of Lcal is a cached property of the states,
 computed on its first read, which raises ``CoordinateOverflowError`` if
-Lcal is not finite at some sample.
+Lcal is not finite at some sample and ``TrajectoryCheckError`` if a kept
+eigenvalue is not positive.
 README "Trajectories" describes the RHS kernel, the blocks and how the
 spectrum rows are matched.
 """
@@ -106,9 +107,10 @@ class Trajectory:
     new states.  Trajectories from this package hold states that are
     read-only row views of one stack per field (``State.from_stacks``),
     and every check on the samples has run before they are returned,
-    except that Lcal is finite: the first read of ``spectrum`` checks it
-    and raises ``CoordinateOverflowError`` for the earliest sample where
-    it is not.  Equality and hashing are by identity.
+    except on Lcal's spectrum: the first read of ``spectrum`` raises
+    ``CoordinateOverflowError`` for the earliest sample where Lcal is not
+    finite, or ``TrajectoryCheckError`` where a kept eigenvalue is not
+    positive.  Equality and hashing are by identity.
     """
 
     params: ModelParams
@@ -335,22 +337,31 @@ def _matched_spectra(xi: np.ndarray, eta: np.ndarray, params: ModelParams) -> np
     the large ones, so a row keeps the real parts of the n eigenvalues of
     largest modulus and their reciprocals, which keep the relative error.
     ``eigvals`` acts matrix by matrix, so the rows are bitwise those of
-    one stacked call.  A non-finite Lcal raises ``CoordinateOverflowError``
-    for the earliest such sample, as ``LaxBundle`` does.
+    one stacked call.  The earliest sample where Lcal is not finite raises
+    ``CoordinateOverflowError``, as ``LaxBundle`` does, or where a kept
+    eigenvalue is not positive, ``TrajectoryCheckError``: the rounding
+    has then lost the spectrum.
     """
     n = params.n
     _, _, x, w, delta = _coord_arrays(xi, eta, params)
     spectrum = np.empty((xi.shape[0], 2 * n))
     for k in range(0, xi.shape[0], _CHAIN_BLOCK):
-        rows = slice(k, k + _CHAIN_BLOCK)
+        block = slice(k, k + _CHAIN_BLOCK)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            Lcal = _lax_chain(x[rows], w[rows], delta[rows], params)[-1]
-        ok = np.isfinite(Lcal).all(axis=(1, 2))
-        _raise_first_failure([(ok, CoordinateOverflowError, "non-finite entries in Lcal")])
-        lams = np.linalg.eigvals(Lcal)
+            Lcal = _lax_chain(x[block], w[block], delta[block], params)[-1]
+        finite = np.isfinite(Lcal).all(axis=(1, 2))
+        # eigvals refuses a non-finite Lcal: it takes the samples before the first
+        m = len(finite) if finite.all() else int(np.argmin(finite))
+        lams = np.linalg.eigvals(Lcal[:m])
         large = np.abs(lams).argsort(axis=1)[:, n:]
-        spectrum[rows, :n] = np.take_along_axis(lams, large, axis=1).real
-        np.divide(1.0, spectrum[rows, :n], out=spectrum[rows, n:])
+        kept = np.take_along_axis(lams, large, axis=1).real
+        low = kept.min(axis=1)
+        _raise_first_failure([
+            (finite, CoordinateOverflowError, "non-finite entries in Lcal"),
+            (low > 0.0, TrajectoryCheckError, "non-positive eigenvalue %.6g of Lcal", low),
+        ])
+        spectrum[block, :n] = kept
+        np.divide(1.0, kept, out=spectrum[block, n:])
     spectrum.sort(axis=1)
     return spectrum
 
@@ -396,8 +407,8 @@ def _assemble(
     slack: float = 0.0,
 ) -> Trajectory:
     # xi and eta are the stacked samples (S, n); the drift budget is
-    # slack + rel |H(t = 0)|.  Every check but Lcal's (the spectrum's first
-    # read) runs here, stage by stage over all samples, coordinates last.
+    # slack + rel |H(t = 0)|.  Every check but those on Lcal's spectrum (its
+    # first read) runs here, stage by stage over all samples, coordinates last.
     states = State.from_stacks(xi, eta)
     energy = hamiltonian((xi, eta), params)
     _check_bounds(params, t, xi, eta, energy, slack + rel * abs(energy[0]), energy[0])

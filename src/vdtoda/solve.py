@@ -25,16 +25,21 @@ exponential, ``FactorizationBreakdownError`` for the elimination and
 each at the earliest failing sample: a breakdown waits for the checks of
 the samples before it.  README "Algebraic solver" gives the blocks and
 the order of the checks, "Precision range" the measured error bound and
-horizon.  The exponential is ``scipy.linalg.expm``'s, bit for bit, but
-``scipy.linalg`` is imported on the first exponential, not with the
-package: ``import vdtoda``, the suite and the integrator never load it.
+horizon.  The exponential is ``scipy.linalg.expm``'s, bit for bit, from
+scipy's own two Pade kernels, loaded from their file on the first
+exponential: no route loads ``scipy.linalg``, which only
+``matrix_exp``'s fallback to ``expm`` imports.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .core import CoordinateOverflowError, ModelParams, State
 from .hamiltonian import (
@@ -87,21 +92,27 @@ class FactorizationBreakdownError(ArithmeticError):
 
 
 @functools.cache
-def _scipy_expm() -> tuple:
-    """``scipy.linalg.expm`` and its kernels (pick_pade_structure, pade_UV_calc).
+def _pade_kernels() -> tuple | None:
+    """scipy's ``expm`` kernels (pick_pade_structure, pade_UV_calc), from their own file.
 
-    Imported on the first exponential, not with the package: ``scipy.linalg``
-    takes longer to import than the rest of ``vdtoda``, and only the
-    algebraic route needs it.  The kernels are private, so they are None
-    where they cannot be imported, and checked by ``_kernels_reproduce_expm``.
+    The extension ``scipy/linalg/_matfuncs_expm`` is loaded from its path
+    under a name that no scipy module uses, so ``scipy.linalg``, which
+    takes longer to import than the rest of ``vdtoda``, stays unloaded.
+    The kernels are private: None where the file is missing, fails to load
+    or lacks one of them, and checked by ``_kernels_reproduce_expm``.
     """
-    from scipy.linalg import expm
-
+    folder = Path(scipy.__file__).parent / "linalg"
+    paths = (folder / f"_matfuncs_expm{suffix}" for suffix in EXTENSION_SUFFIXES)
+    path = next((p for p in paths if p.exists()), None)
+    if path is None:
+        return None
     try:
-        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-    except ImportError:
-        return expm, None
-    return expm, (pick_pade_structure, pade_UV_calc)
+        spec = importlib.util.spec_from_file_location("vdtoda._matfuncs_expm", path)
+        kernels = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kernels)
+        return kernels.pick_pade_structure, kernels.pade_UV_calc
+    except (ImportError, OSError, AttributeError):
+        return None
 
 
 def _pade_stack(M: np.ndarray) -> np.ndarray | None:
@@ -113,7 +124,7 @@ def _pade_stack(M: np.ndarray) -> np.ndarray | None:
     one ``E @ E`` over the matrices that still need it.  Returns None when
     a kernel reports a failure, which scipy's ``expm`` then raises.
     """
-    pick_pade_structure, pade_UV_calc = _scipy_expm()[1]
+    pick_pade_structure, pade_UV_calc = _pade_kernels()
     E = np.empty_like(M)
     s = np.empty(len(M), dtype=np.intp)
     Am = np.empty((5,) + M.shape[1:])
@@ -132,19 +143,24 @@ def _pade_stack(M: np.ndarray) -> np.ndarray | None:
 
 @functools.cache
 def _kernels_reproduce_expm() -> bool:
-    """Whether ``_pade_stack`` gives scipy's ``expm`` bits on a full matrix that needs squaring.
+    """Whether ``_pade_stack`` holds the kernels' calling convention, against a closed form.
 
-    The kernels' calling convention is not public, so it is checked on the
-    first call; where it does not hold, ``matrix_exp`` calls ``expm``.
+    The convention is not public, so it is checked on the first call,
+    without importing ``expm``: ``M = [[1, 6], [-6, 1]]`` has 1-norm 7, so
+    scipy takes its order-13 approximant and one squaring, and
+    ``exp(M) = e [[cos 6, sin 6], [-sin 6, cos 6]]`` must come out within
+    1e-13 relative.  Where it does not, ``matrix_exp`` calls ``expm``.
+    That each output is ``expm``'s to the bit is for the tests to show.
     """
-    expm, kernels = _scipy_expm()
-    if kernels is None:
+    if _pade_kernels() is None:
         return False
-    M = np.array([[[1.0, 2.0, 0.5], [-3.0, 4.0, 1.0], [0.25, -1.0, 2.0]]])
+    c, s = np.cos(6.0), np.sin(6.0)
+    exact = np.e * np.array([[c, s], [-s, c]])
     try:
-        return bool(np.array_equal(_pade_stack(M), expm(M)))
+        E = _pade_stack(np.array([[[1.0, 6.0], [-6.0, 1.0]]]))
     except (TypeError, ValueError):
         return False
+    return E is not None and bool(np.abs(E[0] - exact).max() <= 1e-13 * np.abs(exact).max())
 
 
 def matrix_exp(M: np.ndarray) -> np.ndarray:
@@ -156,9 +172,11 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     through ``_pade_stack``, which drops scipy's per-matrix work around
     its kernels and squares the stack at once.  Any other stack, which may
     hold the triangular and diagonal matrices that scipy treats apart,
-    goes to ``expm`` whole.  A non-finite entry raises
-    ``ValueError`` and an overflowing result ``CoordinateOverflowError``,
-    for the stack as a whole.
+    goes to ``expm`` whole, and so does every stack where a kernel reports
+    a failure or the kernels are missing or fail their check
+    (``_kernels_reproduce_expm``); ``scipy.linalg`` is imported there
+    only.  A non-finite entry raises ``ValueError`` and an overflowing
+    result ``CoordinateOverflowError``, for the stack as a whole.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
@@ -175,7 +193,11 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
             and _kernels_reproduce_expm()
         ):
             E = _pade_stack(M.reshape((-1,) + M.shape[-2:]))
-        E = _scipy_expm()[0](M) if E is None else E.reshape(M.shape)
+        if E is None:
+            from scipy.linalg import expm
+
+            E = expm(M)
+    E = E.reshape(M.shape)
     if not np.all(np.isfinite(E)):
         raise CoordinateOverflowError("matrix exponential overflowed")
     return E

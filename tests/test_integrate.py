@@ -32,6 +32,7 @@ from vdtoda.integrate import (
     _E5,
     StepSizeUnderflowError,
     Trajectory,
+    TrajectoryCheckError,
     _sample_stacks,
     backward_via_reversal,
     sample_times,
@@ -329,20 +330,62 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_import_suite_and_integration_leave_scipy_linalg_unloaded():
-    # Hcal is built in numpy, and expm is imported on the first exponential
+    # Hcal is built in numpy
     assert _linalg_modules(modules_after_import()) == []
     assert _linalg_modules(modules_after_import(SUITE_AND_RK)) == []
 
 
-def test_first_exponential_loads_scipy_expm_and_its_kernels():
+# the algebraic route: a trajectory, a point, a stacked exponential of a
+# t Ycal stack, and the CLI commands that run it with their defaults
+ALGEBRAIC = """
+import contextlib, io
+import numpy as np
+from vdtoda import ModelParams, State, cli, positions_at, solve, solve_trajectory
+from vdtoda.lax import build_bundle
+params = ModelParams(4, 0.5, 1.0)
+state = State(np.array([-0.6, -0.1, 0.3, 0.5]), np.array([0.2, -0.4, 0.1, 0.3]))
+solve_trajectory(state, params, 1.0)
+positions_at(state, params, 0.7)
+solve.matrix_exp(np.arange(1.0, 21.0)[:, None, None] * build_bundle(state, params).Ycal)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["solve"]) == 0
+    assert cli.main(["compare"]) == 0
+assert solve._kernels_reproduce_expm()
+"""
+
+
+def test_algebraic_route_leaves_scipy_linalg_unloaded():
+    # scipy's Pade kernels are loaded from their own file, under vdtoda's name
+    assert _linalg_modules(modules_after_import(ALGEBRAIC)) == []
+
+
+def test_a_triangular_matrix_loads_scipy_linalg_through_the_fallback():
     loaded = modules_after_import(
         "import numpy as np\n"
         "from vdtoda import solve\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        "solve.matrix_exp(np.array([[0.0, 1.0], [-1.0, 0.5]]))\n"
-        "assert solve._kernels_reproduce_expm()"
+        "solve.matrix_exp(np.array([[0.5, 2.0], [0.0, -1.0]]))"
     )
-    assert {"scipy.linalg", "scipy.linalg._matfuncs_expm"} <= set(loaded)
+    assert "scipy.linalg" in loaded
+
+
+def test_kernels_loaded_before_scipy_linalg_keep_expm_bits():
+    # vdtoda loads its copy of the kernels first and scipy.linalg its own
+    # after; each matrix of a dense-pool t Ycal stack still gets expm's bits
+    modules_after_import(
+        "import numpy as np\n"
+        "from vdtoda import ModelParams, State, solve\n"
+        "from vdtoda.integrate import sample_times\n"
+        "from vdtoda.lax import build_bundle\n"
+        "rng = np.random.default_rng(7)\n"
+        "state = State(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8))\n"
+        "Y = build_bundle(state, ModelParams(8, 0.5, 1.0)).Ycal\n"
+        "stack = sample_times(5.0, 0.05)[1:, None, None] * Y\n"
+        "E = solve.matrix_exp(stack)\n"
+        "assert solve._kernels_reproduce_expm() and 'scipy.linalg' not in sys.modules\n"
+        "from scipy.linalg import expm\n"
+        "assert all(np.array_equal(e, expm(M)) for e, M in zip(E, stack))\n"
+        "assert np.array_equal(solve.matrix_exp(stack), E)"
+    )
 
 
 # ------------------------------------------------------------- container
@@ -432,6 +475,29 @@ def test_a_first_spectrum_read_raises_the_typed_error_of_an_overflowing_lcal():
     mixed = Trajectory(params, np.arange(41.0), (cool,) * 40 + (hot,), np.zeros(41))
     with pytest.raises(CoordinateOverflowError, match="^non-finite entries in Lcal$"):
         mixed.spectrum
+
+
+def test_a_spectrum_read_refuses_a_non_positive_eigenvalue():
+    # at rest with gaps of 20 the state passes every check of the trajectory,
+    # but the rounding of Lcal leaves a negative eigenvalue among the kept
+    # ones; at gaps of 10 the smallest eigenvalue is still positive
+    params = ModelParams(4, 1.0, 1.0)
+    gaps = np.array([-3.0, -2.0, -1.0, 0.0])
+    assert integrate(State(10.0 * gaps, np.zeros(4)), params, 0.0).spectrum.min() > 0.0
+    hot = State(20.0 * gaps, np.zeros(4))
+    with pytest.raises(TrajectoryCheckError, match="^non-positive eigenvalue -977.* of Lcal$"):
+        integrate(hot, params, 0.0).spectrum
+    # the earliest failing sample is reported, across blocks and checks
+    cool = State(np.zeros(4), np.zeros(4))
+    overflowing = State(np.array([-900.0, -600.0, -300.0, 0.0]), np.zeros(4))
+    for states, error in [
+        ((cool,) * 40 + (hot, overflowing), TrajectoryCheckError),
+        ((cool,) * 40 + (overflowing, hot), CoordinateOverflowError),
+        ((cool, hot) + (cool,) * 39 + (overflowing,), TrajectoryCheckError),
+    ]:
+        mixed = Trajectory(params, np.arange(42.0), states, np.zeros(42))
+        with pytest.raises(error):
+            mixed.spectrum
 
 
 # ---------------------------------------------------------------- physics

@@ -194,6 +194,30 @@ def test_exponential_of_crafted_inputs_is_scipy_expm_bitwise(count_calls):
     assert stacked.count == 0
 
 
+def _am_unchanged(Am, m):
+    # a pade_UV_calc that reports success and leaves the scratch as it was
+    return 0
+
+
+@pytest.mark.parametrize("mutant", ["missing", "am_unchanged"])
+def test_kernels_that_fail_the_convention_check_fall_back_to_expm(
+    mutant, monkeypatch, count_calls
+):
+    pick_pade_structure, _ = solve_module._pade_kernels()
+    kernels = {"missing": None, "am_unchanged": (pick_pade_structure, _am_unchanged)}[mutant]
+    monkeypatch.setattr(solve_module, "_pade_kernels", lambda: kernels)
+    solve_module._kernels_reproduce_expm.cache_clear()
+    try:
+        assert not solve_module._kernels_reproduce_expm()
+        stacked = count_calls(solve_module, "_pade_stack")
+        Y = build_bundle(STATE, ModelParams(5, 1.0, 1.0)).Ycal
+        _assert_expm_bitwise(sample_times(5.0, 0.05)[1:, None, None] * Y)
+        assert stacked.count == 0
+    finally:
+        # the next check runs on the real kernels
+        solve_module._kernels_reproduce_expm.cache_clear()
+
+
 # --------------------------------------------------------- reconstruction
 
 
